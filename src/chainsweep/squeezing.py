@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import correlators, densemat as dm
-from .errors import InputError
+from . import correlators
+from .errors import InputError, ToleranceError
 from .gates import squeezing_gate
 from .transfer import ChainSpec, LocalObservable, SIGMA_Z, build_transfer, spectral
 
@@ -66,11 +66,16 @@ def transverse_variance(chi_t: float, theta: float, n_sites: int,
         ts, _transverse_obs(theta), n_sites, with_asymptotics=False).total
 
 
-def optimal_theta(chi_t: float, tol: float = 1e-9) -> tuple[float, bool]:
-    """Minimize the asymptotic transverse-variance coefficient over theta.
+def _theta_optimum(chi_t: float) -> tuple[float, float, bool]:
+    """(theta*, l(theta*), degenerate) for the linear variance coefficient.
 
-    Returns (theta, degenerate); a flat landscape (chi_t -> 0) is flagged
-    degenerate and any grid angle qualifies.
+    On the unit sphere l(n) = n^T L n (A^2 = I for A = n . sigma), so along
+    the transverse circle l(theta) = a + b cos 2theta + c sin 2theta.  Three
+    evaluations at theta = 0, pi/4, pi/2 fix (a, b, c); the minimum sits at
+    theta* = atan2(-c, -b)/2 with value a - sqrt(b^2 + c^2) (Kitagawa & Ueda,
+    PRA 47, 5138).  The coefficient is evaluated again at theta*, and a
+    mismatch with the predicted minimum raises instead of returning.  All
+    four evaluations share one transfer matrix and one spectrum.
     """
     ts = _transfer_for(chi_t)
     spec = spectral(ts.e)
@@ -79,41 +84,41 @@ def optimal_theta(chi_t: float, tol: float = 1e-9) -> tuple[float, bool]:
         return correlators.asymptotic_variance(ts, _transverse_obs(theta),
                                                spec=spec).linear_coeff
 
-    grid = np.linspace(0.0, np.pi, 65, endpoint=False)
-    vals = np.array([coeff(t) for t in grid])
-    if vals.max() - vals.min() < THETA_DEGENERATE_SPAN:
-        return float(grid[int(np.argmin(vals))]), True
-    best = int(np.argmin(vals))
-    lo = grid[best] - np.pi / 64
-    hi = grid[best] + np.pi / 64
-    inv_golden = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_golden * (b - a)
-    d = a + inv_golden * (b - a)
-    fc, fd = coeff(c), coeff(d)
-    while abs(b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_golden * (b - a)
-            fc = coeff(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_golden * (b - a)
-            fd = coeff(d)
-    theta = 0.5 * (a + b) % np.pi
-    return float(theta), False
+    l0, l1, l2 = coeff(0.0), coeff(np.pi / 4), coeff(np.pi / 2)
+    a = 0.5 * (l0 + l2)
+    b = 0.5 * (l0 - l2)
+    c = l1 - a
+    amplitude = float(np.hypot(b, c))
+    theta = float(0.5 * np.arctan2(-c, -b) % np.pi)
+    value = coeff(theta)
+    predicted = a - amplitude
+    if abs(value - predicted) > 1e-10 * max(1.0, abs(predicted)):
+        raise ToleranceError(
+            f"variance coefficient is not quadratic in theta: l(theta*) = "
+            f"{value!r} against the predicted minimum {predicted!r}")
+    return theta, value, 2.0 * amplitude < THETA_DEGENERATE_SPAN
+
+
+def optimal_theta(chi_t: float) -> tuple[float, bool]:
+    """Minimize the asymptotic transverse-variance coefficient over theta.
+
+    Returns (theta, degenerate); a flat landscape (chi_t -> 0) is flagged
+    degenerate and any angle qualifies.
+    """
+    theta, _, degenerate = _theta_optimum(chi_t)
+    return theta, degenerate
 
 
 def xi_squared(chi_t: float, n_sites: int | None = None,
                mode: str = "exact") -> float:
     """Squeezing parameter N (Delta A_theta*)^2 / <A_z>^2 at the optimal
     transverse angle; < 1 witnesses entanglement."""
-    theta, _ = optimal_theta(chi_t)
+    theta, var_coeff, _ = _theta_optimum(chi_t)
     if mode == "asymptotic":
         mean_coeff = mean_z_asymptotic_coeff(chi_t)
         if abs(mean_coeff) < 1e-9:
             raise InputError("squeezing parameter undefined: <A_z> vanishes")
-        return variance_asymptotic_coeff(chi_t, theta) / mean_coeff ** 2
+        return var_coeff / mean_coeff ** 2
     if mode != "exact":
         raise InputError(f"unknown mode {mode!r}")
     if n_sites is None:
@@ -138,127 +143,48 @@ class BoundCurve:
     j: float
     samples: list[tuple[float, float]]
 
-    def interpolate(self, m: float) -> float:
-        ms = np.array([p[0] for p in self.samples])
-        vs = np.array([p[1] for p in self.samples])
-        if m < ms[0] - 1e-9 or m > ms[-1] + 1e-9:
-            raise InputError(f"m = {m} outside tabulated range [{ms[0]}, {ms[-1]}]")
-        return float(np.interp(m, ms, vs))
 
-
-def _spin_matrices(j: float) -> tuple[np.ndarray, np.ndarray]:
-    dim = int(round(2 * j + 1))
-    mz = j - np.arange(dim)
-    jz = np.diag(mz.astype(np.complex128))
-    jp = np.zeros((dim, dim), dtype=np.complex128)
-    for k in range(1, dim):
-        m = mz[k]
-        jp[k - 1, k] = np.sqrt(j * (j + 1) - m * (m + 1))
-    jx = 0.5 * (jp + jp.conj().T)
-    return jx, jz
-
-
-def _pairwise_ground(jx2: np.ndarray, jz: np.ndarray, mu: float,
-                     j: float) -> tuple[float, float]:
-    """(m, F) of the ground state of J_x^2 - mu J_z in the spin-j irrep."""
-    h = jx2 - mu * jz
-    evals, evecs = dm.hermitian_eig(h)
-    ground = evecs[:, 0]
-    m = float(np.real(ground.conj() @ jz @ ground)) / j
-    jx2_val = float(np.real(ground.conj() @ jx2 @ ground))
-    # Ground states of this family have <J_x> = 0 (pi-rotation symmetry
-    # about z), so the variance is <J_x^2> itself.
-    return m, 2.0 * jx2_val / j
-
-
-def _convex_lower(samples: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    pts = sorted(samples)
-    hull: list[tuple[float, float]] = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        if hull and abs(p[0] - hull[-1][0]) < 1e-12:
-            continue
-        hull.append(p)
-    return hull
+def _pairwise_bound(m: float) -> float:
+    """Spin-1 bound F_1(m) = 1 - sqrt(1 - m^2) (Sorensen & Molmer, PRL 86,
+    4431); convex on [0, 1], so it is its own lower envelope."""
+    return float(1.0 - np.sqrt(1.0 - m * m))
 
 
 def sm_bound(j: float, m_grid) -> BoundCurve:
     """Minimum transverse variance at fixed mean spin for spin-j ensembles.
 
-    j = 1/2 (separable): the Bloch-sphere minimum is v = m^2 exactly; the
-    Lagrangian scan cannot see it because the single-qubit optimum rides on
-    <J_x> != 0.  j = 1 (pairwise entangled): scan ground states of
-    J_x^2 - mu J_z over mu, refine by bisection at each requested m, then
-    take the lower convex envelope.
+    j = 1/2 (separable): the Bloch-sphere minimum v = m^2.  j = 1 (pairwise
+    entangled): the closed form 1 - sqrt(1 - m^2).
     """
-    m_grid = [float(m) for m in m_grid]
+    m_grid = sorted(float(m) for m in m_grid)
     if any(m < 0.0 or m > 1.0 for m in m_grid):
         raise InputError("m grid must lie in [0, 1]")
     if abs(j - 0.5) < 1e-12:
-        return BoundCurve(j=0.5, samples=[(m, m * m) for m in sorted(m_grid)])
+        return BoundCurve(j=0.5, samples=[(m, m * m) for m in m_grid])
     if abs(j - 1.0) > 1e-12:
         raise InputError("only j = 1/2 and j = 1 are supported")
-
-    jx, jz = _spin_matrices(1.0)
-    jx2 = jx @ jx
-    mu_grid = np.linspace(0.0, 20.0, 2001)
-    scan = [_pairwise_ground(jx2, jz, mu, 1.0) for mu in mu_grid]
-
-    samples: list[tuple[float, float]] = []
-    for m_target in sorted(m_grid):
-        samples.append(_pairwise_point(jx2, jz, scan, mu_grid, m_target))
-    hull = _convex_lower(scan + samples)
-    out = []
-    ms = np.array([p[0] for p in hull])
-    vs = np.array([p[1] for p in hull])
-    for m_target in sorted(m_grid):
-        out.append((m_target, float(np.interp(m_target, ms, vs))))
-    return BoundCurve(j=1.0, samples=out)
+    return BoundCurve(j=1.0, samples=[(m, _pairwise_bound(m)) for m in m_grid])
 
 
-def _pairwise_point(jx2, jz, scan, mu_grid, m_target: float) -> tuple[float, float]:
-    if m_target >= 1.0 - 1e-12:
-        return (1.0, 1.0)  # stretched state is forced at m = 1
-    ms = [p[0] for p in scan]
-    idx = int(np.searchsorted(ms, m_target))
-    if idx == 0:
-        return (m_target, scan[0][1])
-    lo, hi = mu_grid[idx - 1], mu_grid[min(idx, len(mu_grid) - 1)]
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        m_mid, _ = _pairwise_ground(jx2, jz, mid, 1.0)
-        if m_mid < m_target:
-            lo = mid
-        else:
-            hi = mid
-    m_val, v_val = _pairwise_ground(jx2, jz, 0.5 * (lo + hi), 1.0)
-    return (m_target, v_val)
-
-
-def fig4_curve(chi_t_grid, pairwise_curve: BoundCurve | None = None,
-               theta: float | None = None) -> list[dict]:
+def fig4_curve(chi_t_grid, theta: float | None = None) -> list[dict]:
     """Large-N squeezing trajectory (m, v) per chi_t with entanglement-depth
     flags from the separable (v = m^2) and pairwise bounds.
 
     ``theta`` fixes the transverse direction; default minimizes it per point.
+    Each point builds one transfer matrix and one spectrum.
     """
     rows = []
     grid = [float(c) for c in chi_t_grid]
     if any(not 0.0 < c < np.pi / 2 for c in grid):
         raise InputError("chi_t grid must lie in (0, pi/2)")
-    if pairwise_curve is None:
-        pairwise_curve = sm_bound(1.0, np.linspace(0.0, 1.0, 201))
     for chi_t in grid:
         m = mean_z_asymptotic_coeff(chi_t)
-        point_theta = theta if theta is not None else optimal_theta(chi_t)[0]
-        v = variance_asymptotic_coeff(chi_t, point_theta)
+        if theta is None:
+            _, v, _ = _theta_optimum(chi_t)
+        else:
+            v = variance_asymptotic_coeff(chi_t, theta)
         f_half = m * m
-        f_one = pairwise_curve.interpolate(abs(m)) if abs(m) <= 1.0 else None
+        f_one = _pairwise_bound(abs(m)) if abs(m) <= 1.0 else None
         rows.append({
             "chi_t": chi_t,
             "m": m,

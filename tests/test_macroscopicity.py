@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chainsweep import correlators as co, gates, macroscopicity as mac, oracle, transfer
+from chainsweep.errors import ToleranceError
 from chainsweep.transfer import ChainSpec, LocalObservable, SIGMA_Z, build_transfer
 
 
@@ -69,6 +70,43 @@ def test_neff_optimize_ghz():
     assert abs(abs(report.best_direction[2]) - 1.0) < 1e-4
     state = oracle.sweep(gates.controlled_rotation(np.pi), ChainSpec.plus_state(10))
     assert abs(oracle.collective_variance(state, SIGMA_Z) - 100.0) < 1e-9
+
+
+def test_neff_optimize_weyl_direction_exact():
+    # the top eigenvector of the quadratic form is the y axis to rounding
+    for alpha in (0.2, 0.7, 1.4):
+        report = mac.neff_optimize(gates.weyl_gate(alpha, np.pi / 2, np.pi / 2),
+                                   ChainSpec(4))
+        angle = np.arccos(np.clip(abs(report.best_direction[1]), -1, 1))
+        assert angle <= 1e-10
+
+
+def test_neff_optimize_is_global_maximum():
+    # the value neff(gate, chain, n) computes, with the transfer matrix and
+    # its spectrum built once per gate rather than once per direction
+    rng = np.random.default_rng(31)
+    directions = rng.standard_normal((500, 3))
+    chain = ChainSpec(2)
+    for g in (gates.macroscopic_family(0.5, 0.3, 1.1, seed=1),
+              gates.macroscopic_family(0.2, 2.0, 0.4, seed=6),
+              gates.macroscopic_family(0.8, 1.3, 2.9, seed=12)):
+        best = mac.neff_optimize(g, chain).neff_coeff
+        ts = build_transfer(g, chain)
+        spec = transfer.spectral(ts.e)
+        values = [mac._neff_from_unit_space(ts, spec, LocalObservable.from_bloch(n))
+                  for n in directions]
+        assert abs(mac.neff(g, chain, directions[0]) - max(values[0], 0.0)) < 1e-15
+        assert max(values) <= best + 1e-12
+
+
+def test_neff_optimize_rejects_non_quadratic_form(monkeypatch):
+    def fake(ts, spec, obs):
+        n = obs.bloch
+        return float(n[0] ** 4 + 2.0 * n[1] ** 4 + 3.0 * n[2] ** 4)
+
+    monkeypatch.setattr(mac, "_neff_from_unit_space", fake)
+    with pytest.raises(ToleranceError):
+        mac.neff_optimize(gates.weyl_gate(0.7, np.pi / 2, np.pi / 2), ChainSpec(4))
 
 
 def test_neff_optimize_nondegenerate_zero():

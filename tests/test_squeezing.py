@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from chainsweep import gates, oracle, squeezing as sq
-from chainsweep.errors import InputError
+from chainsweep import correlators, gates, oracle, squeezing as sq
+from chainsweep.errors import InputError, ToleranceError
 from chainsweep.transfer import ChainSpec, LocalObservable, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
@@ -91,6 +91,28 @@ def test_optimal_theta_flat_landscape():
     theta, degenerate = sq.optimal_theta(1e-10)
     assert degenerate
     assert abs(sq.variance_asymptotic_coeff(1e-10, theta) - 1.0) < 1e-9
+
+
+def test_optimal_theta_closed_form_exact():
+    # the closed-form minimizer hits pi/4 to rounding across the coupling grid
+    for k in range(1, 16):
+        theta, degenerate = sq.optimal_theta(0.1 * k)
+        assert not degenerate
+        assert abs(theta - np.pi / 4) <= 1e-12
+
+
+def test_optimal_theta_rejects_non_quadratic_landscape(monkeypatch):
+    # a landscape that is not a + b cos 2theta + c sin 2theta must raise,
+    # not return the extremum of the wrong model
+    def fake(ts, obs, spec=None):
+        return correlators.AsymptoticVariance(
+            quadratic_coeff=0.0, linear_coeff=1.0 + 0.5 * obs.bloch[0] ** 4)
+
+    monkeypatch.setattr(correlators, "asymptotic_variance", fake)
+    with pytest.raises(ToleranceError):
+        sq.optimal_theta(0.6)
+    with pytest.raises(ToleranceError):
+        sq.fig4_curve([0.6])
 
 
 def test_xi_squared_coherent_limit():
@@ -199,6 +221,12 @@ def test_fig4_trajectory_limits_and_flags():
         assert abs(row["m"]) <= 1.0
     hits = [r for r in rows if r["below_pairwise"] and r["m"] > 0.5]
     assert hits, "the squeezing trajectory must beat the pairwise bound somewhere"
+
+
+def test_fig4_pairwise_bound_is_closed_form():
+    # the pairwise bound is steepest near |m| -> 1; it must hold to rounding
+    row = sq.fig4_curve([0.02])[0]
+    assert abs(row["f_one"] - (1.0 - np.sqrt(1.0 - row["m"] ** 2))) <= 1e-12
 
 
 def test_fig4_rejects_out_of_range():
