@@ -1,8 +1,11 @@
 """Exact finite-N and asymptotic expectation values along the chain.
 
-All formulas contract the rank-1 boundary through the row vector <v|
-(X = |I><v|), so chain-length sweeps cost O(N) 4-vector updates and no
-power of the transfer matrix is ever materialized.
+Single-site and pair correlators contract the rank-1 boundary through the
+row vector <v| (X = |I><v|) and powers of the 4x4 transfer matrix E.  A
+collective sum is a finite-automaton MPO: sum_m A_m has bond dimension 2 and
+its square bond dimension 3, so the mean and the variance at any N come from
+one power of an 8x8 or 12x12 block upper-triangular lifted transfer matrix,
+O(log N) matrix products.  Asymptotic coefficients use the spectral data of E.
 """
 
 from __future__ import annotations
@@ -18,9 +21,22 @@ from .transfer import (LocalObservable, SpectralData, TransferSet,
 
 IMAG_TOL = 1e-10
 
-# Eigenvalue pairs closer than this are routed to the analytic limit branches
-# of the double geometric sum.
+# Non-unit eigenvalues closer than this to each other and to the unit circle
+# mark an oscillatory spectrum in asymptotic_variance.
 F_BRANCH_TOL = 1e-7
+
+# A collective mean or variance whose estimated error exceeds this fraction
+# of max(|value|, its product-state scale) raises instead of returning.
+COLLECTIVE_REL_TOL = 1e-5
+
+# Safety factor of the lifted-contraction error estimate.  Against 40-digit
+# references (random, squeezing, controlled-rotation, macroscopic-family and
+# Weyl-degenerate gates, N = 2 to 1e12) the unscaled estimate fell to 0.075x
+# the deviation, on a macroscopic-family gate whose degenerate unit
+# eigenvalue drifts; 32 leaves a margin of 2.4 there.
+_ERR_SAFETY = 32.0
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _real(value: complex, scale: float = 1.0) -> float:
@@ -64,17 +80,63 @@ def two_point(ts: TransferSet, obs: LocalObservable, m: int, n: int,
     return _real(complex(val))
 
 
+def _lifted_contraction(ts: TransferSet, ops: dict, n: int) -> tuple[complex, float]:
+    """Chain sum of a finite-automaton MPO: <v, 0, ..., 0| T^{N-1} |b>.
+
+    The MPO is block upper triangular with identities on its diagonal and
+    the single-site operators ``ops[i, j]`` (i < j) above it (Crosswhite &
+    Bacon, PRA 78, 012356 (2008)); sum_m A_m is {(0, 1): A}.  Dressing each
+    entry gives the lifted transfer matrix T, with E on the diagonal blocks
+    and E_{W_ij} above them, and site N closes with the column
+    b_i = vec W_{i,k-1}.
+
+    The value is divided by the state norm <v|E^{N-1}|I>, read off the same
+    power: mathematically it is 1, and the division cancels the common drift
+    that repeated squaring gives the unit eigenvalue (about N eps relative).
+    Returns the value and its error estimate _ERR_SAFETY * N eps |row|.|b|,
+    row = <v, 0, ...| T^{N-1} normalized.
+    """
+    k = 1 + max(j for _, j in ops)
+    t = np.zeros((4 * k, 4 * k), dtype=np.complex128)
+    b = np.zeros(4 * k, dtype=np.complex128)
+    for i in range(k):
+        t[4 * i:4 * i + 4, 4 * i:4 * i + 4] = ts.e
+    for (i, j), op in ops.items():
+        t[4 * i:4 * i + 4, 4 * j:4 * j + 4] = ts.dressed(LocalObservable(op))
+        if j == k - 1:
+            b[4 * i:4 * i + 4] = op.reshape(-1)
+    b[-4:] = VEC_IDENTITY
+    row = ts.vrow @ dm.matpow(t, n - 1)[:4]
+    row = row / complex(row[:4] @ VEC_IDENTITY)
+    err = _ERR_SAFETY * n * _EPS * float(np.abs(row) @ np.abs(b))
+    return complex(row @ b), err
+
+
+def _check_estimate(what: str, value: float, err: float, floor: float) -> None:
+    bound = COLLECTIVE_REL_TOL * max(abs(value), floor)
+    if err > bound:
+        raise ToleranceError(
+            f"{what}: estimated error {err:.3e} exceeds {bound:.3e}; "
+            f"the chain is too long for double precision")
+
+
+def _mean(ts: TransferSet, a: np.ndarray, n: int) -> tuple[float, float]:
+    """sum_m <A_m> and its error estimate from the 8x8 lifted power
+    [[E, E_A], [0, E]] closed by (vec A, |I>) at site N."""
+    total, err = _lifted_contraction(ts, {(0, 1): a}, n)
+    return _real(total, scale=n), err
+
+
 def collective_mean(ts: TransferSet, obs: LocalObservable, n_sites: int) -> float:
-    """sum_m <A_m> through one O(N) left-to-right sweep."""
-    ea_i = ts.dressed(obs) @ VEC_IDENTITY
-    a = _vec(obs)
-    row = ts.vrow.copy()
-    acc = 0.0 + 0.0j
-    for _ in range(n_sites - 1):
-        acc += row @ ea_i
-        row = row @ ts.e
-    acc += row @ a
-    return _real(complex(acc), scale=n_sites)
+    """sum_m <A_m> from one power of the 8x8 lifted transfer matrix.
+
+    Raises ToleranceError when the error estimate exceeds COLLECTIVE_REL_TOL
+    of max(|mean|, N ||A||).
+    """
+    mean, err = _mean(ts, obs.matrix, n_sites)
+    _check_estimate("collective mean", mean, err,
+                    n_sites * np.linalg.norm(obs.matrix, 2))
+    return mean
 
 
 @dataclass
@@ -84,13 +146,15 @@ class VarianceBreakdown:
     ``quadratic_coeff``/``linear_coeff`` restate the asymptotic expansion
     q N^2 + l N + O(1) when the transfer matrix is diagonalizable (else they
     are None and only ``total`` is meaningful); ``boundary_remainder`` is the
-    O(1) part total - q N^2 - l N at this N.
+    O(1) part total - q N^2 - l N at this N.  ``error_estimate`` is the
+    estimated floating-point error of ``total`` (see _lifted_contraction).
     """
 
     total: float
     quadratic_coeff: float | None
     linear_coeff: float | None
     boundary_remainder: float | None
+    error_estimate: float
 
 
 @dataclass
@@ -108,23 +172,17 @@ class AsymptoticVariance:
 
 
 def additive_variance_exact(ts: TransferSet, obs: LocalObservable, n_sites: int,
-                            method: str = "sweep",
                             with_asymptotics: bool = True) -> VarianceBreakdown:
     """Variance of sum_m A_m over the full chain, all boundary terms included.
 
-    ``method='sweep'`` runs the O(N) cached-prefix contraction; ``'naive'``
-    is the O(N^2) literal double sum kept as a cross-check path.
+    Raises ToleranceError when the error estimate exceeds COLLECTIVE_REL_TOL
+    of max(|variance|, N ||A - mu||^2), mu the chain average of A.
     """
     if not obs.is_hermitian:
         raise InputError("variance needs a Hermitian observable")
     if n_sites < 2:
         raise InputError("chain needs at least 2 sites")
-    if method == "sweep":
-        total = _variance_sweep(ts, obs, n_sites)
-    elif method == "naive":
-        total = _variance_naive(ts, obs, n_sites)
-    else:
-        raise InputError(f"unknown variance method {method!r}")
+    total, err = _variance(ts, obs, n_sites)
 
     quad = lin = rem = None
     if with_asymptotics:
@@ -137,117 +195,27 @@ def additive_variance_exact(ts: TransferSet, obs: LocalObservable, n_sites: int,
             lin = asym.linear_coeff
             rem = total - quad * n_sites ** 2 - lin * n_sites
     return VarianceBreakdown(total=total, quadratic_coeff=quad,
-                             linear_coeff=lin, boundary_remainder=rem)
+                             linear_coeff=lin, boundary_remainder=rem,
+                             error_estimate=err)
 
 
-def _variance_sweep(ts: TransferSet, obs: LocalObservable, n: int) -> float:
-    e = ts.e
-    ea = ts.dressed(obs)
-    sq = LocalObservable(obs.squared())
-    ea2_i = ts.dressed(sq) @ VEC_IDENTITY
-    a = _vec(obs)
-    a2 = _vec(sq)
-    ea_i = ea @ VEC_IDENTITY
+def _variance(ts: TransferSet, obs: LocalObservable, n: int) -> tuple[float, float]:
+    """Variance and its error estimate from the mean-shifted 12x12 power.
 
-    # rows[m-1] = <v| E^{m-1}, m = 1..N
-    rows = np.empty((n, 4), dtype=np.complex128)
-    rows[0] = ts.vrow
-    for m in range(1, n):
-        rows[m] = rows[m - 1] @ e
-
-    mean_sum = complex(np.sum(rows[:n - 1] @ ea_i)) + complex(rows[n - 1] @ a)
-    diag_sum = complex(np.sum(rows[:n - 1] @ ea2_i)) + complex(rows[n - 1] @ a2)
-
-    # bulk pairs m < n' <= N-1: sum_m <v|E^{m-1} E_A g_{N-1-m},
-    # g_j = sum_{k<j} E^k (E_A |I>)
-    pair_sum = 0.0 + 0.0j
-    if n >= 3:
-        g = np.empty((n - 1, 4), dtype=np.complex128)  # g[j] for j = 1..n-2
-        g[1] = ea_i
-        for j in range(2, n - 1):
-            g[j] = ea_i + e @ g[j - 1]
-        for m in range(1, n - 1):
-            pair_sum += rows[m - 1] @ ea @ g[n - 1 - m]
-    # boundary pairs (m, N): <v|E^{m-1} E_A E^{N-m-1} vec(A)
-    h = np.empty((n - 1, 4), dtype=np.complex128)  # h[k] = E^k vec(A), k = 0..n-2
-    h[0] = a
-    for k in range(1, n - 1):
-        h[k] = e @ h[k - 1]
-    for m in range(1, n):
-        pair_sum += rows[m - 1] @ ea @ h[n - 1 - m]
-
-    total = diag_sum + 2.0 * pair_sum - mean_sum ** 2
-    return _real(complex(total), scale=float(n) ** 2)
-
-
-def _variance_naive(ts: TransferSet, obs: LocalObservable, n: int) -> float:
-    sq = LocalObservable(obs.squared())
-    means = [one_point(ts, obs, m, n) for m in range(1, n + 1)]
-    total = 0.0
-    for m in range(1, n + 1):
-        total += one_point(ts, sq, m, n) - means[m - 1] ** 2
-    for m in range(1, n + 1):
-        for k in range(m + 1, n + 1):
-            total += 2.0 * (two_point(ts, obs, m, k, n) - means[m - 1] * means[k - 1])
-    return total
-
-
-# Proximity below which the closed form has lost too many digits to cancel-
-# ation but the limit branches do not apply yet; the exact O(N) recursion
-# covers the gap for any realistic N.
-_F_ILL_COND = 1e-4
-_F_RECURSION_CAP = 200_000
-
-
-def _f_recursion(li: complex, lj: complex, n: int) -> complex:
-    # T_k = sum_{m=1}^{k-1} li^{m-1} lj^{k-m-1} obeys T_k = lj T_{k-1} + li^{k-2}
-    total = 0.0 + 0.0j
-    t = 0.0 + 0.0j
-    li_pow = 1.0 + 0.0j
-    for _ in range(2, n):
-        t = lj * t + li_pow
-        li_pow *= li
-        total += t
-    return total
-
-
-def geometric_sum_f(lam_i: complex, lam_j: complex, n_sites: int) -> complex:
-    """sum_{n=2}^{N-1} sum_{m=1}^{n-1} lam_i^{m-1} lam_j^{n-m-1}.
-
-    Uses the closed form away from the lam_i = lam_j and lam = 1 branch
-    points, the analytically differentiated limits at them, and an exact
-    linear-time recursion in the narrow window where the closed form is
-    cancellation-limited.
+    The second moment of sum_m A_m is the bond-dimension-3 MPO
+    [[I, A, A^2], [0, I, 2A], [0, 0, I]].  A is first shifted by its chain
+    average mu (from the 8x8 mean power): the variance is unchanged and the
+    shifted sum has zero mean, so its second moment is the variance and no
+    N^2-sized mean^2 is subtracted.
     """
-    li, lj = complex(lam_i), complex(lam_j)
-    n = int(n_sites)
-    if n < 3:
-        return 0.0 + 0.0j
-    near_one_i = abs(1.0 - li) <= F_BRANCH_TOL
-    near_one_j = abs(1.0 - lj) <= F_BRANCH_TOL
-    near_equal = abs(li - lj) <= F_BRANCH_TOL
-    if near_one_i and near_one_j:
-        return complex((n - 1) * (n - 2) / 2.0)
-    if near_one_i or near_one_j:
-        lam = lj if near_one_i else li
-        if abs(1.0 - lam) < _F_ILL_COND and n <= _F_RECURSION_CAP:
-            one = 1.0 + 0.0j
-            return _f_recursion(one if near_one_i else li,
-                                lj if near_one_i else one, n)
-        # f(1, lam, N) = [(N-2) - lam (1 - lam^{N-2}) / (1 - lam)] / (1 - lam)
-        return ((n - 2) - lam * (1.0 - lam ** (n - 2)) / (1.0 - lam)) / (1.0 - lam)
-    if near_equal:
-        lam = 0.5 * (li + lj)
-        if abs(1.0 - lam) < _F_ILL_COND and n <= _F_RECURSION_CAP:
-            return _f_recursion(li, lj, n)
-        # d/dlam [ (lam - lam^{N-1}) / (1 - lam) ]
-        one = 1.0 - lam
-        return ((1.0 - (n - 1) * lam ** (n - 2)) * one + (lam - lam ** (n - 1))) / one ** 2
-    if (min(abs(li - lj), abs(1.0 - li), abs(1.0 - lj)) < _F_ILL_COND
-            and n <= _F_RECURSION_CAP):
-        return _f_recursion(li, lj, n)
-    num = (li - lj) - li ** (n - 1) * (1.0 - lj) + (1.0 - li) * lj ** (n - 1)
-    return num / ((li - lj) * (1.0 - li) * (1.0 - lj))
+    mean, _ = _mean(ts, obs.matrix, n)
+    shifted = obs.matrix - (mean / n) * np.eye(2)
+    second, err = _lifted_contraction(
+        ts, {(0, 1): shifted, (0, 2): shifted @ shifted, (1, 2): 2.0 * shifted}, n)
+    total = _real(second, scale=float(n) ** 2)
+    _check_estimate("collective variance", total, err,
+                    n * np.linalg.norm(shifted, 2) ** 2)
+    return total, err
 
 
 def asymptotic_variance(ts: TransferSet, obs: LocalObservable,

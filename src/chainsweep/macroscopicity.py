@@ -202,10 +202,13 @@ def variance_sweep(gate: Gate, chain_amplitudes: tuple[complex, complex],
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InputError("N list must be strictly ascending")
     rows: list[dict] = []
+    if not n_list:
+        return rows
+    # The correlators take N as an argument and read only E, <v| and the
+    # Kraus pair, so one transfer set serves every chain length.
+    ts = build_transfer(gate, ChainSpec(n_list[0], *chain_amplitudes))
     prev = None
     for n in n_list:
-        chain = ChainSpec(n, *chain_amplitudes)
-        ts = build_transfer(gate, chain)
         var = correlators.additive_variance_exact(ts, obs, n,
                                                   with_asymptotics=False).total
         slope = None

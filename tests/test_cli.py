@@ -101,6 +101,24 @@ def test_fig3_cnot_squares(capsys):
         assert abs(var - n ** 2) < 1e-9 * n ** 2
 
 
+def test_fig3_cnot_squares_at_large_n(capsys):
+    code, out = run_cli(["fig3", "--a-list", "pi", "--n-range",
+                         "1000000:100000000:3"], capsys)
+    assert code == 0
+    header, rows = _rows(out)
+    assert [int(row[header.index("n")]) for row in rows] == [10 ** 6, 10 ** 7, 10 ** 8]
+    for row in rows:
+        n = int(row[header.index("n")])
+        assert abs(float(row[header.index("variance")]) - n ** 2) <= 1e-9 * n ** 2
+
+
+def test_fig3_absurd_chain_length_exit_code(capsys):
+    # the error estimate of an N^2 variance grows like N eps relative
+    code, _ = run_cli(["fig3", "--a-list", "pi", "--n-range",
+                       "1000000000000:1000000000000:1"], capsys)
+    assert code == 3
+
+
 def test_fig3_oracle_column(capsys):
     code, out = run_cli(["fig3", "--a-list", "pi-0.3", "--n-range", "4:10:3"], capsys)
     header, rows = _rows(out)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from chainsweep import correlators as co, gates, oracle, transfer
-from chainsweep.errors import InputError
+from chainsweep import correlators as co, gates, oracle, squeezing as sq, transfer
+from chainsweep.errors import InputError, ToleranceError
 from chainsweep.transfer import ChainSpec, LocalObservable, SIGMA_Z, build_transfer
 
 
@@ -16,6 +16,19 @@ def _random_chain(rng, n):
     c1 = complex(rng.standard_normal(), rng.standard_normal())
     norm = np.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
     return ChainSpec(n, c0 / norm, c1 / norm)
+
+
+def _naive_variance(ts, obs, n):
+    """Reference: the O(N^2) literal double sum of connected correlators."""
+    squared = LocalObservable(obs.squared())
+    means = [co.one_point(ts, obs, m, n) for m in range(1, n + 1)]
+    total = 0.0
+    for m in range(1, n + 1):
+        total += co.one_point(ts, squared, m, n) - means[m - 1] ** 2
+    for m in range(1, n + 1):
+        for k in range(m + 1, n + 1):
+            total += 2.0 * (co.two_point(ts, obs, m, k, n) - means[m - 1] * means[k - 1])
+    return total
 
 
 def test_one_point_identity_gate():
@@ -110,8 +123,7 @@ def test_variance_matches_oracle_and_naive():
         state = oracle.sweep(g, chain)
         sweep_val = co.additive_variance_exact(ts, obs, 10,
                                                with_asymptotics=False).total
-        naive_val = co.additive_variance_exact(ts, obs, 10, method="naive",
-                                               with_asymptotics=False).total
+        naive_val = _naive_variance(ts, obs, 10)
         ref = oracle.collective_variance(state, obs)
         assert abs(sweep_val - ref) < 1e-8
         assert abs(sweep_val - naive_val) < 1e-9
@@ -146,46 +158,102 @@ def test_collective_mean_matches_oracle():
 
 
 # ---------------------------------------------------------------------------
-# geometric sums
+# lifted-transfer contraction of collective sums
 # ---------------------------------------------------------------------------
 
-def _brute_f(li, lj, n):
-    return sum(li ** (m - 1) * lj ** (k - m - 1)
-               for k in range(2, n) for m in range(1, k))
+def test_lifted_contraction_matches_naive_reference():
+    # N = 2 is the boundary column alone, N = 3 adds one bulk pair.  Variance
+    # deviations are relative to max(|V|, N ||A||^2): when the mean dominates,
+    # the naive double sum of connected correlators itself loses digits.
+    rng = np.random.default_rng(16)
+    worst_mean = worst_var = 0.0
+    for seed in range(3):
+        g = gates.random_gate(100 + seed)
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        obs = LocalObservable(0.5 * (a + a.conj().T))
+        ts = build_transfer(g, _random_chain(rng, 2))
+        norm = np.linalg.norm(obs.matrix, 2)
+        for n in range(2, 41):
+            mean_ref = sum(co.one_point(ts, obs, m, n) for m in range(1, n + 1))
+            var_ref = _naive_variance(ts, obs, n)
+            mean = co.collective_mean(ts, obs, n)
+            var = co.additive_variance_exact(ts, obs, n, with_asymptotics=False).total
+            worst_mean = max(worst_mean, abs(mean - mean_ref) / max(abs(mean_ref), 1.0))
+            worst_var = max(worst_var,
+                            abs(var - var_ref) / max(abs(var_ref), n * norm ** 2))
+    assert worst_mean <= 1e-12
+    assert worst_var <= 1e-12
 
 
-def test_geometric_f_smallest_case():
-    assert co.geometric_sum_f(0.0, 0.0, 5) == 1.0  # only the (m,n) = (1,2) term
+@pytest.mark.parametrize("chi_t", [0.5, 1.0, 1.4])
+def test_large_n_squeezing_slopes(chi_t):
+    # (X(2N) - X(N))/N equals the bulk coefficient up to O(N sin^N chi_t).
+    # Repeated squaring drifts the unit eigenvalue by about N eps; dividing by
+    # the state norm from the same power cancels it (without the division the
+    # slopes at N = 1e8 are off by up to 9e-9).  The sigma_z variance has a
+    # nonzero mean, so it also needs the mean shift.
+    theta = np.pi / 4
+    ts = build_transfer(gates.squeezing_gate(chi_t), ChainSpec(2))
+    var_coeff = sq.variance_asymptotic_coeff(chi_t, theta)
+    mean_coeff = sq.mean_z_asymptotic_coeff(chi_t)
+    z_coeff = co.asymptotic_variance(ts, SIGMA_Z).linear_coeff
+    for n in (10 ** 6, 10 ** 8):
+        var_slope = (sq.transverse_variance(chi_t, theta, 2 * n)
+                     - sq.transverse_variance(chi_t, theta, n)) / n
+        mean_slope = (sq.mean_z(chi_t, 2 * n) - sq.mean_z(chi_t, n)) / n
+        z_slope = (co.additive_variance_exact(ts, SIGMA_Z, 2 * n,
+                                              with_asymptotics=False).total
+                   - co.additive_variance_exact(ts, SIGMA_Z, n,
+                                                with_asymptotics=False).total) / n
+        assert abs(var_slope - var_coeff) <= 1e-12
+        assert abs(mean_slope - mean_coeff) <= 1e-12
+        assert abs(z_slope - z_coeff) <= 1e-12
 
 
-def test_geometric_f_unit_scaling():
-    n = 10 ** 6
-    val = co.geometric_sum_f(1.0, 0.5, n)
-    assert abs(val.real / n - 2.0) < 1e-4
-    assert abs(co.geometric_sum_f(1.0, 1.0, n) - (n - 1) * (n - 2) / 2) == 0
+def test_variance_error_estimate_covers_large_n_deviation():
+    # A random gate with a random Hermitian observable of large mean, near
+    # the largest accepted N: the exact variance must sit within its error
+    # estimate of q N^2 + l N + r (r read off at N = 2000, where the decaying
+    # modes are gone).
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    obs = LocalObservable(a + a.conj().T)
+    ts = build_transfer(gates.random_gate(0), ChainSpec(2, 0.6, 0.8))
+    asym = co.asymptotic_variance(ts, obs)
+
+    def predicted(n):
+        return asym.quadratic_coeff * n ** 2 + asym.linear_coeff * n
+
+    rem = co.additive_variance_exact(ts, obs, 2000, with_asymptotics=False).total
+    rem -= predicted(2000)
+    for n in (10 ** 8, 2 * 10 ** 9):
+        vb = co.additive_variance_exact(ts, obs, n, with_asymptotics=False)
+        assert abs(vb.total - predicted(n) - rem) <= vb.error_estimate
 
 
-def test_geometric_f_random_vs_brute():
-    rng = np.random.default_rng(14)
-    for _ in range(120):
-        li = 0.8 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        lj = 0.8 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        n = int(rng.integers(3, 50))
-        assert abs(co.geometric_sum_f(li, lj, n) - _brute_f(li, lj, n)) < 1e-12
+def test_collective_guard_rejects_absurd_chain_length():
+    ts = build_transfer(gates.squeezing_gate(0.5), ChainSpec(2))
+    obs = LocalObservable.from_bloch([1.0, 1.0, 0.0])
+    with pytest.raises(ToleranceError):
+        co.additive_variance_exact(ts, obs, 10 ** 12, with_asymptotics=False)
+    with pytest.raises(ToleranceError):
+        co.collective_mean(ts, SIGMA_Z, 10 ** 12)
 
 
-@pytest.mark.parametrize("pair", [
-    (1.0 - 1e-5, 0.5), (1.0, 0.5 + 1e-5), (0.3 + 1e-5, 0.3), (0.3, 0.3),
-    (1.0, 1.0 - 1e-5), (1.0 - 1e-5, 1.0 - 2e-5),
-])
-def test_geometric_f_branch_consistency(pair):
-    # probes at 1e-5 offsets around each branch point agree with the literal
-    # double sum to 1e-10 relative accuracy
-    li, lj = pair
-    for n in (3, 10, 40):
-        got = co.geometric_sum_f(li, lj, n)
-        ref = _brute_f(complex(li), complex(lj), n)
-        assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
+def test_collective_guard_admits_long_chain_sizes():
+    # the gates and sizes of fig3 and the squeezing series up to N = 2.1e4
+    obs_t = LocalObservable.from_bloch([1.0, 1.0, 0.0])
+    cases = [(build_transfer(gates.controlled_rotation(np.pi - d),
+                             ChainSpec.plus_state(2)), SIGMA_Z)
+             for d in (0.0, 0.1, 0.2, 0.3, 0.4)]
+    for chi_t in (0.3, 0.6, 0.8, 1.1):
+        ts = build_transfer(gates.squeezing_gate(chi_t), ChainSpec(2))
+        cases += [(ts, SIGMA_Z), (ts, obs_t)]
+    for ts, obs in cases:
+        for n in (4, 1000, 21000):
+            vb = co.additive_variance_exact(ts, obs, n, with_asymptotics=False)
+            assert vb.error_estimate <= 1e-3 * co.COLLECTIVE_REL_TOL * max(abs(vb.total), n)
+            co.collective_mean(ts, obs, n)
 
 
 # ---------------------------------------------------------------------------
