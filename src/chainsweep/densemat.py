@@ -1,16 +1,20 @@
 """Small dense complex matrix kernel.
 
 Matrices are plain numpy ``complex128`` arrays in row-major order.  Everything
-here targets the tiny sizes this package needs (n <= 8): products, Kronecker
-products, powers, Hermitian eigenproblems via cyclic Jacobi, and a general
-(non-Hermitian) eigensolver built from the characteristic polynomial rather
-than a library QR iteration, so that results are deterministic and the
-degenerate/defective bookkeeping is explicit.
+here targets the tiny sizes this package needs (n <= 8).  The numerical work
+is LAPACK through numpy: eigenvalues from ``eigvals``, eigenvectors as SVD
+null spaces, Hermitian eigenproblems from ``eigh``, singular values and
+solves.  What this module adds is the bookkeeping a general eigenproblem
+leaves to the caller: the rounding scatter of a multiple eigenvalue is
+grouped back into one value with its algebraic and geometric multiplicity,
+the eigenvalue order is fixed, left/right pairs are biorthonormal, and a
+residual check raises instead of returning bad vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 
 import numpy as np
 
@@ -19,6 +23,13 @@ from .errors import ConvergenceError, InputError
 _EPS = np.finfo(float).eps
 
 MAX_EIG_SIZE = 8
+
+# Eigenvalues closer than this times max|m_ij| are one multiple eigenvalue.
+# Rounding splits a double root with a Jordan block by about sqrt(eps)·|m|
+# (up to 5.8e-8 relative under the 200 random similarities of the Jordan
+# test in tests/test_densemat.py); distinct eigenvalues closer than the
+# radius are merged and then fail the residual check.
+_GROUP_RADIUS = 1e-6
 
 
 def as_matrix(values) -> np.ndarray:
@@ -84,109 +95,36 @@ def matpow(m: np.ndarray, k: int) -> np.ndarray:
     return result
 
 
-# ---------------------------------------------------------------------------
-# Hermitian eigenproblem (cyclic Jacobi) and derived helpers
-# ---------------------------------------------------------------------------
-
-def hermitian_eig(h: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending, real) and orthonormal eigenvector columns of a
-    Hermitian matrix, via cyclic Jacobi rotations.
-
-    Intended for n <= 8; converges quadratically and is deterministic.
-    """
+    Hermitian matrix."""
     h = as_matrix(h)
-    n = h.shape[0]
     if h.shape[0] != h.shape[1]:
         raise InputError("hermitian_eig needs a square matrix")
     if max_abs(h - h.conj().T) > 1e-10 * max(1.0, max_abs(h)):
         raise InputError("matrix is not Hermitian")
-    a = 0.5 * (h + h.conj().T)
-    v = np.eye(n, dtype=np.complex128)
-    scale = max(max_abs(a), 1e-300)
-    for _ in range(max_sweeps):
-        off = max(abs(a[p, q]) for p in range(n) for q in range(p + 1, n)) if n > 1 else 0.0
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                phase = apq / abs(apq)
-                app, aqq = a[p, p].real, a[q, q].real
-                tau = (aqq - app) / (2.0 * abs(apq))
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # columns: col_p' = c*col_p - s*conj(phase)*col_q
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * np.conj(phase) * cq
-                a[:, q] = s * phase * cp + c * cq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * phase * rq
-                a[q, :] = s * np.conj(phase) * rp + c * rq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * phase * vp + c * vq
-    else:
-        raise ConvergenceError("Jacobi sweep cap reached without convergence")
-    w = np.real(np.diag(a))
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
-def svd_right(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values (descending) and right singular vectors by one-sided
-    Jacobi: columns of m are rotated until pairwise orthogonal, so tiny
-    singular values are resolved to eps * scale rather than the sqrt(eps)
-    floor of the m†m route."""
-    a = as_matrix(m).copy()
-    n_rows, n_cols = a.shape
-    v = np.eye(n_cols, dtype=np.complex128)
-    scale = max(max_abs(a), 1e-300)
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(n_cols):
-            for q in range(p + 1, n_cols):
-                app = float(np.real(a[:, p].conj() @ a[:, p]))
-                aqq = float(np.real(a[:, q].conj() @ a[:, q]))
-                apq = a[:, p].conj() @ a[:, q]
-                if abs(apq) <= 1e-15 * np.sqrt(app * aqq) or abs(apq) <= 1e-300:
-                    continue
-                phase = apq / abs(apq)
-                tau = (aqq - app) / (2.0 * abs(apq))
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * np.conj(phase) * cq
-                a[:, q] = s * phase * cp + c * cq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * phase * vp + c * vq
-                rotated = True
-        if not rotated:
-            break
-    else:
-        raise ConvergenceError("one-sided Jacobi SVD did not converge")
-    sigmas = np.array([np.linalg.norm(a[:, j]) for j in range(n_cols)])
-    order = np.argsort(-sigmas, kind="stable")
-    return sigmas[order], v[:, order]
+    return np.linalg.eigh(0.5 * (h + h.conj().T))
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values, descending."""
-    return svd_right(m)[0]
+    return np.linalg.svd(as_matrix(m), compute_uv=False)
 
 
 def rank_with_tol(m: np.ndarray, tol: float) -> int:
     """Number of singular values above tol."""
     return int(np.sum(singular_values(m) > tol))
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b; raises on a singular matrix."""
+    a = as_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise InputError("solve needs a square matrix")
+    try:
+        return np.linalg.solve(a, np.asarray(b, dtype=np.complex128))
+    except np.linalg.LinAlgError as exc:
+        raise InputError("singular matrix in solve") from exc
 
 
 def mgs_orthonormalize(m: np.ndarray) -> np.ndarray:
@@ -237,7 +175,7 @@ def orthonormal_complete(cols: np.ndarray, seed: int = 0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# General eigensolver: characteristic polynomial + root refinement
+# General eigensolver
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -245,14 +183,15 @@ class EigenResult:
     """Spectral data of a small general matrix.
 
     ``values`` carries all n eigenvalues with algebraic multiplicity, sorted
-    by descending modulus (ties: descending real part, then imaginary part).
-    ``right`` holds eigenvector columns and ``left`` eigenvector rows;
-    ``vector_index[j]`` says which entry of ``values`` column/row j belongs
-    to.  When ``complete_basis`` is true there is exactly one vector per
-    eigenvalue, left/right pairs are biorthonormal (<l_i|r_j> = delta_ij),
-    and sum_i values[i] * right[:,i] left[i,:] reconstructs the matrix.  For
-    a defective matrix only the geometric eigenvectors are returned and
-    ``complete_basis`` is false.
+    by descending modulus (ties: descending real part, then positive
+    imaginary part first; moduli and real parts that agree to the grouping
+    radius count as ties).  ``right`` holds eigenvector columns and ``left``
+    eigenvector rows; ``vector_index[j]`` says which entry of ``values``
+    column/row j belongs to.  When ``complete_basis`` is true there is
+    exactly one vector per eigenvalue, left/right pairs are biorthonormal
+    (<l_i|r_j> = delta_ij), and sum_i values[i] * right[:,i] left[i,:]
+    reconstructs the matrix.  For a defective matrix only the geometric
+    eigenvectors are returned and ``complete_basis`` is false.
     """
 
     values: np.ndarray
@@ -265,406 +204,34 @@ class EigenResult:
     multiplicities: list[tuple[complex, int, int]] = field(default_factory=list)
 
 
-def char_poly(m: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial coefficients [1, c1, ..., cn] by the
-    Faddeev-LeVerrier recursion."""
-    m = as_matrix(m)
-    n = m.shape[0]
-    coeffs = np.zeros(n + 1, dtype=np.complex128)
-    coeffs[0] = 1.0
-    mk = m.copy()
-    for k in range(1, n + 1):
-        ck = -np.trace(mk) / k
-        coeffs[k] = ck
-        if k < n:
-            mk = m @ (mk + ck * np.eye(n))
-    return coeffs
+def _group(raw: np.ndarray, radius: float) -> list[tuple[complex, int]]:
+    """Single-linkage clusters of eigenvalues within ``radius``, as
+    (centroid, count): the centroid of a split multiple root is accurate far
+    below the split itself."""
+    clusters: list[list[complex]] = []
+    for z in raw:
+        near = [c for c in clusters if min(abs(z - w) for w in c) <= radius]
+        clusters = [c for c in clusters if all(c is not d for d in near)]
+        clusters.append([z] + [w for c in near for w in c])
+    return [(complex(np.mean(c)), len(c)) for c in clusters]
 
 
-def _poly_eval(coeffs: np.ndarray, z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in coeffs:
-        acc = acc * z + c
-    return acc
-
-
-def _poly_deriv(coeffs: np.ndarray) -> np.ndarray:
-    n = len(coeffs) - 1
-    return coeffs[:-1] * np.arange(n, 0, -1)
-
-
-def poly_roots(coeffs: np.ndarray, max_iter: int = 500) -> np.ndarray:
-    """All roots of a monic polynomial by simultaneous (Durand-Kerner)
-    Newton iteration with implicit deflation, then per-root Newton polish.
-
-    Multiple roots stall at the eps^(1/m) rounding floor; the iteration stops
-    on stagnation there and the caller restores exact multiples from matrix
-    traces.  Quality is enforced downstream by the eigen-residual check.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    n = len(coeffs) - 1
-    if n == 0:
-        return np.zeros(0, dtype=np.complex128)
-    if n == 1:
-        return np.array([-coeffs[1]])
-    if n == 2:
-        b, c = coeffs[1], coeffs[2]
-        disc = np.sqrt(b * b - 4.0 * c)
-        # pick the sign that avoids cancellation in -b -/+ disc
-        q = -0.5 * (b + disc) if abs(b + disc) >= abs(b - disc) else -0.5 * (b - disc)
-        if q == 0:
-            return np.array([0.0 + 0.0j, 0.0 + 0.0j])
-        return np.array([q, c / q])
-    center = -coeffs[1] / n
-    mags = [abs(coeffs[k]) ** (1.0 / k) for k in range(1, n + 1) if abs(coeffs[k]) > 0]
-    radius = 2.0 * max(mags) if mags else 1.0
-    radius = max(radius, 0.5)
-    # starting points with no rotational or inversion symmetry: symmetric
-    # configurations are invariant sets of the iteration and can trap it
-    angles = 2.0 * np.pi * (np.arange(n) + 0.25) / n + 0.31
-    radii = radius * (1.0 + 0.29 * np.arange(n) / n)
-    z = center + radii * np.exp(1j * angles)
-    best_z, best_step = z.copy(), np.inf
-    since_improved = 0
-    for it in range(max_iter):
-        p_at = np.array([_poly_eval(coeffs, zi) for zi in z])
-        delta = np.zeros(n, dtype=np.complex128)
-        for i in range(n):
-            denom = 1.0 + 0.0j
-            for j in range(n):
-                if j != i:
-                    d = z[i] - z[j]
-                    if d == 0:
-                        d = 1e-20 * (1 + 1j)
-                    denom *= d
-            delta[i] = p_at[i] / denom
-        z = z - delta
-        step = float(np.max(np.abs(delta)))
-        if step < 0.5 * best_step:
-            best_step, best_z, since_improved = step, z.copy(), 0
-        else:
-            since_improved += 1
-        if step <= 1e-14 * (1.0 + np.max(np.abs(z))):
-            best_z = z.copy()
-            break
-        if it > 30 and since_improved > 40:
-            z = best_z
-            break
-    z = best_z
-    dcoeffs = _poly_deriv(coeffs)
-    for i in range(n):
-        best, best_val = z[i], abs(_poly_eval(coeffs, z[i]))
-        cur = z[i]
-        for _ in range(4):
-            dp = _poly_eval(dcoeffs, cur)
-            if dp == 0:
-                break
-            cur = cur - _poly_eval(coeffs, cur) / dp
-            val = abs(_poly_eval(coeffs, cur))
-            if val < best_val:
-                best, best_val = cur, val
-        z[i] = best
-    return z
-
-
-def _power_traces(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    s = np.zeros(n, dtype=np.complex128)
-    pw = np.eye(n, dtype=np.complex128)
-    for k in range(n):
-        pw = pw @ m
-        s[k] = np.trace(pw)
-    return s
-
-
-def _union_clusters(roots: np.ndarray, delta: float) -> list[list[int]]:
-    n = len(roots)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) <= delta:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def _refine_multiple_roots(mus: np.ndarray, mults: list[int], traces: np.ndarray):
-    """Newton-polish the truncated power-sum system sum_j mult_j mu_j^k = tr(M^k)
-    for the distinct root values; exact traces pin multiple roots far beyond
-    the eps^(1/m) scatter of the raw polynomial roots.  Keeps the best iterate,
-    so an already-converged start survives an ill-conditioned Jacobian."""
-    d = len(mus)
-    mu = mus.astype(np.complex128).copy()
-    weights = np.array(mults, dtype=np.complex128)
-    scale = max(1.0, float(np.max(np.abs(traces))))
-
-    bound = 4.0 * (1.0 + float(np.max(np.abs(traces))))
-    if np.any(~np.isfinite(mu)) or np.any(np.abs(mu) > bound):
-        return None
-
-    def residual(vals):
-        return max(abs(np.sum(weights * vals ** (k + 1)) - traces[k])
-                   for k in range(d))
-
-    best, best_res = mu.copy(), residual(mu)
-    stalled = 0
-    for _ in range(40):
-        f = np.array([np.sum(weights * mu ** (k + 1)) - traces[k] for k in range(d)])
-        jac = np.array([[(k + 1) * weights[j] * mu[j] ** k for j in range(d)]
-                        for k in range(d)])
-        try:
-            step = np.array(_solve_lu(jac, f, pivot_floor=0.0))
-        except InputError:
-            break
-        mu = mu - step
-        if np.any(~np.isfinite(mu)) or np.any(np.abs(mu) > bound):
-            break
-        res = residual(mu)
-        if res < 0.5 * best_res:
-            stalled = 0
-        else:
-            stalled += 1
-        if res < best_res:
-            best, best_res = mu.copy(), res
-        if (np.max(np.abs(step)) <= 1e-15 * (1.0 + np.max(np.abs(mu)))
-                or stalled >= 3):
-            break
-    if best_res > 1e-8 * scale:
-        return None
-    return best
-
-
-def _two_part_guess(p1: complex, p2: complex, m1: int, m2: int):
-    """Closed-form start for splitting a root cluster into multiplicities
-    (m1, m2): solve m1 u + m2 v = p1, m1 u^2 + m2 v^2 = p2.  Working in the
-    power sums sidesteps the wide scatter of the individual raw roots."""
-    # eliminate u: quadratic a v^2 + b v + c = 0
-    a = m2 * m2 / m1 + m2
-    b = -2.0 * p1 * m2 / m1
-    c = p1 * p1 / m1 - p2
-    disc = np.sqrt(b * b - 4.0 * a * c)
-    out = []
-    for sign in (1.0, -1.0):
-        v = (-b + sign * disc) / (2.0 * a)
-        u = (p1 - m2 * v) / m1
-        if np.isfinite(u) and np.isfinite(v):
-            out.append((complex(u), complex(v)))
-    return out
-
-
-def _group_candidates(members: np.ndarray, local_p1: complex,
-                      local_p2: complex) -> list[list[tuple[complex, int]]]:
-    """Multiplicity hypotheses for one root cluster: a single multiple root
-    first, then every two-part split seeded from the cluster power sums.
-    ``local_p1``/``local_p2`` come from the exact matrix traces minus the
-    other clusters, so the splits resolve separations far below the raw
-    root scatter."""
-    k = len(members)
-    centroid = complex(np.mean(members))
-    cands: list[list[tuple[complex, int]]] = [[(centroid, k)]]
-    if k >= 2:
-        seen = set()
-        for m1 in range(k - 1, 0, -1):
-            m2 = k - m1
-            if (max(m1, m2), min(m1, m2)) in seen:
-                continue
-            seen.add((max(m1, m2), min(m1, m2)))
-            for u, v in _two_part_guess(local_p1, local_p2, m1, m2):
-                cands.append([(u, m1), (v, m2)])
-    return cands
-
-
-def _poly_from_roots(distinct: list[tuple[complex, int]]) -> np.ndarray:
-    coeffs = np.array([1.0 + 0.0j])
-    for mu, mult in distinct:
-        for _ in range(mult):
-            coeffs = np.convolve(coeffs, np.array([1.0, -mu]))
-    return coeffs
-
-
-def _root_models(raw: np.ndarray, coeffs: np.ndarray, traces: np.ndarray):
-    """Yield batches of multiplicity hypotheses, coarsest cluster level first.
-
-    Each multi-root group is hypothesized as one multiple root and as every
-    two-part split (split values recovered from power sums, since the raw
-    scatter of two nearby multiple roots is far wider than their separation).
-    A group of k roots only counts as clustered at radii consistent with the
-    eps^(1/k) rounding scatter of a true k-fold root; tighter sub-structure
-    surfaces at the finer levels.  Hypotheses are kept when the refined model
-    reproduces the characteristic polynomial to rounding error, ranked by
-    fewest distinct roots then backward error; the final batch is the raw
-    simple-roots fallback.  The caller arbitrates with the eigen-residual.
-    """
-    scale = max(1.0, float(np.max(np.abs(raw))))
-    cscale = max(1.0, float(np.max(np.abs(coeffs))))
-    n = len(raw)
-    eta = 256.0 * n * _EPS * cscale
-    seen: set = set()
-    prev_partition = None
-    for delta in np.geomspace(3e-2, 1e-10, 18) * scale:
-        clusters = _union_clusters(raw, delta)
-        groups = []
-        for g in clusters:
-            if len(g) == 1:
-                groups.append(g)
-                continue
-            # a true k-fold root scatters by ~(eps / |co-factor|)^(1/k); a
-            # wider group cannot be one multiple root (finer levels expose
-            # any sub-structure), so skip pointless refinements
-            members = raw[list(g)]
-            centroid = np.mean(members)
-            spread = float(np.max(np.abs(members - centroid)))
-            q_est = 1.0
-            for other in clusters:
-                if other is not g:
-                    for idx in other:
-                        q_est *= max(abs(centroid - raw[idx]), 1e-30)
-            bound = 8.0 * (cscale * _EPS / q_est) ** (1.0 / len(g)) * scale
-            if spread <= bound:
-                groups.append(g)
-            else:
-                groups.extend([i] for i in g)
-        partition = tuple(sorted(tuple(sorted(g)) for g in groups))
-        if partition == prev_partition or all(len(g) == 1 for g in groups):
-            prev_partition = partition
-            continue
-        prev_partition = partition
-        per_group = []
-        for g in groups:
-            members = raw[list(g)]
-            if len(g) == 1:
-                per_group.append([[(complex(members[0]), 1)]])
-            else:
-                others = np.array([raw[i] for other in groups if other is not g
-                                   for i in other])
-                p1 = traces[0] - np.sum(others)
-                p2 = traces[1] - np.sum(others ** 2)
-                per_group.append(_group_candidates(members, complex(p1), complex(p2)))
-        trials = [[]]
-        for options in per_group:
-            trials = [t + [o] for t in trials for o in options]
-            if len(trials) > 64:
-                trials = trials[:64]
-        passing: list[tuple[int, float, list[tuple[complex, int]]]] = []
-        for trial in trials:
-            model = [entry for part in trial for entry in part]
-            if all(m == 1 for _, m in model):
-                continue
-            signature = tuple(sorted(m for _, m in model))
-            mus = np.array([mu for mu, _ in model])
-            mults = [m for _, m in model]
-            refined = _refine_multiple_roots(mus, mults, traces)
-            if refined is None:
-                continue
-            candidate = list(zip(refined, mults))
-            err = max_abs(_poly_from_roots(candidate) - coeffs)
-            key = (signature, tuple(np.round(np.array(refined), 8).tolist()))
-            if err <= eta and key not in seen:
-                seen.add(key)
-                passing.append((len(candidate), err, candidate))
-        if passing:
-            passing.sort(key=lambda p: (p[0], p[1]))
-            yield [[(complex(mu), int(m)) for mu, m in cand]
-                   for _, _, cand in passing[:8]]
-    yield [[(complex(r), 1) for r in raw]]
-
-
-def _solve_lu(a: np.ndarray, b: np.ndarray, pivot_floor: float):
-    """LU with partial pivoting.  pivot_floor > 0 replaces vanishing pivots
-    (used for inverse iteration at an exact eigenvalue shift); pivot_floor = 0
-    raises on a singular matrix."""
-    a = np.array(a, dtype=np.complex128)
-    x = np.array(b, dtype=np.complex128)
-    n = a.shape[0]
-    perm = list(range(n))
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r, col]))
-        if abs(a[piv, col]) <= pivot_floor:
-            if pivot_floor == 0.0:
-                raise InputError("singular matrix in solve")
-            a[piv, col] = pivot_floor * (1.0 if a[piv, col] == 0 else a[piv, col] / abs(a[piv, col]))
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            perm[col], perm[piv] = perm[piv], perm[col]
-        for r in range(col + 1, n):
-            factor = a[r, col] / a[col, col]
-            a[r, col] = factor
-            a[r, col + 1:] -= factor * a[col, col + 1:]
-    y = x[perm]
-    for r in range(n):
-        y[r] -= a[r, :r] @ y[:r]
-    for r in range(n - 1, -1, -1):
-        y[r] = (y[r] - a[r, r + 1:] @ y[r + 1:]) / a[r, r]
-    return y
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b by LU with partial pivoting; raises on a singular matrix."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise InputError("solve needs a square matrix")
-    return np.asarray(_solve_lu(a, np.asarray(b, dtype=np.complex128), pivot_floor=0.0))
-
-
-def _null_space(b: np.ndarray, count: int) -> np.ndarray:
-    """Orthonormal right singular vectors for the smallest singular values."""
-    _, vecs = svd_right(b)
-    return vecs[:, b.shape[1] - count:]
-
-
-def _inverse_iterate(b: np.ndarray, v0: np.ndarray, rounds: int = 2,
-                     orthogonal_to: tuple = ()) -> np.ndarray:
-    """Inverse iteration at an exact shift; deflated against already-accepted
-    vectors of the same eigenvalue so a degenerate space is not collapsed
-    onto its most-amplified direction."""
-    floor = max(1e-14 * max_abs(b), 1e-300)
-
-    def _project(vec):
-        for u in orthogonal_to:
-            vec = vec - (u.conj() @ vec) * u
-        return vec
-
-    v = _project(v0.astype(np.complex128))
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-8:
-        return v0 / np.linalg.norm(v0)
-    v = v / nrm
-    fallback = v
-    for _ in range(rounds):
-        w = _solve_lu(b, v, pivot_floor=floor)
-        full = np.linalg.norm(w)
-        w = _project(w)
-        nrm = np.linalg.norm(w)
-        # a projected remainder at rounding level means the solve amplified
-        # only the sibling directions: keep the deflated start instead
-        if not np.isfinite(nrm) or nrm <= 1e-10 * max(full, 1.0):
-            return fallback
-        v = w / nrm
-    return v
-
-
-def _sort_key(z: complex):
-    return (-abs(z), -z.real, -z.imag)
+def _compare(a: complex, b: complex, radius: float) -> int:
+    """Descending modulus, then descending real part, then descending
+    imaginary part; differences within ``radius`` are ties."""
+    for x, y in ((abs(a), abs(b)), (a.real, b.real), (a.imag, b.imag)):
+        if abs(x - y) > radius:
+            return -1 if x > y else 1
+    return 0
 
 
 def eig_general(m: np.ndarray, tol: float = 1e-9) -> EigenResult:
     """Full eigendecomposition of a general complex matrix of size <= 8.
 
-    Pipeline: Faddeev-LeVerrier characteristic polynomial, simultaneous
-    Newton root iteration with polish, multiple-root restoration from exact
-    power traces, then null-space extraction plus inverse iteration for the
-    right/left vectors.  Raises ConvergenceError instead of returning vectors
+    Eigenvalues come from LAPACK and are grouped into multiple roots; each
+    group's geometric multiplicity and its right and left eigenvectors come
+    from the SVD null spaces of m - mu I, and non-defective groups are
+    biorthonormalized.  Raises ConvergenceError instead of returning vectors
     whose residual exceeds ``tol``.
     """
     m = as_matrix(m)
@@ -680,103 +247,44 @@ def eig_general(m: np.ndarray, tol: float = 1e-9) -> EigenResult:
                            left=eye.copy(), vector_index=np.arange(n),
                            residual=0.0, complete_basis=True,
                            multiplicities=[(0.0 + 0.0j, n, n)])
-    # Work with the unit-scaled matrix so clustering thresholds and backward
-    # errors are meaningful for any input magnitude.
-    m_scaled = m / scale
-    coeffs = char_poly(m_scaled)
-    raw = poly_roots(coeffs)
+    radius = _GROUP_RADIUS * scale
+    groups = sorted(_group(np.linalg.eigvals(m), radius),
+                    key=cmp_to_key(lambda a, b: _compare(a[0], b[0], radius)))
 
-    best: EigenResult | None = None
-    for batch in _root_models(raw, coeffs, _power_traces(m_scaled)):
-        for model in batch:
-            model = [(mu * scale, mult) for mu, mult in model]
-            model.sort(key=lambda item: _sort_key(item[0]))
-            try:
-                result = _decompose(m, scale, model, coeffs, tol)
-            except ConvergenceError:
-                continue
-            if best is None or result.residual < best.residual:
-                best = result
-            if result.residual <= tol * max(1.0, scale):
-                return result
-    if best is None:
-        raise ConvergenceError("no eigenvalue model yielded usable vectors")
-    raise ConvergenceError(
-        f"eigen-residual {best.residual:.3e} exceeds tolerance {tol:.1e}")
-
-
-def _decompose(m: np.ndarray, scale: float, model: list[tuple[complex, int]],
-               coeffs: np.ndarray, tol: float) -> EigenResult:
-    """Vectors, pairing and residual for one multiplicity hypothesis."""
-    n = m.shape[0]
+    vec_gate = max(tol, 1e4 * _EPS) * scale
     values: list[complex] = []
     right_cols: list[np.ndarray] = []
     left_rows: list[np.ndarray] = []
     vec_index: list[int] = []
     multiplicities: list[tuple[complex, int, int]] = []
     complete = True
-
-    vec_gate = max(tol, 1e4 * _EPS) * scale
-    for mu, alg in model:
-        b = m - mu * np.eye(n)
-        sv, v_right = svd_right(b)
-        geo = int(np.sum(sv <= vec_gate))
-        geo = min(max(geo, 1), alg)
-        rights_raw = v_right[:, n - geo:]
-        lefts_raw = _null_space(b.conj().T, geo)
-        rights_list: list[np.ndarray] = []
-        for j in range(geo):
-            rights_list.append(_inverse_iterate(b, rights_raw[:, j],
-                                                orthogonal_to=tuple(rights_list)))
-        lefts_list: list[np.ndarray] = []
-        for j in range(geo):
-            lefts_list.append(_inverse_iterate(b.conj().T, lefts_raw[:, j],
-                                               orthogonal_to=tuple(lefts_list)))
-        rights = np.column_stack(rights_list)
-        lefts = np.column_stack(lefts_list).conj().T  # rows u with u M = mu u
-
-        refined_mu = mu
-        if alg == 1:
-            uv = lefts[0] @ rights[:, 0]
-            if abs(uv) > 1e-12:
-                candidate = (lefts[0] @ m @ rights[:, 0]) / uv
-                if (abs(_poly_eval(coeffs, candidate / scale))
-                        <= abs(_poly_eval(coeffs, mu / scale)) + 1e-30):
-                    refined_mu = complex(candidate)
-
+    for mu, alg in groups:
+        u, sv, vh = np.linalg.svd(m - mu * np.eye(n))
+        geo = min(max(int(np.sum(sv <= vec_gate)), 1), alg)
+        rights = vh[n - geo:].conj().T         # columns r with m r = mu r
+        lefts = u[:, n - geo:].conj().T        # rows l with l m = mu l
         if geo == alg:
             gram = lefts @ rights
-            gs = singular_values(gram)
-            if gs[-1] < 1e-10:
+            if singular_values(gram)[-1] < 1e-10:
                 raise ConvergenceError(
                     f"left/right pairing is singular at eigenvalue {mu:.6g}")
-            lefts = np.array([_solve_lu(gram, lefts[:, col], pivot_floor=0.0)
-                              for col in range(n)]).T
+            lefts = solve(gram, lefts)
         else:
             complete = False
-
-        base = len(values)
-        values.extend([refined_mu] * alg)
-        multiplicities.append((refined_mu, alg, geo))
-        for j in range(geo):
-            right_cols.append(rights[:, j])
-            left_rows.append(lefts[j])
-            vec_index.append(base + j)
+        vec_index.extend(range(len(values), len(values) + geo))
+        values.extend([mu] * alg)
+        multiplicities.append((mu, alg, geo))
+        right_cols.extend(rights.T)
+        left_rows.extend(lefts)
 
     values_arr = np.array(values, dtype=np.complex128)
-    right = np.column_stack(right_cols) if right_cols else np.zeros((n, 0), dtype=np.complex128)
-    left = np.vstack(left_rows) if left_rows else np.zeros((0, n), dtype=np.complex128)
-
-    residual = 0.0
-    for col, idx in enumerate(vec_index):
-        residual = max(residual, max_abs(m @ right[:, col] - values_arr[idx] * right[:, col]))
-
-    return EigenResult(
-        values=values_arr,
-        right=right,
-        left=left,
-        vector_index=np.array(vec_index, dtype=int),
-        residual=residual,
-        complete_basis=complete,
-        multiplicities=multiplicities,
-    )
+    right = np.column_stack(right_cols)
+    left = np.vstack(left_rows)
+    residual = max_abs(m @ right - right * values_arr[vec_index])
+    if residual > tol * max(1.0, scale):
+        raise ConvergenceError(
+            f"eigen-residual {residual:.3e} exceeds tolerance {tol:.1e}")
+    return EigenResult(values=values_arr, right=right, left=left,
+                       vector_index=np.array(vec_index, dtype=int),
+                       residual=residual, complete_basis=complete,
+                       multiplicities=multiplicities)

@@ -21,8 +21,9 @@ from .transfer import ChainSpec, LocalObservable, SIGMA_Z, build_transfer, spect
 THETA_DEGENERATE_SPAN = 1e-9
 
 
-def _transfer_for(chi_t: float, n_sites: int = 2):
-    return build_transfer(squeezing_gate(chi_t), ChainSpec(max(n_sites, 2)))
+def _transfer_for(chi_t: float):
+    # The correlators take N as an argument, so any chain length serves.
+    return build_transfer(squeezing_gate(chi_t), ChainSpec(2))
 
 
 def mean_z_asymptotic_coeff(chi_t: float) -> float:
@@ -50,7 +51,7 @@ def mean_z(chi_t: float, n_sites: int, mode: str = "exact") -> float:
         raise InputError(f"unknown mode {mode!r}")
     if n_sites < 2:
         raise InputError("exact mode needs N >= 2")
-    ts = _transfer_for(chi_t, n_sites)
+    ts = _transfer_for(chi_t)
     return correlators.collective_mean(ts, SIGMA_Z, n_sites)
 
 
@@ -61,7 +62,7 @@ def transverse_variance(chi_t: float, theta: float, n_sites: int,
         return n_sites * variance_asymptotic_coeff(chi_t, theta)
     if mode != "exact":
         raise InputError(f"unknown mode {mode!r}")
-    ts = _transfer_for(chi_t, n_sites)
+    ts = _transfer_for(chi_t)
     return correlators.additive_variance_exact(
         ts, _transverse_obs(theta), n_sites, with_asymptotics=False).total
 

@@ -219,3 +219,17 @@ def test_poly_roots_multiple():
     # refinement must restore the exact quadruple root.
     res = dm.eig_general(np.eye(4, dtype=complex) * 1.0)
     assert np.max(np.abs(res.values - 1.0)) < 1e-12
+
+
+def test_eig_jordan_block_under_similarity():
+    # A defective double root splits by ~sqrt(eps) under rounding; it must
+    # come back as one eigenvalue with one eigenvector, whatever the basis.
+    j = np.array([[1.0, 0, 0, 0], [0, -0.3, 0, 0], [0, 0, 0.5, 1.0], [0, 0, 0, 0.5]],
+                 dtype=complex)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        res = dm.eig_general(s @ j @ np.linalg.inv(s))
+        assert sorted((alg, geo) for _, alg, geo in res.multiplicities) == [
+            (1, 1), (1, 1), (2, 1)], seed
+        assert not res.complete_basis

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,14 @@ def test_variance_sweep_matches_oracle():
 def test_variance_sweep_rejects_unsorted():
     with pytest.raises(Exception):
         mac.variance_sweep(gates.identity_gate(), (1, 0), SIGMA_Z, [4, 3])
+
+
+@pytest.mark.parametrize("gate", [
+    gates.weyl_gate(0.3928, np.pi / 2, np.pi / 2),
+    gates.macroscopic_family(0.37, 0.0, 0.0, seed=5),
+], ids=["weyl-degenerate", "macroscopic-trivial"])
+def test_neff_optimize_raises_no_warning(gate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = mac.neff_optimize(gate, ChainSpec(2))
+    assert report.unit_dimension >= 2

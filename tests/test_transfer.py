@@ -310,3 +310,23 @@ def test_density_recursion_matches_oracle_chain():
         prefix_last = oracle.reduced_density(oracle.sweep(g, chain, upto=chain.n - 1),
                                              chain.n)
         assert np.max(np.abs(last - prefix_last)) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [7, 13, 14, 15, 16, 17, 20, 21, 24, 30])
+def test_spectral_conjugate_pairs_list_positive_imaginary_first(seed):
+    values = spectral(build_transfer(gates.random_gate(seed), ChainSpec(2)).e).values
+    pairs = 0
+    for a, b in zip(values, values[1:]):
+        if abs(a.imag) > 1e-6 and abs(a - np.conj(b)) < 1e-9:
+            assert a.imag > 0 > b.imag
+            pairs += 1
+    assert pairs >= 1
+
+
+@pytest.mark.parametrize("chi_t", [0.3, 0.5, 1.0, 1.4])
+def test_spectral_order_of_squeezing_spectrum(chi_t):
+    # E has eigenvalues {1, s, -s, -s^2}, s = sin(chi t): equal moduli are
+    # ordered by descending real part.
+    s = np.sin(chi_t)
+    values = spectral(build_transfer(gates.squeezing_gate(chi_t), ChainSpec(2)).e).values
+    assert np.max(np.abs(values - [1.0, s, -s, -s * s])) < 1e-12
