@@ -274,9 +274,8 @@ def cmd_oracle_check(args) -> int:
                       for k2 in range(m + 1, args.n + 1))
         dev_mean = abs(correlators.collective_mean(ts, obs, args.n)
                        - oracle.collective_mean(state, obs))
-        dev_var = abs(correlators.additive_variance_exact(
-            ts, obs, args.n, with_asymptotics=False).total
-            - oracle.collective_variance(state, obs))
+        dev_var = abs(correlators.additive_variance_exact(ts, obs, args.n).total
+                      - oracle.collective_variance(state, obs))
         ok = max(dev_one, dev_two, dev_mean, dev_var) <= args.tol
         all_pass = all_pass and ok
         rows.append([seed, args.n, dev_one, dev_two, dev_mean, dev_var,

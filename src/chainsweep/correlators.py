@@ -36,6 +36,10 @@ COLLECTIVE_REL_TOL = 1e-5
 # eigenvalue drifts; 32 leaves a margin of 2.4 there.
 _ERR_SAFETY = 32.0
 
+# Safety factor of the asymptotic-coefficient error estimate; see
+# AsymptoticVariance.
+_ASYM_SAFETY = 8.0
+
 _EPS = float(np.finfo(float).eps)
 
 
@@ -141,19 +145,10 @@ def collective_mean(ts: TransferSet, obs: LocalObservable, n_sites: int) -> floa
 
 @dataclass
 class VarianceBreakdown:
-    """Exact variance of an additive observable plus its large-N split.
-
-    ``quadratic_coeff``/``linear_coeff`` restate the asymptotic expansion
-    q N^2 + l N + O(1) when the transfer matrix is diagonalizable (else they
-    are None and only ``total`` is meaningful); ``boundary_remainder`` is the
-    O(1) part total - q N^2 - l N at this N.  ``error_estimate`` is the
-    estimated floating-point error of ``total`` (see _lifted_contraction).
-    """
+    """Exact variance of an additive observable; ``error_estimate`` is the
+    estimated floating-point error of ``total`` (see _lifted_contraction)."""
 
     total: float
-    quadratic_coeff: float | None
-    linear_coeff: float | None
-    boundary_remainder: float | None
     error_estimate: float
 
 
@@ -164,15 +159,19 @@ class AsymptoticVariance:
     ``oscillatory`` marks spectra with coinciding unimodular non-unit
     eigenvalues, whose variance carries a bounded-amplitude oscillating
     linear term that a fixed coefficient cannot represent.
+    ``error_estimate`` bounds the rounding error of the coefficients:
+    _ASYM_SAFETY eps ||S||_F ||E_A||_F^2, S the reduced resolvent, which
+    grows like 1/gap as the second eigenvalue of E approaches 1.
     """
 
     quadratic_coeff: float
     linear_coeff: float
     oscillatory: bool = False
+    error_estimate: float = 0.0
 
 
-def additive_variance_exact(ts: TransferSet, obs: LocalObservable, n_sites: int,
-                            with_asymptotics: bool = True) -> VarianceBreakdown:
+def additive_variance_exact(ts: TransferSet, obs: LocalObservable,
+                            n_sites: int) -> VarianceBreakdown:
     """Variance of sum_m A_m over the full chain, all boundary terms included.
 
     Raises ToleranceError when the error estimate exceeds COLLECTIVE_REL_TOL
@@ -183,20 +182,7 @@ def additive_variance_exact(ts: TransferSet, obs: LocalObservable, n_sites: int,
     if n_sites < 2:
         raise InputError("chain needs at least 2 sites")
     total, err = _variance(ts, obs, n_sites)
-
-    quad = lin = rem = None
-    if with_asymptotics:
-        try:
-            asym = asymptotic_variance(ts, obs)
-        except InputError:
-            asym = None
-        if asym is not None and not asym.oscillatory:
-            quad = asym.quadratic_coeff
-            lin = asym.linear_coeff
-            rem = total - quad * n_sites ** 2 - lin * n_sites
-    return VarianceBreakdown(total=total, quadratic_coeff=quad,
-                             linear_coeff=lin, boundary_remainder=rem,
-                             error_estimate=err)
+    return VarianceBreakdown(total=total, error_estimate=err)
 
 
 def _variance(ts: TransferSet, obs: LocalObservable, n: int) -> tuple[float, float]:
@@ -225,16 +211,14 @@ def asymptotic_variance(ts: TransferSet, obs: LocalObservable,
     q comes from unit-eigenspace projections only; l collects the single-site
     term, the decaying-mode geometric sums, the boundary-site pairs, and the
     mean-square correction.  For a zero-mean observable it reduces to
-    1 + 2 sum_j (E_A)_{1j} (E_A)_{j1} / (1 - lambda_j).  Requires a
-    diagonalizable transfer matrix.
+    1 + 2 sum_j (E_A)_{1j} (E_A)_{j1} / (1 - lambda_j).  Raises
+    ToleranceError when ``error_estimate`` exceeds COLLECTIVE_REL_TOL of
+    max(1, |l|), which happens only as the spectral gap closes.
     """
     if not obs.is_hermitian:
         raise InputError("variance needs a Hermitian observable")
     if spec is None:
         spec = spectral(ts.e)
-    if spec.jordan_warning:
-        raise InputError("unit eigenspace of E is defective: asymptotics "
-                         "unavailable, use the exact finite-N path")
     ea = ts.dressed(obs)
     ea2_i = ts.dressed(LocalObservable(obs.squared())) @ VEC_IDENTITY
     a = _vec(obs)
@@ -265,5 +249,12 @@ def asymptotic_variance(ts: TransferSet, obs: LocalObservable,
     c_mean = -mean_inf + complex(v @ s_res @ ea @ VEC_IDENTITY) + nu_inf
     lin = _real(s_inf - 3.0 * kappa + 2.0 * cross + 2.0 * boundary
                 - 2.0 * mean_inf * c_mean, scale=10.0)
+    err = (_ASYM_SAFETY * _EPS * np.linalg.norm(s_res)
+           * np.linalg.norm(ea) ** 2)
+    bound = COLLECTIVE_REL_TOL * max(1.0, abs(lin))
+    if err > bound:
+        raise ToleranceError(
+            f"asymptotic variance: estimated error {err:.3e} exceeds "
+            f"{bound:.3e}; the spectral gap of E is too small")
     return AsymptoticVariance(quadratic_coeff=quad, linear_coeff=lin,
-                              oscillatory=oscillatory)
+                              oscillatory=oscillatory, error_estimate=err)

@@ -2,13 +2,14 @@
 
 Matrices are plain numpy ``complex128`` arrays in row-major order.  Everything
 here targets the tiny sizes this package needs (n <= 8).  The numerical work
-is LAPACK through numpy: eigenvalues from ``eigvals``, eigenvectors as SVD
-null spaces, Hermitian eigenproblems from ``eigh``, singular values and
-solves.  What this module adds is the bookkeeping a general eigenproblem
-leaves to the caller: the rounding scatter of a multiple eigenvalue is
-grouped back into one value with its algebraic and geometric multiplicity,
-the eigenvalue order is fixed, left/right pairs are biorthonormal, and a
-residual check raises instead of returning bad vectors.
+is LAPACK through numpy: Hermitian eigenproblems from ``eigh``, singular
+values, solves and matrix powers.  The general eigensolver at the end is a
+reference path, used by the acceptance and unit tests: it groups the rounding
+scatter of a multiple eigenvalue back into one value with its algebraic and
+geometric multiplicity, fixes the eigenvalue order, biorthonormalizes the
+left/right pairs, and raises on a residual above tolerance.  The transfer
+spectrum does not use it: its unit eigenspace comes from one SVD of E - I
+(:func:`chainsweep.transfer.spectral`).
 """
 
 from __future__ import annotations
@@ -42,33 +43,10 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise InputError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with composite row index i*b.rows + k, i.e.
     out[(i,k),(j,l)] = a[i,j] * b[k,l]."""
     return np.kron(as_matrix(a), as_matrix(b))
-
-
-def adjoint(m: np.ndarray) -> np.ndarray:
-    return as_matrix(m).conj().T
-
-
-def transpose(m: np.ndarray) -> np.ndarray:
-    return as_matrix(m).T
-
-
-def conj_entries(m: np.ndarray) -> np.ndarray:
-    return as_matrix(m).conj()
-
-
-def trace(m: np.ndarray) -> complex:
-    return complex(np.trace(as_matrix(m)))
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -109,11 +87,6 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values, descending."""
     return np.linalg.svd(as_matrix(m), compute_uv=False)
-
-
-def rank_with_tol(m: np.ndarray, tol: float) -> int:
-    """Number of singular values above tol."""
-    return int(np.sum(singular_values(m) > tol))
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -16,8 +16,19 @@ import numpy as np
 from . import correlators, densemat as dm
 from .errors import InputError, ToleranceError
 from .gates import Gate
-from .transfer import (ChainSpec, LocalObservable, SpectralData, TransferSet,
-                       build_transfer, spectral)
+from .transfer import (ChainSpec, KrausPair, LocalObservable, SpectralData,
+                       TransferSet, build_transfer, spectral)
+
+# Top eigenvalues of the effective-size form at or below this many eps times
+# max(1, max|M|) are rounding noise: 8e-17 to 2.5e-16 on controlled
+# rotations within 2e-5 of pi, against >= 2.5e-3 on Weyl-degenerate and
+# macroscopic-family gates.
+_FORM_NOISE = 256.0
+
+# Residual and weight tolerance of the structural common-eigenvector test.
+_STRUCTURAL_TOL = 1e-8
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -68,9 +79,6 @@ def neff(gate: Gate, chain: ChainSpec, direction, tol: float = 1e-9) -> float:
     obs = LocalObservable.from_bloch(direction)
     ts = build_transfer(gate, chain)
     spec = spectral(ts.e, tol=tol)
-    if spec.jordan_warning:
-        raise ToleranceError("unit eigenspace of E looks defective; "
-                             "effective size is not defined spectrally")
     val = _neff_from_unit_space(ts, spec, obs)
     # The coefficient is a variance prefactor; clip the rounding dust.
     return max(val, 0.0)
@@ -84,14 +92,16 @@ def neff_optimize(gate: Gate, chain: ChainSpec) -> MacroReport:
     fix the symmetric 3x3 M; its top eigenpair is the maximum and the best
     direction (unit norm, sign fixed so the largest component is positive).
     The coefficient is evaluated again at that direction, and a mismatch
-    with the eigenvalue raises instead of returning.
+    with the eigenvalue raises instead of returning.  A form whose top
+    eigenvalue is rounding noise (at most _FORM_NOISE eps max(1, max|M|))
+    has no best direction; z is reported with coefficient 0, as for a
+    non-degenerate unit eigenvalue.
     """
     ts = build_transfer(gate, chain)
     spec = spectral(ts.e)
-    if spec.unit_right.shape[1] == 1:
-        report_dir = np.array([0.0, 0.0, 1.0])
-        return MacroReport(unit_dimension=spec.unit_dim, neff_coeff=0.0,
-                           best_direction=report_dir)
+    z_axis = np.array([0.0, 0.0, 1.0])
+    if spec.unit_dim == 1:
+        return MacroReport(spec.unit_dim, 0.0, z_axis)
 
     def value(n_vec) -> float:
         return _neff_from_unit_space(ts, spec, LocalObservable.from_bloch(n_vec))
@@ -103,6 +113,9 @@ def neff_optimize(gate: Gate, chain: ChainSpec) -> MacroReport:
                                    - 0.5 * (form[i, i] + form[j, j]))
     evals, evecs = np.linalg.eigh(form)
     top = float(evals[-1])
+    witness = _structural_witness(ts.kraus, spec.unit_dim, _STRUCTURAL_TOL)[0]
+    if top <= _FORM_NOISE * _EPS * max(1.0, float(np.max(np.abs(form)))):
+        return MacroReport(spec.unit_dim, 0.0, z_axis, witness)
     direction = evecs[:, -1]
     # eigh's vectors are unit only to an ulp; renormalized, a direction on an
     # axis has that component exactly +-1 (1 - 1 ulp reads as 1.5e-8 rad
@@ -114,20 +127,17 @@ def neff_optimize(gate: Gate, chain: ChainSpec) -> MacroReport:
         raise ToleranceError(
             f"effective size is not quadratic in the direction: neff(n*) = "
             f"{achieved!r} against the top eigenvalue {top!r}")
-    classification = classify_macroscopic(gate)
     # The coefficient is a variance prefactor; clip the rounding dust.
     return MacroReport(unit_dimension=spec.unit_dim, neff_coeff=max(top, 0.0),
-                       best_direction=direction,
-                       witness=classification.witness)
+                       best_direction=direction, witness=witness)
 
 
 def _eigvecs_2x2(m: np.ndarray) -> list[np.ndarray] | None:
     """Unit eigenvectors of a 2x2 matrix; None means every vector qualifies
-    (m is a multiple of the identity)."""
-    res = dm.eig_general(m, tol=1e-7)
-    if any(alg == 2 and geo == 2 for _, alg, geo in res.multiplicities):
+    (m is a multiple of the identity to 1e-7 relative)."""
+    if np.linalg.norm(m - 0.5 * np.trace(m) * np.eye(2), 2) <= 1e-7 * dm.max_abs(m):
         return None
-    return [res.right[:, j] for j in range(res.right.shape[1])]
+    return list(np.linalg.eig(m)[1].T)
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -142,7 +152,46 @@ def _bloch_of_state(v: np.ndarray) -> np.ndarray:
     return np.array([np.real(v.conj() @ p @ v) for p in (PAULI_X, PAULI_Y, PAULI_Z)])
 
 
-def classify_macroscopic(gate: Gate, tol: float = 1e-8) -> MacroClassification:
+def _structural_witness(kraus: KrausPair, unit_dim: int, tol: float
+                        ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(witness state, its Bloch vector) from a common eigenvector of the
+    Kraus pair whose eigenvalues exhaust the weight (|mu0|^2 + |mu1|^2 = 1),
+    or (None, None) when there is none; raises when that disagrees with the
+    unit-eigenvalue degeneracy ``unit_dim``."""
+    v0, v1 = kraus.v0, kraus.v1
+    candidates = _eigvecs_2x2(v0)
+    if candidates is None:
+        candidates = _eigvecs_2x2(v1)
+    if candidates is None:
+        candidates = [np.array([1.0, 0.0], dtype=np.complex128)]
+
+    hits: list[np.ndarray] = []
+    for cand in candidates:
+        cand = cand / np.linalg.norm(cand)
+        mu0 = complex(cand.conj() @ v0 @ cand)
+        mu1 = complex(cand.conj() @ v1 @ cand)
+        if (np.linalg.norm(v0 @ cand - mu0 * cand) <= tol
+                and np.linalg.norm(v1 @ cand - mu1 * cand) <= tol
+                and abs(abs(mu0) ** 2 + abs(mu1) ** 2 - 1.0) <= tol):
+            hits.append(cand)
+
+    structural = bool(hits)
+    if structural != (unit_dim >= 2):
+        raise ToleranceError(
+            f"structural test ({structural}) disagrees with unit-eigenvalue "
+            f"degeneracy ({unit_dim}); tolerance pathology at tol={tol:g}")
+    if not hits:
+        return None, None
+    # The channel-invariant pure state is the conjugate of the common
+    # eigenvector; pick the lexicographically largest Bloch vector for
+    # reproducibility.
+    states = [_canonical_phase(np.conj(c)) for c in hits]
+    blochs = [_bloch_of_state(s) for s in states]
+    best = max(range(len(states)), key=lambda i: tuple(np.round(blochs[i], 12)))
+    return states[best], blochs[best]
+
+
+def classify_macroscopic(gate: Gate, tol: float = _STRUCTURAL_TOL) -> MacroClassification:
     """Structural test for macroscopicity: a common eigenvector of the Kraus
     pair whose eigenvalues exhaust the weight (|mu0|^2 + |mu1|^2 = 1).
 
@@ -151,46 +200,11 @@ def classify_macroscopic(gate: Gate, tol: float = 1e-8) -> MacroClassification:
     """
     ts = build_transfer(gate, ChainSpec(2))
     spec = spectral(ts.e, tol=max(tol, 1e-9))
+    witness, witness_bloch = _structural_witness(ts.kraus, spec.unit_dim, tol)
     v0, v1 = ts.kraus.v0, ts.kraus.v1
-    comm_norm = dm.max_abs(v0 @ v1 - v1 @ v0)
-
-    candidates = _eigvecs_2x2(v0)
-    if candidates is None:
-        candidates = _eigvecs_2x2(v1)
-    if candidates is None:
-        candidates = [np.array([1.0, 0.0], dtype=np.complex128)]
-
-    hits: list[tuple[np.ndarray, complex, complex]] = []
-    for cand in candidates:
-        cand = cand / np.linalg.norm(cand)
-        mu0 = complex(cand.conj() @ v0 @ cand)
-        mu1 = complex(cand.conj() @ v1 @ cand)
-        if (np.linalg.norm(v0 @ cand - mu0 * cand) <= tol
-                and np.linalg.norm(v1 @ cand - mu1 * cand) <= tol
-                and abs(abs(mu0) ** 2 + abs(mu1) ** 2 - 1.0) <= tol):
-            hits.append((cand, mu0, mu1))
-
-    structural = bool(hits)
-    spectral_verdict = spec.unit_dim >= 2
-    if structural != spectral_verdict:
-        raise ToleranceError(
-            f"structural test ({structural}) disagrees with unit-eigenvalue "
-            f"degeneracy ({spec.unit_dim}); tolerance pathology at tol={tol:g}")
-
-    witness = witness_bloch = None
-    if hits:
-        # The channel-invariant pure state is the conjugate of the common
-        # eigenvector; pick the lexicographically largest Bloch vector for
-        # reproducibility.
-        states = [_canonical_phase(np.conj(c)) for c, _, _ in hits]
-        blochs = [_bloch_of_state(s) for s in states]
-        order = sorted(range(len(states)),
-                       key=lambda i: tuple(np.round(blochs[i], 12)), reverse=True)
-        witness = states[order[0]]
-        witness_bloch = blochs[order[0]]
-    return MacroClassification(is_macroscopic=structural, witness=witness,
+    return MacroClassification(is_macroscopic=witness is not None, witness=witness,
                                witness_bloch=witness_bloch,
-                               commutator_norm=comm_norm,
+                               commutator_norm=dm.max_abs(v0 @ v1 - v1 @ v0),
                                unit_dimension=spec.unit_dim)
 
 
@@ -209,8 +223,7 @@ def variance_sweep(gate: Gate, chain_amplitudes: tuple[complex, complex],
     ts = build_transfer(gate, ChainSpec(n_list[0], *chain_amplitudes))
     prev = None
     for n in n_list:
-        var = correlators.additive_variance_exact(ts, obs, n,
-                                                  with_asymptotics=False).total
+        var = correlators.additive_variance_exact(ts, obs, n).total
         slope = None
         if prev is not None and prev[1] > 0 and var > 0:
             slope = (np.log(var) - np.log(prev[1])) / (np.log(n) - np.log(prev[0]))

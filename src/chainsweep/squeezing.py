@@ -64,7 +64,7 @@ def transverse_variance(chi_t: float, theta: float, n_sites: int,
         raise InputError(f"unknown mode {mode!r}")
     ts = _transfer_for(chi_t)
     return correlators.additive_variance_exact(
-        ts, _transverse_obs(theta), n_sites, with_asymptotics=False).total
+        ts, _transverse_obs(theta), n_sites).total
 
 
 def _theta_optimum(chi_t: float) -> tuple[float, float, bool]:

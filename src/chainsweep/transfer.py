@@ -9,6 +9,7 @@ silent flip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 import numpy as np
 
@@ -214,20 +215,21 @@ def build_transfer(gate: Gate, chain: ChainSpec) -> TransferSet:
 class SpectralData:
     """Eigenvalues of E with the unit eigenspace singled out and canonicalized.
 
-    ``values`` are all four eigenvalues in the order of
-    :func:`chainsweep.densemat.eig_general`.  ``unit_right`` columns span the
-    lambda = 1 eigenspace with the first column equal to vec(I);
+    ``values`` are all four eigenvalues from LAPACK, by descending modulus,
+    then descending real part, then descending imaginary part, with
+    differences within 1e-6 max|E_ij| counted as ties (conjugate pairs list
+    the positive imaginary part first).  ``unit_dim`` is the number of
+    singular values of E - I at or below the unit tolerance; ``unit_right``
+    columns span that null space with the first column equal to vec(I), and
     ``unit_left`` rows are the biorthonormal partners (<l_i|r_j> = delta_ij).
-    ``unit_dim`` is cross-checked against 4 - rank(E - I).
-    ``jordan_warning`` is set when algebraic and geometric unit
-    multiplicities disagree.
+    E is a unital CP map, so its unit eigenvalue is semisimple and the
+    right and left null spaces of E - I are its whole eigenspace.
     """
 
     values: np.ndarray
     unit_dim: int
     unit_right: np.ndarray
     unit_left: np.ndarray
-    jordan_warning: bool = False
 
     def unit_projector(self) -> np.ndarray:
         return self.unit_right @ self.unit_left
@@ -243,56 +245,51 @@ class SpectralData:
 
 
 def spectral(e: np.ndarray, tol: float = UNIT_EIG_TOL) -> SpectralData:
-    """Eigendecomposition of a transfer matrix with unit-eigenspace handling."""
+    """Eigenvalues of a transfer matrix and its unit eigenspace from one SVD
+    of E - I."""
     e = dm.as_matrix(e)
     if e.shape != (4, 4):
         raise InputError("transfer matrix must be 4x4")
-    res = dm.eig_general(e, tol=max(tol, 1e-9))
-    moduli = np.abs(res.values)
+    radius = dm._GROUP_RADIUS * dm.max_abs(e)
+    values = np.array(sorted(np.linalg.eigvals(e),
+                             key=cmp_to_key(lambda a, b: dm._compare(a, b, radius))))
+    moduli = np.abs(values)
     if np.any(moduli > 1.0 + 1e-10):
         raise InputError(f"transfer spectrum leaves the unit disk: max |lambda| = {moduli.max()}")
 
-    alg_dim = int(np.sum(np.abs(res.values - 1.0) < tol))
-    unit_dim = 4 - dm.rank_with_tol(e - np.eye(4), tol)
-    unit = [col for col, idx in enumerate(res.vector_index)
-            if abs(res.values[idx] - 1.0) < tol]
-    if not unit:
+    u, sv, vh = np.linalg.svd(e - np.eye(4))
+    k = int(np.sum(sv <= tol))
+    if k == 0:
         raise InputError("transfer matrix has no unit eigenvalue; "
                          "the Kraus pair cannot come from a unitary gate")
-    right = res.right[:, unit]
-    left = res.left[unit]
-    k = len(unit)
+    right = vh[4 - k:].conj().T          # columns r with E r = r
+    left = u[:, 4 - k:].conj().T         # rows l with l E = l
 
     # Canonicalize: first right basis vector is vec(I) exactly; the others
     # are the leading left singular vectors of the unit space with vec(I)
     # projected out, orthonormal and orthogonal to it (Euclidean).  Taking
     # them from an SVD rather than Gram-Schmidt keeps a computed vector that
     # lies almost along vec(I) from amplifying its rounding error.
-    gram_r = right.conj().T @ right
-    proj = right @ dm.solve(gram_r, right.conj().T @ VEC_IDENTITY)
+    proj = right @ (right.conj().T @ VEC_IDENTITY)
     if dm.max_abs(proj - VEC_IDENTITY) > 1e-8:
         raise ConvergenceError("vec(I) is not inside the computed unit eigenspace")
     rest = right - np.outer(VEC_IDENTITY, VEC_IDENTITY @ right) / 2.0
-    u, s, _ = np.linalg.svd(rest)
-    if k > 1 and s[k - 2] <= 1e-7:
+    u_rest, s_rest, _ = np.linalg.svd(rest)
+    if k > 1 and s_rest[k - 2] <= 1e-7:
         raise ConvergenceError("failed to canonicalize the unit eigenspace basis")
-    right = np.column_stack([VEC_IDENTITY, u[:, :k - 1]])
+    right = np.column_stack([VEC_IDENTITY, u_rest[:, :k - 1]])
     gram = left @ right
-    gs = dm.singular_values(gram)
-    if gs[-1] < 1e-10:
+    if dm.singular_values(gram)[-1] < 1e-10:
         raise ConvergenceError("unit-space left/right pairing is singular")
-    spec = SpectralData(values=res.values, unit_dim=unit_dim, unit_right=right,
-                        unit_left=dm.solve(gram, left),
-                        jordan_warning=alg_dim != unit_dim or k != unit_dim)
+    spec = SpectralData(values=values, unit_dim=k, unit_right=right,
+                        unit_left=dm.solve(gram, left))
     # One step of iterative refinement against the exact eigenvalue 1,
     # l <- l + l(E - I)S, which leaves <l|r> unchanged (S r = 0).  The linear
     # variance coefficient is about 1/gap^2-sensitive to the left vectors: a
     # controlled rotation at a = pi - 0.02 (gap 1e-4) otherwise turns their
-    # rounding error into 9e-12 on a coefficient that is exactly 0.  S does
-    # not exist when the unit eigenvalue looks defective.
-    if not spec.jordan_warning:
-        spec.unit_left = spec.unit_left + (spec.unit_left @ (e - np.eye(4))
-                                           @ spec.reduced_resolvent(e))
+    # rounding error into 9e-12 on a coefficient that is exactly 0.
+    spec.unit_left = spec.unit_left + (spec.unit_left @ (e - np.eye(4))
+                                       @ spec.reduced_resolvent(e))
     return spec
 
 

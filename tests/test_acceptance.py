@@ -79,7 +79,7 @@ def test_criterion_1_oracle_equivalence_master():
             worst = max(worst, abs(co.collective_mean(ts, obs, n)
                                    - oracle.collective_mean(state, obs)))
             worst = max(worst, abs(
-                co.additive_variance_exact(ts, obs, n, with_asymptotics=False).total
+                co.additive_variance_exact(ts, obs, n).total
                 - oracle.collective_variance(state, obs)))
     elapsed = time.time() - t0
     ok = worst < tol and elapsed < 60.0
@@ -149,8 +149,7 @@ def test_criterion_5_variance_scaling_reproduction():
     worst_rel = 0.0
     for n in (10, 100, 1000, 10 ** 4):
         ts = build_transfer(gates.controlled_rotation(np.pi), ChainSpec.plus_state(n))
-        total = co.additive_variance_exact(ts, SIGMA_Z, n,
-                                           with_asymptotics=False).total
+        total = co.additive_variance_exact(ts, SIGMA_Z, n).total
         worst_rel = max(worst_rel, abs(total - float(n) ** 2) / float(n) ** 2)
     slopes_small = []
     slopes_large = []

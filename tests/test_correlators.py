@@ -105,12 +105,14 @@ def test_variance_identity_zero():
 
 def test_variance_ghz_quadratic():
     ts = build_transfer(gates.controlled_rotation(np.pi), ChainSpec.plus_state(4))
+    asym = co.asymptotic_variance(ts, SIGMA_Z)
+    assert abs(asym.quadratic_coeff - 1.0) < 1e-10
+    assert abs(asym.linear_coeff) < 1e-10
     for n in (4, 10, 50):
-        vb = co.additive_variance_exact(ts, SIGMA_Z, n)
-        assert abs(vb.total - n ** 2) < 1e-9 * n ** 2
-        assert abs(vb.quadratic_coeff - 1.0) < 1e-10
-        assert abs(vb.linear_coeff) < 1e-10
-        assert abs(vb.boundary_remainder) < 1e-8
+        total = co.additive_variance_exact(ts, SIGMA_Z, n).total
+        assert abs(total - n ** 2) < 1e-9 * n ** 2
+        assert abs(total - asym.quadratic_coeff * n ** 2
+                   - asym.linear_coeff * n) < 1e-8
 
 
 def test_variance_matches_oracle_and_naive():
@@ -121,8 +123,7 @@ def test_variance_matches_oracle_and_naive():
         chain = _random_chain(rng, 10)
         ts = build_transfer(g, chain)
         state = oracle.sweep(g, chain)
-        sweep_val = co.additive_variance_exact(ts, obs, 10,
-                                               with_asymptotics=False).total
+        sweep_val = co.additive_variance_exact(ts, obs, 10).total
         naive_val = _naive_variance(ts, obs, 10)
         ref = oracle.collective_variance(state, obs)
         assert abs(sweep_val - ref) < 1e-8
@@ -138,7 +139,7 @@ def test_variance_general_hermitian_observable():
     chain = ChainSpec(8, 0.8, 0.6)
     ts = build_transfer(g, chain)
     state = oracle.sweep(g, chain)
-    got = co.additive_variance_exact(ts, obs, 8, with_asymptotics=False).total
+    got = co.additive_variance_exact(ts, obs, 8).total
     acc = np.zeros_like(state.amplitudes)
     for m in range(1, 9):
         acc += oracle._apply_local(state.amplitudes, 8, obs.matrix, m)
@@ -177,7 +178,7 @@ def test_lifted_contraction_matches_naive_reference():
             mean_ref = sum(co.one_point(ts, obs, m, n) for m in range(1, n + 1))
             var_ref = _naive_variance(ts, obs, n)
             mean = co.collective_mean(ts, obs, n)
-            var = co.additive_variance_exact(ts, obs, n, with_asymptotics=False).total
+            var = co.additive_variance_exact(ts, obs, n).total
             worst_mean = max(worst_mean, abs(mean - mean_ref) / max(abs(mean_ref), 1.0))
             worst_var = max(worst_var,
                             abs(var - var_ref) / max(abs(var_ref), n * norm ** 2))
@@ -201,10 +202,8 @@ def test_large_n_squeezing_slopes(chi_t):
         var_slope = (sq.transverse_variance(chi_t, theta, 2 * n)
                      - sq.transverse_variance(chi_t, theta, n)) / n
         mean_slope = (sq.mean_z(chi_t, 2 * n) - sq.mean_z(chi_t, n)) / n
-        z_slope = (co.additive_variance_exact(ts, SIGMA_Z, 2 * n,
-                                              with_asymptotics=False).total
-                   - co.additive_variance_exact(ts, SIGMA_Z, n,
-                                                with_asymptotics=False).total) / n
+        z_slope = (co.additive_variance_exact(ts, SIGMA_Z, 2 * n).total
+                   - co.additive_variance_exact(ts, SIGMA_Z, n).total) / n
         assert abs(var_slope - var_coeff) <= 1e-12
         assert abs(mean_slope - mean_coeff) <= 1e-12
         assert abs(z_slope - z_coeff) <= 1e-12
@@ -224,10 +223,10 @@ def test_variance_error_estimate_covers_large_n_deviation():
     def predicted(n):
         return asym.quadratic_coeff * n ** 2 + asym.linear_coeff * n
 
-    rem = co.additive_variance_exact(ts, obs, 2000, with_asymptotics=False).total
+    rem = co.additive_variance_exact(ts, obs, 2000).total
     rem -= predicted(2000)
     for n in (10 ** 8, 2 * 10 ** 9):
-        vb = co.additive_variance_exact(ts, obs, n, with_asymptotics=False)
+        vb = co.additive_variance_exact(ts, obs, n)
         assert abs(vb.total - predicted(n) - rem) <= vb.error_estimate
 
 
@@ -235,7 +234,7 @@ def test_collective_guard_rejects_absurd_chain_length():
     ts = build_transfer(gates.squeezing_gate(0.5), ChainSpec(2))
     obs = LocalObservable.from_bloch([1.0, 1.0, 0.0])
     with pytest.raises(ToleranceError):
-        co.additive_variance_exact(ts, obs, 10 ** 12, with_asymptotics=False)
+        co.additive_variance_exact(ts, obs, 10 ** 12)
     with pytest.raises(ToleranceError):
         co.collective_mean(ts, SIGMA_Z, 10 ** 12)
 
@@ -251,7 +250,7 @@ def test_collective_guard_admits_long_chain_sizes():
         cases += [(ts, SIGMA_Z), (ts, obs_t)]
     for ts, obs in cases:
         for n in (4, 1000, 21000):
-            vb = co.additive_variance_exact(ts, obs, n, with_asymptotics=False)
+            vb = co.additive_variance_exact(ts, obs, n)
             assert vb.error_estimate <= 1e-3 * co.COLLECTIVE_REL_TOL * max(abs(vb.total), n)
             co.collective_mean(ts, obs, n)
 
@@ -294,8 +293,7 @@ def test_exact_minus_asymptotic_remainder_bounded():
         asym = co.asymptotic_variance(ts, obs)
         rems = []
         for n in (50, 100, 200, 400):
-            total = co.additive_variance_exact(ts, obs, n,
-                                               with_asymptotics=False).total
+            total = co.additive_variance_exact(ts, obs, n).total
             rems.append(total - asym.quadratic_coeff * n ** 2
                         - asym.linear_coeff * n)
         diffs = [abs(b - a) for a, b in zip(rems, rems[1:])]
@@ -317,7 +315,8 @@ def test_variance_breakdown_fields():
     ts = build_transfer(gates.squeezing_gate(0.5), ChainSpec(4))
     obs = LocalObservable.from_bloch([np.cos(np.pi / 4), np.sin(np.pi / 4), 0.0])
     vb = co.additive_variance_exact(ts, obs, 200)
-    assert vb.quadratic_coeff is not None
-    recon = (vb.quadratic_coeff * 200 ** 2 + vb.linear_coeff * 200
-             + vb.boundary_remainder)
+    asym = co.asymptotic_variance(ts, obs)
+    assert not asym.oscillatory
+    remainder = vb.total - asym.quadratic_coeff * 200 ** 2 - asym.linear_coeff * 200
+    recon = asym.quadratic_coeff * 200 ** 2 + asym.linear_coeff * 200 + remainder
     assert abs(recon - vb.total) < 1e-9
