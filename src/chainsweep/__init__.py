@@ -13,8 +13,8 @@ from .gates import (Gate, conjugated_gate, controlled_rotation, gate_from_family
                     identity_gate, load_gate, macroscopic_family, random_gate,
                     save_gate, squeezing_gate, weyl_gate, weyl_params)
 from .transfer import (ChainSpec, KrausPair, LocalObservable, SpectralData,
-                       TransferSet, SIGMA_X, SIGMA_Y, SIGMA_Z, boundary_X,
-                       build_transfer, check_isometry, dressed_E, dressed_X,
+                       TransferSet, SIGMA_X, SIGMA_Y, SIGMA_Z, boundary_row,
+                       build_transfer, check_isometry, dressed_E,
                        extract_kraus, site_density_recursion, spectral,
                        transfer_E)
 from .correlators import (AsymptoticVariance, VarianceBreakdown,
@@ -37,8 +37,8 @@ __all__ = [
     "identity_gate", "load_gate", "macroscopic_family", "random_gate",
     "save_gate", "squeezing_gate", "weyl_gate", "weyl_params",
     "ChainSpec", "KrausPair", "LocalObservable", "SpectralData", "TransferSet",
-    "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "boundary_X", "build_transfer",
-    "check_isometry", "dressed_E", "dressed_X", "extract_kraus",
+    "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "boundary_row", "build_transfer",
+    "check_isometry", "dressed_E", "extract_kraus",
     "site_density_recursion", "spectral", "transfer_E",
     "AsymptoticVariance", "VarianceBreakdown", "additive_variance_exact",
     "asymptotic_variance", "collective_mean", "one_point", "two_point",

@@ -1,7 +1,7 @@
 """Exact finite-N and asymptotic expectation values along the chain.
 
-Single-site and pair correlators contract the rank-1 boundary through the
-row vector <v| (X = |I><v|) and powers of the 4x4 transfer matrix E.  A
+Single-site and pair correlators contract the rank-1 boundary |I><v|
+through its row vector <v| and powers of the 4x4 transfer matrix E.  A
 collective sum is a finite-automaton MPO: sum_m A_m has bond dimension 2 and
 its square bond dimension 3, so the mean and the variance at any N come from
 one power of an 8x8 or 12x12 block upper-triangular lifted transfer matrix,
@@ -62,7 +62,7 @@ def one_point(ts: TransferSet, obs: LocalObservable, m: int, n_sites: int) -> fl
     if not 1 <= m <= n_sites:
         raise InputError(f"site {m} outside 1..{n_sites}")
     if m < n_sites:
-        val = ts.vrow @ dm.matpow(ts.e, m - 1) @ ts.dressed(obs) @ VEC_IDENTITY
+        val = ts.vrow @ dm.matpow(ts.e, m - 1) @ ts.dressed(obs.matrix) @ VEC_IDENTITY
     else:
         val = ts.vrow @ dm.matpow(ts.e, n_sites - 1) @ _vec(obs)
     return _real(complex(val))
@@ -75,7 +75,7 @@ def two_point(ts: TransferSet, obs: LocalObservable, m: int, n: int,
         raise InputError(f"sites ({m},{n}) outside 1..{n_sites}")
     if m >= n:
         raise InputError(f"two_point needs m < n, got ({m},{n})")
-    ea = ts.dressed(obs)
+    ea = ts.dressed(obs.matrix)
     head = ts.vrow @ dm.matpow(ts.e, m - 1) @ ea
     if n < n_sites:
         val = head @ dm.matpow(ts.e, n - m - 1) @ ea @ VEC_IDENTITY
@@ -106,7 +106,7 @@ def _lifted_contraction(ts: TransferSet, ops: dict, n: int) -> tuple[complex, fl
     for i in range(k):
         t[4 * i:4 * i + 4, 4 * i:4 * i + 4] = ts.e
     for (i, j), op in ops.items():
-        t[4 * i:4 * i + 4, 4 * j:4 * j + 4] = ts.dressed(LocalObservable(op))
+        t[4 * i:4 * i + 4, 4 * j:4 * j + 4] = ts.dressed(op)
         if j == k - 1:
             b[4 * i:4 * i + 4] = op.reshape(-1)
     b[-4:] = VEC_IDENTITY
@@ -219,8 +219,8 @@ def asymptotic_variance(ts: TransferSet, obs: LocalObservable,
         raise InputError("variance needs a Hermitian observable")
     if spec is None:
         spec = spectral(ts.e)
-    ea = ts.dressed(obs)
-    ea2_i = ts.dressed(LocalObservable(obs.squared())) @ VEC_IDENTITY
+    ea = ts.dressed(obs.matrix)
+    ea2_i = ts.dressed(obs.squared()) @ VEC_IDENTITY
     a = _vec(obs)
     v = ts.vrow
     pi = spec.unit_projector()

@@ -43,12 +43,6 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with composite row index i*b.rows + k, i.e.
-    out[(i,k),(j,l)] = a[i,j] * b[k,l]."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def max_abs(m: np.ndarray) -> float:
     m = np.asarray(m)
     return float(np.max(np.abs(m))) if m.size else 0.0

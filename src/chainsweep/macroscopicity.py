@@ -62,7 +62,7 @@ def _neff_from_unit_space(ts: TransferSet, spec: SpectralData,
     k = spec.unit_right.shape[1]
     if k == 1:
         return 0.0
-    ea = ts.dressed(obs)
+    ea = ts.dressed(obs.matrix)
     q = spec.unit_left @ ea @ spec.unit_right      # Q_uu' = <l_u|E_A|r_u'>
     p = ts.vrow @ spec.unit_right                  # P_u = <v|r_u>, P_0 = 1
     r = q[:, 0]                                    # R_u = <l_u|E_A|vec(I)>

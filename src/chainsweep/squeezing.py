@@ -10,6 +10,7 @@ bound of the entanglement-depth plot is the parabola v = m^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,8 +22,11 @@ from .transfer import ChainSpec, LocalObservable, SIGMA_Z, build_transfer, spect
 THETA_DEGENERATE_SPAN = 1e-9
 
 
+@lru_cache(maxsize=1)
 def _transfer_for(chi_t: float):
     # The correlators take N as an argument, so any chain length serves.
+    # One entry: a series over N at one chi_t, and the three builds inside
+    # xi_squared, share one read-only transfer set.
     return build_transfer(squeezing_gate(chi_t), ChainSpec(2))
 
 

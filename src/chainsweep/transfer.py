@@ -1,9 +1,8 @@
-"""Kraus extraction and the MPS transfer/boundary operators of the sweep.
+"""Kraus extraction, the MPS transfer matrix and boundary row of the sweep.
 
 Vectorization convention: vec(|i><j|) = |i,j> with composite index 2i + j,
-matching the Kronecker convention in :mod:`chainsweep.densemat`.  A fixture
-test pins this bit-exactly because everything downstream breaks under a
-silent flip.
+and (A x B)_{(i,k),(j,l)} = A_ij B_kl for Kronecker products.  Literal-entry
+tests pin this because everything downstream breaks under a silent flip.
 """
 
 from __future__ import annotations
@@ -112,12 +111,7 @@ SIGMA_Z = LocalObservable.from_bloch([0.0, 0.0, 1.0])
 def extract_kraus(gate: Gate) -> KrausPair:
     """(V_i)_{jk} = U_{ik, j0}: reads the two bond matrices off the columns
     of the gate that act on a fresh |0> qubit."""
-    u = gate.matrix
-    v = np.empty((2, 2, 2), dtype=np.complex128)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                v[i, j, k] = u[2 * i + k, 2 * j]
+    v = np.ascontiguousarray(gate.matrix[:, ::2].reshape(2, 2, 2).transpose(0, 2, 1))
     return KrausPair(v[0], v[1])
 
 
@@ -127,25 +121,35 @@ def check_isometry(kraus: KrausPair) -> float:
     return dm.max_abs(acc - np.eye(2))
 
 
+def _dress(kraus: KrausPair, a: np.ndarray) -> np.ndarray:
+    """sum_ij a_ij V_i* x V_j, entry (2p + r, 2q + s) of a term being
+    a_ij (V_i*)_pq (V_j)_rs.
+
+    The terms are added to zero in the order (0,0), (0,1), (1,0), (1,1),
+    skipping zero a_ij, and each Kronecker entry is the one complex product
+    numpy's Kronecker routine forms, so E and every E_A are bit-identical to
+    that literal sum (tests/test_transfer.py pins this).
+    """
+    a = dm.as_matrix(a)
+    v = np.stack((kraus.v0, kraus.v1))
+    terms = v.conj()[:, None, :, None, :, None] * v[None, :, None, :, None, :]
+    out = np.zeros((4, 4), dtype=np.complex128)
+    for i in range(2):
+        for j in range(2):
+            if a[i, j] != 0:
+                out += a[i, j] * terms[i, j].reshape(4, 4)
+    return out
+
+
 def transfer_E(kraus: KrausPair) -> np.ndarray:
     """E = V0* x V0 + V1* x V1, the vectorized unital channel."""
-    return dm.kron(kraus.v0.conj(), kraus.v0) + dm.kron(kraus.v1.conj(), kraus.v1)
-
-
-def _boundary_w(chain: ChainSpec) -> list[np.ndarray]:
-    # W_i = |i><phi*| with <phi*| = sum_i c_i <i| taken literally (no conjugation).
-    phi_row = np.array([chain.c0, chain.c1], dtype=np.complex128)
-    return [np.outer(np.eye(2, dtype=np.complex128)[:, i], phi_row) for i in range(2)]
-
-
-def boundary_X(chain: ChainSpec) -> np.ndarray:
-    """X = sum_i W_i* x W_i, a rank-1 matrix with E X = X and X|I> = |I>."""
-    w = _boundary_w(chain)
-    return sum(dm.kron(wi.conj(), wi) for wi in w)
+    return _dress(kraus, np.eye(2))
 
 
 def boundary_row(chain: ChainSpec) -> np.ndarray:
-    """The row vector <v| with X = |I><v|; satisfies <v|I> = 1."""
+    """The row vector <v| of the rank-1 boundary |I><v| = sum_i W_i* x W_i,
+    W_i = |i><phi*| with <phi*| = sum_i c_i <i| taken literally (no
+    conjugation); satisfies <v|I> = 1."""
     c0, c1 = chain.c0, chain.c1
     return np.array([np.conj(c0) * c0, np.conj(c0) * c1,
                      np.conj(c1) * c0, np.conj(c1) * c1], dtype=np.complex128)
@@ -153,44 +157,23 @@ def boundary_row(chain: ChainSpec) -> np.ndarray:
 
 def dressed_E(kraus: KrausPair, obs: LocalObservable) -> np.ndarray:
     """E_A = sum_ij <i|A|j> V_i* x V_j."""
-    a = obs.matrix
-    vs = (kraus.v0, kraus.v1)
-    out = np.zeros((4, 4), dtype=np.complex128)
-    for i in range(2):
-        for j in range(2):
-            if a[i, j] != 0:
-                out += a[i, j] * dm.kron(vs[i].conj(), vs[j])
-    return out
-
-
-def dressed_X(chain: ChainSpec, obs: LocalObservable) -> np.ndarray:
-    """X_A = sum_ij <i|A|j> W_i* x W_j."""
-    a = obs.matrix
-    w = _boundary_w(chain)
-    out = np.zeros((4, 4), dtype=np.complex128)
-    for i in range(2):
-        for j in range(2):
-            if a[i, j] != 0:
-                out += a[i, j] * dm.kron(w[i].conj(), w[j])
-    return out
+    return _dress(kraus, obs.matrix)
 
 
 @dataclass(frozen=True)
 class TransferSet:
-    """Everything the correlator formulas need for one (gate, chain) pair."""
+    """Everything the correlator formulas need for one (gate, chain) pair;
+    ``e`` and ``vrow`` are read-only, so one set can be shared."""
 
     gate: Gate
     chain: ChainSpec
     kraus: KrausPair
     e: np.ndarray
-    x: np.ndarray
     vrow: np.ndarray
 
-    def dressed(self, obs: LocalObservable) -> np.ndarray:
-        return dressed_E(self.kraus, obs)
-
-    def dressed_boundary(self, obs: LocalObservable) -> np.ndarray:
-        return dressed_X(self.chain, obs)
+    def dressed(self, a: np.ndarray) -> np.ndarray:
+        """E_A for the 2x2 single-site operator ``a``."""
+        return _dress(self.kraus, a)
 
 
 def build_transfer(gate: Gate, chain: ChainSpec) -> TransferSet:
@@ -199,16 +182,15 @@ def build_transfer(gate: Gate, chain: ChainSpec) -> TransferSet:
     if dev > ISOMETRY_TOL:
         raise InputError(f"Kraus pair violates the isometry constraint by {dev:.3e}")
     e = transfer_E(kraus)
-    x = boundary_X(chain)
-    for name, err in (
-        ("E|I> = |I>", dm.max_abs(e @ VEC_IDENTITY - VEC_IDENTITY)),
-        ("EX = X", dm.max_abs(e @ x - x)),
-        ("X|I> = |I>", dm.max_abs(x @ VEC_IDENTITY - VEC_IDENTITY)),
-    ):
-        if err > ISOMETRY_TOL:
-            raise InputError(f"transfer invariant {name} violated by {err:.3e}")
-    return TransferSet(gate=gate, chain=chain, kraus=kraus, e=e, x=x,
-                       vrow=boundary_row(chain))
+    # With the boundary |I><v|, E|I> = |I> and <v|I> = |c0|^2 + |c1|^2 = 1
+    # (checked by ChainSpec) imply E|I><v| = |I><v| and |I><v|I> = |I>.
+    err = dm.max_abs(e @ VEC_IDENTITY - VEC_IDENTITY)
+    if err > ISOMETRY_TOL:
+        raise InputError(f"transfer invariant E|I> = |I> violated by {err:.3e}")
+    vrow = boundary_row(chain)
+    e.setflags(write=False)
+    vrow.setflags(write=False)
+    return TransferSet(gate=gate, chain=chain, kraus=kraus, e=e, vrow=vrow)
 
 
 @dataclass

@@ -4,37 +4,6 @@ import pytest
 from chainsweep import densemat as dm
 from chainsweep.errors import InputError
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def test_kron_identities():
-    assert np.array_equal(dm.kron(np.eye(2), np.eye(2)), np.eye(4))
-    zz = dm.kron(PAULI_Z, PAULI_Z)
-    assert np.array_equal(zz, np.diag([1, -1, -1, 1]).astype(complex))
-
-
-def test_kron_index_convention():
-    # |0><0| x |1><1| must land at row 1 = 0*2+1, col 1: a silent flip of the
-    # composite index breaks every transfer-matrix formula downstream.
-    a = np.array([[1, 0], [0, 0]], dtype=complex)
-    b = np.array([[0, 0], [0, 1]], dtype=complex)
-    out = dm.kron(a, b)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[1, 1] = 1
-    assert np.array_equal(out, expected)
-
-
-def test_kron_mixed_product_property():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                      for _ in range(4))
-        lhs = dm.kron(a, b) @ dm.kron(c, d)
-        rhs = dm.kron(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) < 1e-13
-
 
 def test_matpow_basics():
     m = np.array([[0.5, 0], [0, 1]], dtype=complex)

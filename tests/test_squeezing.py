@@ -70,6 +70,17 @@ def test_transverse_means_vanish_identically():
         assert abs(oracle.collective_mean(state, SIGMA_Y)) < 1e-12
 
 
+def test_transfer_set_shared_per_chi_t_and_read_only():
+    # mean_z and transverse_variance at one chi_t (one call per N) share a
+    # single transfer set, which must therefore be immutable.
+    ts = sq._transfer_for(0.37)
+    assert sq._transfer_for(0.37) is ts
+    with pytest.raises(ValueError):
+        ts.e[0, 0] = 1
+    with pytest.raises(ValueError):
+        ts.vrow[0] = 1
+
+
 def test_optimal_theta_quarter():
     for chi_t in (0.3, 0.6, 1.0, 1.4):
         theta, degenerate = sq.optimal_theta(chi_t)

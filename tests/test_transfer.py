@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import chainsweep
 from chainsweep import densemat as dm, gates, oracle, transfer
 from chainsweep.errors import InputError
 from chainsweep.transfer import (ChainSpec, LocalObservable, VEC_IDENTITY,
-                                 boundary_X, build_transfer, check_isometry,
-                                 dressed_E, dressed_X, extract_kraus,
+                                 boundary_row, build_transfer, check_isometry,
+                                 dressed_E, extract_kraus,
                                  site_density_recursion, spectral, transfer_E)
 
 ALL_FAMILIES = [
@@ -114,23 +115,42 @@ def test_transfer_E_trivial_rotation_family_unit_space():
     assert spectral(e).unit_dim == 4
 
 
+def _literal_boundary(chain):
+    # X = sum_i W_i* x W_i, W_i = |i><phi*| with <phi*| = c0 <0| + c1 <1|
+    # taken literally (no conjugation).
+    phi_row = np.array([chain.c0, chain.c1])
+    w = [np.outer(np.eye(2)[:, i], phi_row) for i in range(2)]
+    return sum(np.kron(wi.conj(), wi) for wi in w)
+
+
+def _row_boundary(chain):
+    return np.outer(VEC_IDENTITY, boundary_row(chain))
+
+
 def test_boundary_X_zero_state():
-    x = boundary_X(ChainSpec(3, 1.0, 0.0))
+    chain = ChainSpec(3, 1.0, 0.0)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = expected[3, 0] = 1.0
-    assert np.max(np.abs(x - expected)) < 1e-15
+    assert np.max(np.abs(_literal_boundary(chain) - expected)) < 1e-15
+    assert np.max(np.abs(_row_boundary(chain) - expected)) < 1e-15
 
 
 def test_boundary_X_plus_state():
     # Literal sum W_i* x W_i for c = (1,1)/sqrt(2): |I> times the uniform row.
-    x = boundary_X(ChainSpec.plus_state(3))
+    chain = ChainSpec.plus_state(3)
     expected = 0.5 * np.outer(VEC_IDENTITY, np.ones(4))
-    assert np.max(np.abs(x - expected)) < 1e-15
+    assert np.max(np.abs(_literal_boundary(chain) - expected)) < 1e-15
+    assert np.max(np.abs(_row_boundary(chain) - expected)) < 1e-15
 
 
 def test_boundary_X_rank_one():
-    x = boundary_X(ChainSpec(4, 0.6, 0.8j))
+    # An imaginary amplitude separates <phi*| from its conjugate: the row
+    # must carry conj(c_q) c_s, not c_q conj(c_s).
+    chain = ChainSpec(4, 0.6, 0.8j)
+    x = _literal_boundary(chain)
     assert np.sum(dm.singular_values(x) > 1e-12) == 1
+    assert np.max(np.abs(_row_boundary(chain) - x)) < 1e-15
+    assert abs(boundary_row(chain) @ VEC_IDENTITY - 1.0) < 1e-15
 
 
 def test_chain_spec_rejects_unnormalized():
@@ -145,7 +165,7 @@ def test_dressed_identity_reduces():
     chain = ChainSpec(4, 0.6, 0.8)
     ident = LocalObservable(np.eye(2, dtype=complex))
     assert np.max(np.abs(dressed_E(k, ident) - transfer_E(k))) < 1e-14
-    assert np.max(np.abs(dressed_X(chain, ident) - boundary_X(chain))) < 1e-14
+    assert np.max(np.abs(_row_boundary(chain) - _literal_boundary(chain))) < 1e-14
 
 
 def test_dressed_E_weyl_structure():
@@ -186,6 +206,34 @@ def test_dressed_E_linearity():
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
+def _literal_dressing(k, a):
+    vs = (k.v0, k.v1)
+    out = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            if a[i, j] != 0:
+                out += a[i, j] * np.kron(vs[i].conj(), vs[j])
+    return out
+
+
+def test_dressing_equals_literal_ordered_sum_bitwise():
+    # E and E_A are the sum of a_ij V_i* x V_j added to zero in the order
+    # (0,0), (0,1), (1,0), (1,1); the CLI output is byte-stable only while
+    # that order holds, so the comparison is exact, not within a tolerance.
+    rng = np.random.default_rng(17)
+    eye = np.eye(2, dtype=complex)
+    for seed in range(200):
+        k = extract_kraus(gates.random_gate(seed))
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        assert np.array_equal(dressed_E(k, LocalObservable(a)), _literal_dressing(k, a))
+        assert np.array_equal(transfer_E(k), _literal_dressing(k, eye))
+
+
+def test_package_exports_resolve():
+    missing = [name for name in chainsweep.__all__ if not hasattr(chainsweep, name)]
+    assert missing == []
+
+
 def test_transfer_invariants_all_families_and_random():
     # fixed-point identities and the isometry constraint for every family
     # and 1000 seeded random gates; spectral modulus on a subset (eig is the
@@ -195,8 +243,7 @@ def test_transfer_invariants_all_families_and_random():
     for idx, g in enumerate(candidates):
         ts = build_transfer(g, chain)
         assert np.max(np.abs(ts.e @ VEC_IDENTITY - VEC_IDENTITY)) < 1e-12
-        assert np.max(np.abs(ts.e @ ts.x - ts.x)) < 1e-12
-        assert np.max(np.abs(ts.x @ VEC_IDENTITY - VEC_IDENTITY)) < 1e-12
+        assert abs(ts.vrow @ VEC_IDENTITY - 1.0) < 1e-12
         assert check_isometry(ts.kraus) < 1e-12
         if idx < 100:
             assert np.all(np.abs(dm.eig_general(ts.e).values) <= 1 + 1e-10)
