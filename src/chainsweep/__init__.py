@@ -19,7 +19,8 @@ from .transfer import (ChainSpec, KrausPair, LocalObservable, SpectralData,
                        transfer_E)
 from .correlators import (AsymptoticVariance, VarianceBreakdown,
                           additive_variance_exact, asymptotic_variance,
-                          collective_mean, one_point, two_point)
+                          collective_mean, one_point, site_correlations,
+                          two_point)
 from .macroscopicity import (MacroClassification, MacroReport,
                              classify_macroscopic, neff, neff_optimize,
                              variance_sweep)
@@ -41,7 +42,8 @@ __all__ = [
     "check_isometry", "dressed_E", "extract_kraus",
     "site_density_recursion", "spectral", "transfer_E",
     "AsymptoticVariance", "VarianceBreakdown", "additive_variance_exact",
-    "asymptotic_variance", "collective_mean", "one_point", "two_point",
+    "asymptotic_variance", "collective_mean", "one_point", "site_correlations",
+    "two_point",
     "MacroClassification", "MacroReport", "classify_macroscopic", "neff",
     "neff_optimize", "variance_sweep",
     "BoundCurve", "fig4_curve", "mean_z", "optimal_theta", "sm_bound",

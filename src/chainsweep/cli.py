@@ -8,6 +8,7 @@ embeds the full configuration for provenance.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -20,6 +21,10 @@ from .gates import Gate, gate_from_family, load_gate
 from .transfer import ChainSpec, LocalObservable, build_transfer, spectral
 
 OUT_DIR_ENV = "CHAINSWEEP_OUT_DIR"
+
+# correlate writes every pair (m, n) up to this chain length and only the
+# nearest neighbours (m, m + 1) above it.
+PAIR_CAP = 32
 
 _PI_TOKEN = re.compile(
     r"^(?P<sign>[+-])?(?P<coeff>\d+\.?\d*|\.\d+)?\*?pi(?:/(?P<den>\d+\.?\d*))?$",
@@ -237,16 +242,13 @@ def cmd_correlate(args) -> int:
     chain = _resolve_chain(args, args.n)
     ts = build_transfer(gate, chain)
     obs = _resolve_bloch(args)
-    rows = []
-    for m in range(1, args.n + 1):
-        rows.append(["one", m, None, correlators.one_point(ts, obs, m, args.n)])
-    pair_cap = 32
-    if args.n <= pair_cap:
+    if args.n <= PAIR_CAP:
         pairs = [(m, k) for m in range(1, args.n + 1) for k in range(m + 1, args.n + 1)]
     else:
         pairs = [(m, m + 1) for m in range(1, args.n)]
-    for m, k in pairs:
-        rows.append(["two", m, k, correlators.two_point(ts, obs, m, k, args.n)])
+    one, two = correlators.site_correlations(ts, obs, args.n, pairs)
+    rows = [["one", m, None, value] for m, value in enumerate(one, start=1)]
+    rows += [["two", m, k, value] for (m, k), value in zip(pairs, two)]
     _write_csv(args, ["kind", "m", "n", "value"], rows, _config_of(args))
     return 0
 
@@ -265,13 +267,12 @@ def cmd_oracle_check(args) -> int:
         chain = _resolve_chain(args, args.n)
         ts = build_transfer(gate, chain)
         state = oracle.sweep(gate, chain)
-        dev_one = max(abs(correlators.one_point(ts, obs, m, args.n)
-                          - oracle.expect_local(state, obs, m))
-                      for m in range(1, args.n + 1))
-        dev_two = max(abs(correlators.two_point(ts, obs, m, k2, args.n)
-                          - oracle.expect_pair(state, obs, m, k2))
-                      for m in range(1, args.n + 1)
-                      for k2 in range(m + 1, args.n + 1))
+        pairs = [(m, k2) for m in range(1, args.n + 1) for k2 in range(m + 1, args.n + 1)]
+        one, two = correlators.site_correlations(ts, obs, args.n, pairs)
+        dev_one = max(abs(value - oracle.expect_local(state, obs, m))
+                      for m, value in enumerate(one, start=1))
+        dev_two = max(abs(value - oracle.expect_pair(state, obs, m, k2))
+                      for (m, k2), value in zip(pairs, two))
         dev_mean = abs(correlators.collective_mean(ts, obs, args.n)
                        - oracle.collective_mean(state, obs))
         dev_var = abs(correlators.additive_variance_exact(ts, obs, args.n).total
@@ -287,7 +288,10 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    main() call in the process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="chainsweep",
         description="Transfer-matrix analysis of one two-qubit-gate sweep "
@@ -342,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate", help="one- and two-point functions")
     add_gate_flags(p)
-    p.add_argument("--n", type=int, required=True, help="chain length")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"chain length; above {PAIR_CAP} only nearest-neighbour "
+                        f"pairs are written")
     p.add_argument("--bloch", help="observable direction nx,ny,nz (default z)")
     add_common(p)
     p.set_defaults(func=cmd_correlate)

@@ -1,11 +1,13 @@
 """Exact finite-N and asymptotic expectation values along the chain.
 
 Single-site and pair correlators contract the rank-1 boundary |I><v|
-through its row vector <v| and powers of the 4x4 transfer matrix E.  A
-collective sum is a finite-automaton MPO: sum_m A_m has bond dimension 2 and
-its square bond dimension 3, so the mean and the variance at any N come from
-one power of an 8x8 or 12x12 block upper-triangular lifted transfer matrix,
-O(log N) matrix products.  Asymptotic coefficients use the spectral data of E.
+through its row vector <v| and powers of the 4x4 transfer matrix E: one entry
+from O(log N) repeated squaring, or the whole table of a chain from one
+O(N + P) sweep of sequential products (site_correlations).  A collective
+sum is a finite-automaton MPO: sum_m A_m has bond dimension 2 and its square
+bond dimension 3, so the mean and the variance at any N come from one power
+of an 8x8 or 12x12 block upper-triangular lifted transfer matrix, O(log N)
+matrix products.  Asymptotic coefficients use the spectral data of E.
 """
 
 from __future__ import annotations
@@ -57,31 +59,86 @@ def _vec(obs: LocalObservable) -> np.ndarray:
     return obs.matrix.reshape(-1)
 
 
+def _closing(ea: np.ndarray, obs: LocalObservable, last: bool) -> np.ndarray:
+    """Column that closes a contraction at site n: E_A|I> for n < N, where
+    the sites after n trace out to |I>, and vec A at the last site n = N."""
+    return _vec(obs) if last else ea @ VEC_IDENTITY
+
+
 def one_point(ts: TransferSet, obs: LocalObservable, m: int, n_sites: int) -> float:
-    """<A_m> = tr(E^{m-1} E_A X), with the boundary form at m = N."""
+    """<A_m> = <v|E^{m-1} E_A|I> for m < N and <v|E^{N-1}|vec A> at m = N,
+    from one O(log N) matrix power."""
     if not 1 <= m <= n_sites:
         raise InputError(f"site {m} outside 1..{n_sites}")
-    if m < n_sites:
-        val = ts.vrow @ dm.matpow(ts.e, m - 1) @ ts.dressed(obs.matrix) @ VEC_IDENTITY
-    else:
-        val = ts.vrow @ dm.matpow(ts.e, n_sites - 1) @ _vec(obs)
-    return _real(complex(val))
+    col = _closing(ts.dressed(obs.matrix), obs, m == n_sites)
+    return _real(complex(ts.vrow @ dm.matpow(ts.e, m - 1) @ col))
 
 
 def two_point(ts: TransferSet, obs: LocalObservable, m: int, n: int,
               n_sites: int) -> float:
-    """<A_m A_n> for m < n, boundary form when n = N."""
-    if not 1 <= m <= n_sites or not 1 <= n <= n_sites:
-        raise InputError(f"sites ({m},{n}) outside 1..{n_sites}")
-    if m >= n:
-        raise InputError(f"two_point needs m < n, got ({m},{n})")
+    """<A_m A_n> = <v|E^{m-1} E_A E^{n-m-1} E_A|I> for m < n < N and
+    <v|E^{m-1} E_A E^{N-m-1}|vec A> at n = N, from O(log N) matrix powers."""
+    _check_pairs([(m, n)], n_sites)
     ea = ts.dressed(obs.matrix)
     head = ts.vrow @ dm.matpow(ts.e, m - 1) @ ea
-    if n < n_sites:
-        val = head @ dm.matpow(ts.e, n - m - 1) @ ea @ VEC_IDENTITY
-    else:
-        val = head @ dm.matpow(ts.e, n_sites - m - 1) @ _vec(obs)
-    return _real(complex(val))
+    col = _closing(ea, obs, n == n_sites)
+    return _real(complex(head @ dm.matpow(ts.e, n - m - 1) @ col))
+
+
+def _check_pairs(pairs, n_sites: int) -> None:
+    for m, n in pairs:
+        if not 1 <= m <= n_sites or not 1 <= n <= n_sites:
+            raise InputError(f"sites ({m},{n}) outside 1..{n_sites}")
+        if m >= n:
+            raise InputError(f"two-point sites need m < n, got ({m},{n})")
+
+
+def _powers(m: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
+    """Rows m^j start for j = 0..count-1, by sequential products."""
+    out = np.empty((count, 4), dtype=np.complex128)
+    if count:
+        out[0] = start
+    for j in range(1, count):
+        out[j] = m @ out[j - 1]
+    return out
+
+
+def site_correlations(ts: TransferSet, obs: LocalObservable, n_sites: int,
+                      pairs) -> tuple[list[float], list[float]]:
+    """All N one-point values <A_m> and <A_m A_n> for each (m, n) in
+    ``pairs``, in O(N + P) products of 4-vectors with 4x4 matrices.
+
+    Prefix rows r_k = <v|E^k> (k < N) give <A_m> = r_{m-1}.close(m) and the
+    heads r_{m-1} E_A; columns E^j close(n), built only up to the largest
+    separation in ``pairs``, close each pair.  The values are those of
+    one_point and two_point, to rounding: sequential products in place of
+    repeated squaring.
+    """
+    if n_sites < 1:
+        raise InputError(f"chain needs at least 1 site, got {n_sites}")
+    pairs = list(pairs)
+    _check_pairs(pairs, n_sites)
+    ea = ts.dressed(obs.matrix)
+    bulk, last = _closing(ea, obs, False), _closing(ea, obs, True)
+
+    rows = _powers(ts.e.T, ts.vrow, n_sites)
+    one_vals = np.empty(n_sites, dtype=np.complex128)
+    one_vals[:-1] = rows[:-1] @ bulk
+    one_vals[-1] = rows[-1] @ last
+    one = [_real(complex(v)) for v in one_vals]
+    if not pairs:
+        return one, []
+
+    ms, ns = np.array(pairs).T
+    steps = ns - ms - 1
+    at_end = ns == n_sites
+    bulk_cols = _powers(ts.e, bulk, int(steps[~at_end].max(initial=-1)) + 1)
+    last_cols = _powers(ts.e, last, int(steps[at_end].max(initial=-1)) + 1)
+    cols = np.concatenate([bulk_cols, last_cols])
+    heads = rows[:-1] @ ea
+    two_vals = np.einsum("ij,ij->i", heads[ms - 1],
+                         cols[np.where(at_end, len(bulk_cols) + steps, steps)])
+    return one, [_real(complex(v)) for v in two_vals]
 
 
 def _lifted_contraction(ts: TransferSet, ops: dict, n: int) -> tuple[complex, float]:

@@ -46,6 +46,27 @@ def test_parse_n_range():
         cli.parse_n_range("10:2:3")
 
 
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_parser_reuse_keeps_no_state(capsys):
+    # the appended --params list starts empty on every call
+    code, out = run_cli(["neff", "--gate", "weyl", "--params", "0.3,pi/2,pi/2",
+                         "--params", "0.7,pi/2,pi/2"], capsys)
+    assert code == 0 and len(_rows(out)[1]) == 2
+    code, out = run_cli(["neff", "--gate", "weyl", "--params", "0.9,pi/2,pi/2"],
+                        capsys)
+    assert code == 0 and len(_rows(out)[1]) == 1
+    correlate = ["correlate", "--gate", "squeezing", "--params", "0.5", "--n", "12",
+                 "--bloch", "0.3,0.4,0.5", "--c0", "0.6", "--c1", "0.8j"]
+    cli.build_parser.cache_clear()
+    first = run_cli(correlate, capsys)
+    assert run_cli(["spectrum", "--gate", "squeezing", "--params", "0.3"],
+                   capsys)[0] == 0
+    assert run_cli(correlate, capsys) == first
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------

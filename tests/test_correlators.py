@@ -20,14 +20,16 @@ def _random_chain(rng, n):
 
 def _naive_variance(ts, obs, n):
     """Reference: the O(N^2) literal double sum of connected correlators."""
-    squared = LocalObservable(obs.squared())
-    means = [co.one_point(ts, obs, m, n) for m in range(1, n + 1)]
+    pairs = [(m, k) for m in range(1, n + 1) for k in range(m + 1, n + 1)]
+    means, two = co.site_correlations(ts, obs, n, pairs)
+    squares, _ = co.site_correlations(ts, LocalObservable(obs.squared()), n, [])
+    pair_value = dict(zip(pairs, two))
     total = 0.0
     for m in range(1, n + 1):
-        total += co.one_point(ts, squared, m, n) - means[m - 1] ** 2
+        total += squares[m - 1] - means[m - 1] ** 2
     for m in range(1, n + 1):
         for k in range(m + 1, n + 1):
-            total += 2.0 * (co.two_point(ts, obs, m, k, n) - means[m - 1] * means[k - 1])
+            total += 2.0 * (pair_value[m, k] - means[m - 1] * means[k - 1])
     return total
 
 
@@ -156,6 +158,85 @@ def test_collective_mean_matches_oracle():
     state = oracle.sweep(g, chain)
     assert abs(co.collective_mean(ts, obs, 9)
                - oracle.collective_mean(state, obs)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# all-sites table
+# ---------------------------------------------------------------------------
+
+def _gate_zoo(rng):
+    """One seeded gate of every family."""
+    u = rng.uniform
+    base = gates.random_gate(int(rng.integers(1000)))
+    return [base,
+            gates.weyl_gate(*u(-np.pi, np.pi, 3)),
+            gates.controlled_rotation(u(0.0, 2 * np.pi)),
+            gates.squeezing_gate(u(0.05, 1.5)),
+            gates.macroscopic_family(u(0.1, 0.9), *u(0.1, np.pi - 0.1, 2),
+                                     seed=int(rng.integers(1000))),
+            gates.conjugated_gate(base, gates.x_rotation(u(0.0, np.pi)),
+                                  gates.x_rotation(u(0.0, np.pi)))]
+
+
+def _table_cases(n, seed):
+    rng = np.random.default_rng(seed)
+    for g in _gate_zoo(rng):
+        yield build_transfer(g, _random_chain(rng, max(n, 2))), _random_bloch(rng)
+
+
+def _assert_table_matches(ts, obs, n, pairs, sites, checked, tol):
+    one, two = co.site_correlations(ts, obs, n, pairs)
+    assert len(one) == n and len(two) == len(pairs)
+    for m in sites:
+        ref = co.one_point(ts, obs, m, n)
+        assert abs(one[m - 1] - ref) <= tol * max(1.0, abs(ref))
+    value = dict(zip(pairs, two))
+    for m, k in checked:
+        ref = co.two_point(ts, obs, m, k, n)
+        assert abs(value[m, k] - ref) <= tol * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 33, 200])
+def test_site_correlations_match_per_site(n):
+    # full pair set and nearest neighbours, both ending in pairs with n = N;
+    # at N = 200 the per-entry reference covers every pair that ends at site
+    # N or starts at site 1 and a seeded sample of the rest
+    rng = np.random.default_rng(n)
+    full = [(m, k) for m in range(1, n + 1) for k in range(m + 1, n + 1)]
+    near = [(m, m + 1) for m in range(1, n)]
+    if n <= 33:
+        checked = full
+    else:
+        rest = [p for p in full if p[0] != 1 and p[1] != n]
+        picks = rng.choice(len(rest), size=300, replace=False)
+        checked = [p for p in full if p[0] == 1 or p[1] == n]
+        checked += [rest[i] for i in picks]
+    sites = range(1, n + 1)
+    for ts, obs in _table_cases(n, seed=20 + n):
+        _assert_table_matches(ts, obs, n, full, sites, checked, 1e-13)
+        _assert_table_matches(ts, obs, n, near, sites, near, 1e-13)
+
+
+def test_site_correlations_long_chain_drift():
+    # sequential products against repeated squaring over 2000 sites; the
+    # per-entry reference covers every tenth site and the last two
+    n = 2000
+    near = [(m, m + 1) for m in range(1, n)]
+    sites = sorted(set(range(1, n + 1, 10)) | {n - 1, n})
+    checked = [(m, m + 1) for m in sites if m < n]
+    for ts, obs in _table_cases(n, seed=29):
+        _assert_table_matches(ts, obs, n, near, sites, checked, 1e-12)
+
+
+def test_site_correlations_rejects_bad_pairs():
+    ts = build_transfer(gates.random_gate(2), ChainSpec(4))
+    one, two = co.site_correlations(ts, SIGMA_Z, 4, [])
+    assert len(one) == 4 and two == []
+    for pairs in ([(0, 2)], [(2, 5)], [(3, 3)], [(1, 2), (4, 2)]):
+        with pytest.raises(InputError):
+            co.site_correlations(ts, SIGMA_Z, 4, pairs)
+    with pytest.raises(InputError):
+        co.site_correlations(ts, SIGMA_Z, 0, [])
 
 
 # ---------------------------------------------------------------------------
