@@ -18,7 +18,7 @@ import numpy as np
 from . import correlators, macroscopicity, oracle, squeezing
 from .errors import ConvergenceError, InputError, ToleranceError
 from .gates import Gate, gate_from_family, load_gate
-from .transfer import ChainSpec, LocalObservable, build_transfer, spectral
+from .transfer import ChainSpec, LocalObservable, build_transfer
 
 OUT_DIR_ENV = "CHAINSWEEP_OUT_DIR"
 
@@ -164,10 +164,8 @@ def _config_of(args, **extra) -> dict:
 
 
 def cmd_spectrum(args) -> int:
-    gate = _resolve_gate(args)
-    ts = build_transfer(gate, ChainSpec(2))
-    spec = spectral(ts.e, tol=args.tol)
-    verdict = macroscopicity.classify_macroscopic(gate, tol=max(args.tol, 1e-9))
+    verdict = macroscopicity.classify_macroscopic(_resolve_gate(args), tol=args.tol)
+    spec = verdict.spectrum
     rows = []
     for idx, lam in enumerate(spec.values):
         rows.append([idx, lam.real, lam.imag, abs(lam), spec.unit_dim,
@@ -309,9 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--unitarity-tol", type=float, default=1e-12,
                        help="unitarity validation tolerance for gate files")
 
-    def add_common(p):
-        p.add_argument("--c0", help="first-site amplitude c0 (complex)")
-        p.add_argument("--c1", help="first-site amplitude c1 (complex)")
+    def add_common(p, amplitudes=True):
+        if amplitudes:
+            p.add_argument("--c0", help="first-site amplitude c0 (complex)")
+            p.add_argument("--c1", help="first-site amplitude c1 (complex)")
         p.add_argument("--tol", type=float, default=1e-9,
                        help="numerical tolerance (default 1e-9)")
         p.add_argument("--out", help=f"output CSV path (relative paths join "
@@ -319,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="transfer-matrix spectrum and verdict")
     add_gate_flags(p)
-    add_common(p)
+    add_common(p, amplitudes=False)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("fig3", help="collective variance vs N for controlled rotations")
@@ -336,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi-t", default="0.02:1.5:75",
                    help="chi*t grid: comma list or start:stop:count")
     p.add_argument("--theta", help="fix the transverse angle (default: minimize)")
-    add_common(p)
+    add_common(p, amplitudes=False)
     p.set_defaults(func=cmd_fig4)
 
     p = sub.add_parser("neff", help="effective-size coefficient and best direction")

@@ -270,7 +270,9 @@ def asymptotic_variance(ts: TransferSet, obs: LocalObservable,
     mean-square correction.  For a zero-mean observable it reduces to
     1 + 2 sum_j (E_A)_{1j} (E_A)_{j1} / (1 - lambda_j).  Raises
     ToleranceError when ``error_estimate`` exceeds COLLECTIVE_REL_TOL of
-    max(1, |l|), which happens only as the spectral gap closes.
+    max(1, |l|), which happens only as the spectral gap closes.  P and S come
+    from ``spec`` (by default the spectrum of ``ts.e``), so the call itself
+    makes no linear solve.
     """
     if not obs.is_hermitian:
         raise InputError("variance needs a Hermitian observable")
@@ -280,8 +282,7 @@ def asymptotic_variance(ts: TransferSet, obs: LocalObservable,
     ea2_i = ts.dressed(obs.squared()) @ VEC_IDENTITY
     a = _vec(obs)
     v = ts.vrow
-    pi = spec.unit_projector()
-    s_res = spec.reduced_resolvent(ts.e)
+    pi, s_res = spec.projector, spec.resolvent
 
     # Oscillatory diagnostics: coinciding non-unit eigenvalues on the circle
     # feed an N * lambda^N term that no fixed linear coefficient captures.

@@ -149,16 +149,14 @@ def orthonormal_complete(cols: np.ndarray, seed: int = 0) -> np.ndarray:
 class EigenResult:
     """Spectral data of a small general matrix.
 
-    ``values`` carries all n eigenvalues with algebraic multiplicity, sorted
-    by descending modulus (ties: descending real part, then positive
-    imaginary part first; moduli and real parts that agree to the grouping
-    radius count as ties).  ``right`` holds eigenvector columns and ``left``
-    eigenvector rows; ``vector_index[j]`` says which entry of ``values``
-    column/row j belongs to.  When ``complete_basis`` is true there is
-    exactly one vector per eigenvalue, left/right pairs are biorthonormal
-    (<l_i|r_j> = delta_ij), and sum_i values[i] * right[:,i] left[i,:]
-    reconstructs the matrix.  For a defective matrix only the geometric
-    eigenvectors are returned and ``complete_basis`` is false.
+    ``values`` carries all n eigenvalues with algebraic multiplicity, in the
+    order of :func:`eigenvalue_order`.  ``right`` holds eigenvector columns
+    and ``left`` eigenvector rows; ``vector_index[j]`` says which entry of
+    ``values`` column/row j belongs to.  When ``complete_basis`` is true
+    there is exactly one vector per eigenvalue, left/right pairs are
+    biorthonormal (<l_i|r_j> = delta_ij), and sum_i values[i] * right[:,i]
+    left[i,:] reconstructs the matrix.  For a defective matrix only the
+    geometric eigenvectors are returned and ``complete_basis`` is false.
     """
 
     values: np.ndarray
@@ -183,13 +181,19 @@ def _group(raw: np.ndarray, radius: float) -> list[tuple[complex, int]]:
     return [(complex(np.mean(c)), len(c)) for c in clusters]
 
 
-def _compare(a: complex, b: complex, radius: float) -> int:
-    """Descending modulus, then descending real part, then descending
-    imaginary part; differences within ``radius`` are ties."""
-    for x, y in ((abs(a), abs(b)), (a.real, b.real), (a.imag, b.imag)):
-        if abs(x - y) > radius:
-            return -1 if x > y else 1
-    return 0
+def eigenvalue_order(scale: float):
+    """Sort key: descending modulus, then descending real part, then
+    descending imaginary part; differences within _GROUP_RADIUS * ``scale``
+    are ties, so conjugate pairs list the positive imaginary part first."""
+    radius = _GROUP_RADIUS * scale
+
+    def compare(a: complex, b: complex) -> int:
+        for x, y in ((abs(a), abs(b)), (a.real, b.real), (a.imag, b.imag)):
+            if abs(x - y) > radius:
+                return -1 if x > y else 1
+        return 0
+
+    return cmp_to_key(compare)
 
 
 def eig_general(m: np.ndarray, tol: float = 1e-9) -> EigenResult:
@@ -214,9 +218,9 @@ def eig_general(m: np.ndarray, tol: float = 1e-9) -> EigenResult:
                            left=eye.copy(), vector_index=np.arange(n),
                            residual=0.0, complete_basis=True,
                            multiplicities=[(0.0 + 0.0j, n, n)])
-    radius = _GROUP_RADIUS * scale
-    groups = sorted(_group(np.linalg.eigvals(m), radius),
-                    key=cmp_to_key(lambda a, b: _compare(a[0], b[0], radius)))
+    order = eigenvalue_order(scale)
+    groups = sorted(_group(np.linalg.eigvals(m), _GROUP_RADIUS * scale),
+                    key=lambda group: order(group[0]))
 
     vec_gate = max(tol, 1e4 * _EPS) * scale
     values: list[complex] = []

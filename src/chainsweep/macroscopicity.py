@@ -46,8 +46,8 @@ class MacroClassification:
     is_macroscopic: bool
     witness: np.ndarray | None
     witness_bloch: np.ndarray | None
-    commutator_norm: float
     unit_dimension: int
+    spectrum: SpectralData
 
 
 def _neff_from_unit_space(ts: TransferSet, spec: SpectralData,
@@ -196,16 +196,15 @@ def classify_macroscopic(gate: Gate, tol: float = _STRUCTURAL_TOL) -> MacroClass
     pair whose eigenvalues exhaust the weight (|mu0|^2 + |mu1|^2 = 1).
 
     Cross-checked against the spectral criterion (degenerate unit eigenvalue
-    of E); a disagreement raises instead of returning a silent answer.
+    of E, counted at the same ``tol``); a disagreement raises instead of
+    returning a silent answer.
     """
     ts = build_transfer(gate, ChainSpec(2))
-    spec = spectral(ts.e, tol=max(tol, 1e-9))
+    spec = spectral(ts.e, tol=tol)
     witness, witness_bloch = _structural_witness(ts.kraus, spec.unit_dim, tol)
-    v0, v1 = ts.kraus.v0, ts.kraus.v1
     return MacroClassification(is_macroscopic=witness is not None, witness=witness,
                                witness_bloch=witness_bloch,
-                               commutator_norm=dm.max_abs(v0 @ v1 - v1 @ v0),
-                               unit_dimension=spec.unit_dim)
+                               unit_dimension=spec.unit_dim, spectrum=spec)
 
 
 def variance_sweep(gate: Gate, chain_amplitudes: tuple[complex, complex],

@@ -8,7 +8,6 @@ tests pin this because everything downstream breaks under a silent flip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 import numpy as np
 
@@ -163,10 +162,8 @@ def dressed_E(kraus: KrausPair, obs: LocalObservable) -> np.ndarray:
 @dataclass(frozen=True)
 class TransferSet:
     """Everything the correlator formulas need for one (gate, chain) pair;
-    ``e`` and ``vrow`` are read-only, so one set can be shared."""
+    ``e`` and ``vrow`` are read-only, so one set serves every chain length."""
 
-    gate: Gate
-    chain: ChainSpec
     kraus: KrausPair
     e: np.ndarray
     vrow: np.ndarray
@@ -190,51 +187,51 @@ def build_transfer(gate: Gate, chain: ChainSpec) -> TransferSet:
     vrow = boundary_row(chain)
     e.setflags(write=False)
     vrow.setflags(write=False)
-    return TransferSet(gate=gate, chain=chain, kraus=kraus, e=e, vrow=vrow)
+    return TransferSet(kraus=kraus, e=e, vrow=vrow)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues of E with the unit eigenspace singled out and canonicalized.
+    """Eigenvalues of E, its canonicalized unit eigenspace, and that space's
+    projector and reduced resolvent; filled once by :func:`spectral`.
 
-    ``values`` are all four eigenvalues from LAPACK, by descending modulus,
-    then descending real part, then descending imaginary part, with
-    differences within 1e-6 max|E_ij| counted as ties (conjugate pairs list
-    the positive imaginary part first).  ``unit_dim`` is the number of
-    singular values of E - I at or below the unit tolerance; ``unit_right``
-    columns span that null space with the first column equal to vec(I), and
-    ``unit_left`` rows are the biorthonormal partners (<l_i|r_j> = delta_ij).
-    E is a unital CP map, so its unit eigenvalue is semisimple and the
-    right and left null spaces of E - I are its whole eigenspace.
+    ``values`` are all four eigenvalues from LAPACK in the order of
+    :func:`chainsweep.densemat.eigenvalue_order`.  ``unit_dim`` is the number
+    of singular values of E - I at or below the unit tolerance;
+    ``unit_right`` columns span that null space with the first column equal
+    to vec(I), and ``unit_left`` rows are the biorthonormal partners
+    (<l_i|r_j> = delta_ij).  E is a unital CP map, so its unit eigenvalue is
+    semisimple and these null spaces are its whole eigenspace.
+    ``projector`` is P = unit_right unit_left; ``resolvent`` is
+    S = (1 - E + P)^{-1} - P, with S(1 - E) = 1 - P and S P = 0, exact also
+    when the decaying block is defective.  Every array is read-only.
     """
 
     values: np.ndarray
     unit_dim: int
     unit_right: np.ndarray
     unit_left: np.ndarray
+    projector: np.ndarray
+    resolvent: np.ndarray
 
-    def unit_projector(self) -> np.ndarray:
-        return self.unit_right @ self.unit_left
+    def __post_init__(self):
+        for name in ("values", "unit_right", "unit_left", "projector", "resolvent"):
+            getattr(self, name).setflags(write=False)
 
-    def reduced_resolvent(self, e: np.ndarray) -> np.ndarray:
-        """S with S(1-E) = (1-E)S = 1 - P on the non-unit block and S P = 0.
 
-        Computed as (1 - E + P)^{-1} - P, which needs no eigenvectors of the
-        decaying block and stays exact when that block is defective.
-        """
-        pi = self.unit_projector()
-        return dm.solve(np.eye(4, dtype=np.complex128) - e + pi, np.eye(4)) - pi
+def _resolvent_pair(e: np.ndarray, right: np.ndarray, left: np.ndarray):
+    """P = right left and S = (1 - E + P)^{-1} - P."""
+    pi = right @ left
+    return pi, dm.solve(np.eye(4, dtype=np.complex128) - e + pi, np.eye(4)) - pi
 
 
 def spectral(e: np.ndarray, tol: float = UNIT_EIG_TOL) -> SpectralData:
-    """Eigenvalues of a transfer matrix and its unit eigenspace from one SVD
-    of E - I."""
+    """Eigenvalues of a transfer matrix, its unit eigenspace from one SVD of
+    E - I, and that space's projector and reduced resolvent."""
     e = dm.as_matrix(e)
     if e.shape != (4, 4):
         raise InputError("transfer matrix must be 4x4")
-    radius = dm._GROUP_RADIUS * dm.max_abs(e)
-    values = np.array(sorted(np.linalg.eigvals(e),
-                             key=cmp_to_key(lambda a, b: dm._compare(a, b, radius))))
+    values = np.array(sorted(np.linalg.eigvals(e), key=dm.eigenvalue_order(dm.max_abs(e))))
     moduli = np.abs(values)
     if np.any(moduli > 1.0 + 1e-10):
         raise InputError(f"transfer spectrum leaves the unit disk: max |lambda| = {moduli.max()}")
@@ -244,6 +241,9 @@ def spectral(e: np.ndarray, tol: float = UNIT_EIG_TOL) -> SpectralData:
     if k == 0:
         raise InputError("transfer matrix has no unit eigenvalue; "
                          "the Kraus pair cannot come from a unitary gate")
+    err = dm.max_abs(e @ VEC_IDENTITY - VEC_IDENTITY)
+    if err > tol:
+        raise InputError(f"transfer invariant E|I> = |I> violated by {err:.3e}")
     right = vh[4 - k:].conj().T          # columns r with E r = r
     left = u[:, 4 - k:].conj().T         # rows l with l E = l
 
@@ -252,27 +252,21 @@ def spectral(e: np.ndarray, tol: float = UNIT_EIG_TOL) -> SpectralData:
     # projected out, orthonormal and orthogonal to it (Euclidean).  Taking
     # them from an SVD rather than Gram-Schmidt keeps a computed vector that
     # lies almost along vec(I) from amplifying its rounding error.
-    proj = right @ (right.conj().T @ VEC_IDENTITY)
-    if dm.max_abs(proj - VEC_IDENTITY) > 1e-8:
-        raise ConvergenceError("vec(I) is not inside the computed unit eigenspace")
     rest = right - np.outer(VEC_IDENTITY, VEC_IDENTITY @ right) / 2.0
-    u_rest, s_rest, _ = np.linalg.svd(rest)
-    if k > 1 and s_rest[k - 2] <= 1e-7:
-        raise ConvergenceError("failed to canonicalize the unit eigenspace basis")
-    right = np.column_stack([VEC_IDENTITY, u_rest[:, :k - 1]])
+    right = np.column_stack([VEC_IDENTITY, np.linalg.svd(rest)[0][:, :k - 1]])
     gram = left @ right
     if dm.singular_values(gram)[-1] < 1e-10:
         raise ConvergenceError("unit-space left/right pairing is singular")
-    spec = SpectralData(values=values, unit_dim=k, unit_right=right,
-                        unit_left=dm.solve(gram, left))
+    left = dm.solve(gram, left)
     # One step of iterative refinement against the exact eigenvalue 1,
     # l <- l + l(E - I)S, which leaves <l|r> unchanged (S r = 0).  The linear
     # variance coefficient is about 1/gap^2-sensitive to the left vectors: a
     # controlled rotation at a = pi - 0.02 (gap 1e-4) otherwise turns their
     # rounding error into 9e-12 on a coefficient that is exactly 0.
-    spec.unit_left = spec.unit_left + (spec.unit_left @ (e - np.eye(4))
-                                       @ spec.reduced_resolvent(e))
-    return spec
+    left = left + left @ (e - np.eye(4)) @ _resolvent_pair(e, right, left)[1]
+    pi, s_res = _resolvent_pair(e, right, left)
+    return SpectralData(values=values, unit_dim=k, unit_right=right, unit_left=left,
+                        projector=pi, resolvent=s_res)
 
 
 def site_density_recursion(kraus: KrausPair, rho_prev: np.ndarray,

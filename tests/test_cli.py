@@ -211,6 +211,18 @@ def test_bad_gate_file_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig4", "--chi-t", "0.5", "--c0", "0", "--c1", "1"],
+    ["spectrum", "--gate", "squeezing", "--params", "0.5", "--c0", "0.6"],
+])
+def test_amplitude_flags_rejected_where_unused(argv, capsys):
+    # fig4 and spectrum do not depend on the first-site amplitudes
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--c" in capsys.readouterr().err
+
+
 def test_missing_gate_exit_code(capsys):
     code, _ = run_cli(["spectrum"], capsys)
     assert code == 2

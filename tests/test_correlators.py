@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from chainsweep import correlators as co, gates, oracle, squeezing as sq, transfer
+from chainsweep import (correlators as co, densemat as dm, gates, oracle,
+                        squeezing as sq, transfer)
 from chainsweep.errors import InputError, ToleranceError
 from chainsweep.transfer import ChainSpec, LocalObservable, SIGMA_Z, build_transfer
 
@@ -382,6 +383,19 @@ def test_exact_minus_asymptotic_remainder_bounded():
         # transients shrink until the remainder tail hits rounding noise
         if diffs[0] > 1e-8:
             assert diffs[-1] < diffs[0]
+
+
+def test_asymptotic_variance_makes_no_solve(monkeypatch):
+    # P and S are fields of the spectrum; the coefficients only read them
+    ts = build_transfer(gates.random_gate(13), ChainSpec.plus_state(4))
+    spec = transfer.spectral(ts.e)
+    want = co.asymptotic_variance(ts, SIGMA_Z, spec=spec)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("densemat.solve called by asymptotic_variance")
+
+    monkeypatch.setattr(dm, "solve", forbidden)
+    assert co.asymptotic_variance(ts, SIGMA_Z, spec=spec) == want
 
 
 def test_asymptotic_flags_oscillatory_spectrum():

@@ -80,3 +80,46 @@ def test_neff_optimize_reports_z_when_form_is_rounding_noise():
         assert report.neff_coeff == 0.0
         assert np.array_equal(report.best_direction, [0.0, 0.0, 1.0])
         assert report.witness is not None
+
+
+# unit_dim of spectral(E(pi - 2*10^-k), tol) for each tol in _TIGHT_TOLS:
+# the number of singular values of E - I at or below tol (the second
+# smallest is 1.41*10^-2k).  k = 5, 6 at tol <= 1e-12 and k = 7 at 1e-14
+# once raised ConvergenceError on a canonicalization check.
+_TIGHT_TOLS = (1e-14, 1e-12, 1e-9, 1e-7)
+_NEAR_PI_UNIT_DIM = {1: (1, 1, 1, 1), 2: (1, 1, 1, 1), 3: (1, 1, 1, 1),
+                     4: (1, 1, 1, 2), 5: (1, 1, 2, 2), 6: (1, 1, 2, 2),
+                     7: (1, 2, 2, 2), 8: (2, 2, 2, 2)}
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("tol", _TIGHT_TOLS)
+def test_spectral_computes_near_pi_at_tight_tolerances(k, tol):
+    spec = transfer.spectral(build_transfer(_near_pi_rotation(k), ChainSpec(2)).e,
+                             tol=tol)
+    assert spec.unit_dim == _NEAR_PI_UNIT_DIM[k][_TIGHT_TOLS.index(tol)]
+    assert np.array_equal(spec.unit_right[:, 0], transfer.VEC_IDENTITY)
+    eye = np.eye(spec.unit_dim)
+    assert np.max(np.abs(spec.unit_left @ spec.unit_right - eye)) < 1e-12
+    pi = spec.projector
+    assert np.max(np.abs(pi @ pi - pi)) < 1e-12
+
+
+def test_spectrum_tight_tolerance_one_verdict(capsys, monkeypatch):
+    # one spectrum, counted at --tol, feeds both unit_dimension and the verdict
+    calls = []
+
+    def counting(e, tol=transfer.UNIT_EIG_TOL):
+        calls.append(tol)
+        return transfer.spectral(e, tol=tol)
+
+    monkeypatch.setattr(mac, "spectral", counting)
+    code = cli.main(["spectrum", "--gate", "controlled_rotation",
+                     "--params", "pi-2e-5", "--tol", "1e-12"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 0 and calls == [1e-12]
+    header = lines[1].split(",")
+    rows = [ln.split(",") for ln in lines[2:]]
+    assert len(rows) == 4
+    assert {r[header.index("unit_dimension")] for r in rows} == {"1"}
+    assert {r[header.index("is_macroscopic")] for r in rows} == {"0"}

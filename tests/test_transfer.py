@@ -264,7 +264,7 @@ def test_spectral_degenerate_weyl():
     expected = np.sort_complex(np.array([1, 1, np.sin(alpha), np.sin(alpha)],
                                         dtype=complex))
     assert np.max(np.abs(got - expected)) < 1e-9
-    pi = sd.unit_projector()
+    pi = sd.projector
     assert np.max(np.abs(pi @ pi - pi)) < 1e-9
 
 
@@ -284,12 +284,22 @@ def test_spectral_reconstruction():
     assert np.max(np.abs(rec - e)) < 1e-9
 
 
+def test_spectral_data_is_frozen_and_read_only():
+    sd = spectral(transfer_E(extract_kraus(gates.weyl_gate(0.7, np.pi / 2, np.pi / 2))))
+    with pytest.raises(AttributeError):
+        sd.unit_dim = 3
+    with pytest.raises(AttributeError):
+        sd.projector = np.eye(4)
+    for name in ("values", "unit_right", "unit_left", "projector", "resolvent"):
+        with pytest.raises(ValueError):
+            getattr(sd, name)[0, ...] = 0.0
+
+
 def test_reduced_resolvent_identity():
     # S must satisfy S (1 - E) = 1 - P on the whole space and S P = 0.
     e = transfer_E(extract_kraus(gates.random_gate(13)))
     sd = spectral(e)
-    pi = sd.unit_projector()
-    s = sd.reduced_resolvent(e)
+    pi, s = sd.projector, sd.resolvent
     assert np.max(np.abs(s @ (np.eye(4) - e) - (np.eye(4) - pi))) < 1e-9
     assert np.max(np.abs(s @ pi)) < 1e-9
 
