@@ -261,6 +261,15 @@ def _variance(ts: TransferSet, obs: LocalObservable, n: int) -> tuple[float, flo
     return total, err
 
 
+def _unit_moments(v_pi: np.ndarray, pi: np.ndarray,
+                  ea: np.ndarray) -> tuple[complex, complex]:
+    """(<v|P E_A|I>, <v|P E_A P E_A|I>) for the row v_pi = <v|P: the chain
+    average of A and its unit-space second moment, whose difference
+    kappa - mean^2 is the N^2 coefficient of the variance."""
+    head = v_pi @ ea
+    return complex(head @ VEC_IDENTITY), complex(head @ pi @ ea @ VEC_IDENTITY)
+
+
 def asymptotic_variance(ts: TransferSet, obs: LocalObservable,
                         spec: SpectralData | None = None) -> AsymptoticVariance:
     """Large-N coefficients of the additive variance, q N^2 + l N + O(1).
@@ -295,8 +304,7 @@ def asymptotic_variance(ts: TransferSet, obs: LocalObservable,
                 oscillatory = True
 
     v_pi = v @ pi
-    mean_inf = complex(v_pi @ ea @ VEC_IDENTITY)
-    kappa = complex(v_pi @ ea @ pi @ ea @ VEC_IDENTITY)
+    mean_inf, kappa = _unit_moments(v_pi, pi, ea)
     quad = _real(kappa - mean_inf ** 2)
 
     s_inf = complex(v_pi @ ea2_i)

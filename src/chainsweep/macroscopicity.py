@@ -15,14 +15,14 @@ import numpy as np
 
 from . import correlators, densemat as dm
 from .errors import InputError, ToleranceError
-from .gates import Gate
+from .gates import Gate, PAULI_X, PAULI_Y, PAULI_Z
 from .transfer import (ChainSpec, KrausPair, LocalObservable, SpectralData,
-                       TransferSet, build_transfer, spectral)
+                       TransferSet, VEC_IDENTITY, build_transfer, spectral)
 
 # Top eigenvalues of the effective-size form at or below this many eps times
-# max(1, max|M|) are rounding noise: 8e-17 to 2.5e-16 on controlled
-# rotations within 2e-5 of pi, against >= 2.5e-3 on Weyl-degenerate and
-# macroscopic-family gates.
+# max(1, max|M|) are rounding noise: 8e-50 to 2.2e-16 on controlled
+# rotations within 2e-5 of pi, where the threshold is about 5.7e-14,
+# against >= 2e-3 on 60 Weyl-degenerate and macroscopic-family gates.
 _FORM_NOISE = 256.0
 
 # Residual and weight tolerance of the structural common-eigenvector test.
@@ -50,52 +50,53 @@ class MacroClassification:
     spectrum: SpectralData
 
 
-def _neff_from_unit_space(ts: TransferSet, spec: SpectralData,
-                          obs: LocalObservable) -> float:
-    """Coefficient of N in the variance, from unit-eigenspace data only.
-
-    For a doubly degenerate unit eigenvalue this is the explicit two-vector
-    expression Q_01 Q_10 + P Q_10 (Q_11 - Q_00 - P Q_10) in the canonical
-    basis (first vector vec(I)); it extends to higher degeneracy through the
-    same matrix elements.
-    """
-    k = spec.unit_right.shape[1]
-    if k == 1:
-        return 0.0
-    ea = ts.dressed(obs.matrix)
-    q = spec.unit_left @ ea @ spec.unit_right      # Q_uu' = <l_u|E_A|r_u'>
-    p = ts.vrow @ spec.unit_right                  # P_u = <v|r_u>, P_0 = 1
-    r = q[:, 0]                                    # R_u = <l_u|E_A|vec(I)>
-    total = 0.0 + 0.0j
-    mean = complex(p @ r)
-    for u in range(k):
-        for up in range(k):
-            total += p[u] * q[u, up] * r[up]
-    return correlators._real(complex(total - mean ** 2), scale=4.0)
-
-
-def neff(gate: Gate, chain: ChainSpec, direction, tol: float = 1e-9) -> float:
-    """Effective-size coefficient (of N) for the additive observable sum n.sigma."""
+def _neff_value(ts: TransferSet, spec: SpectralData, direction) -> float:
+    """Coefficient of N^2 in the variance of sum n.sigma, kappa - mean^2 from
+    the unit-space moments of one dressing; 0 for a non-degenerate unit
+    eigenvalue."""
     obs = LocalObservable.from_bloch(direction)
+    if spec.unit_dim == 1:
+        return 0.0
+    pi = spec.projector
+    mean, kappa = correlators._unit_moments(ts.vrow @ pi, pi, ts.dressed(obs.matrix))
+    return correlators._real(kappa - mean ** 2, scale=4.0)
+
+
+def _neff_form(ts: TransferSet, spec: SpectralData) -> np.ndarray:
+    """The symmetric 3x3 M with n^T M n = _neff_value(n): E_A is linear in A,
+    so M = sym(<v|P E_a P E_b|I>) - m m^T over the Pauli dressings E_a,
+    m_a = <v|P E_a|I>."""
+    pi = spec.projector
+    v_pi = ts.vrow @ pi
+    eas = [ts.dressed(p) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
+    heads = np.array([v_pi @ ea for ea in eas])                 # <v|P E_a
+    cols = np.array([ea @ VEC_IDENTITY for ea in eas]).T        # E_b|I>
+    m = heads @ VEC_IDENTITY
+    kappa = heads @ pi @ cols
+    form = 0.5 * (kappa + kappa.T) - np.outer(m, m)
+    return np.array([[correlators._real(complex(x), scale=4.0) for x in row]
+                     for row in form])
+
+
+def neff(gate: Gate, chain: ChainSpec, direction) -> float:
+    """Effective-size coefficient (of N) for the additive observable sum n.sigma."""
     ts = build_transfer(gate, chain)
-    spec = spectral(ts.e, tol=tol)
-    val = _neff_from_unit_space(ts, spec, obs)
     # The coefficient is a variance prefactor; clip the rounding dust.
-    return max(val, 0.0)
+    return max(_neff_value(ts, spectral(ts.e), direction), 0.0)
 
 
 def neff_optimize(gate: Gate, chain: ChainSpec) -> MacroReport:
     """Maximize the effective-size coefficient over unit Bloch directions.
 
-    The coefficient is a quadratic form n^T M n in the Bloch vector.  Six
-    evaluations, on the axes and on the face diagonals (e_i + e_j)/sqrt(2),
-    fix the symmetric 3x3 M; its top eigenpair is the maximum and the best
-    direction (unit norm, sign fixed so the largest component is positive).
-    The coefficient is evaluated again at that direction, and a mismatch
-    with the eigenvalue raises instead of returning.  A form whose top
-    eigenvalue is rounding noise (at most _FORM_NOISE eps max(1, max|M|))
-    has no best direction; z is reported with coefficient 0, as for a
-    non-degenerate unit eigenvalue.
+    The coefficient is a quadratic form n^T M n in the Bloch vector, built
+    from the three Pauli dressings (_neff_form); its top eigenpair is the
+    maximum and the best direction (unit norm, sign fixed so the largest
+    component is positive).  The coefficient is evaluated again at that
+    direction from one dressing of n.sigma, and a mismatch with the
+    eigenvalue raises instead of returning.  A form whose top eigenvalue is
+    rounding noise (at most _FORM_NOISE eps max(1, max|M|)) has no best
+    direction; z is reported with coefficient 0, as for a non-degenerate
+    unit eigenvalue.
     """
     ts = build_transfer(gate, chain)
     spec = spectral(ts.e)
@@ -103,14 +104,7 @@ def neff_optimize(gate: Gate, chain: ChainSpec) -> MacroReport:
     if spec.unit_dim == 1:
         return MacroReport(spec.unit_dim, 0.0, z_axis)
 
-    def value(n_vec) -> float:
-        return _neff_from_unit_space(ts, spec, LocalObservable.from_bloch(n_vec))
-
-    eye = np.eye(3)
-    form = np.diag([value(axis) for axis in eye])
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        form[i, j] = form[j, i] = (value(eye[i] + eye[j])
-                                   - 0.5 * (form[i, i] + form[j, j]))
+    form = _neff_form(ts, spec)
     evals, evecs = np.linalg.eigh(form)
     top = float(evals[-1])
     witness = _structural_witness(ts.kraus, spec.unit_dim, _STRUCTURAL_TOL)[0]
@@ -122,7 +116,7 @@ def neff_optimize(gate: Gate, chain: ChainSpec) -> MacroReport:
     # through acos).
     direction = (direction * np.sign(direction[np.argmax(np.abs(direction))])
                  / np.linalg.norm(direction))
-    achieved = value(direction)
+    achieved = _neff_value(ts, spec, direction)
     if abs(achieved - top) > 1e-10 * max(1.0, abs(top)):
         raise ToleranceError(
             f"effective size is not quadratic in the direction: neff(n*) = "
@@ -148,7 +142,6 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
 
 
 def _bloch_of_state(v: np.ndarray) -> np.ndarray:
-    from .gates import PAULI_X, PAULI_Y, PAULI_Z
     return np.array([np.real(v.conj() @ p @ v) for p in (PAULI_X, PAULI_Y, PAULI_Z)])
 
 

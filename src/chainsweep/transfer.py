@@ -17,6 +17,7 @@ from .gates import Gate, PAULI_X, PAULI_Y, PAULI_Z
 
 ISOMETRY_TOL = 1e-12
 UNIT_EIG_TOL = 1e-9
+_DENSITY_TOL = 1e-10  # Hermiticity, trace and positivity of a site density matrix
 
 VEC_IDENTITY = np.array([1, 0, 0, 1], dtype=np.complex128)  # vec(I) = |00> + |11>
 
@@ -64,10 +65,9 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class LocalObservable:
-    """A single-site operator; ``bloch`` is set when it is n . sigma."""
+    """A single-site operator; :meth:`from_bloch` builds n . sigma."""
 
     matrix: np.ndarray
-    bloch: np.ndarray | None = None
 
     def __post_init__(self):
         m = dm.as_matrix(self.matrix)
@@ -75,24 +75,16 @@ class LocalObservable:
             raise InputError("local observable must be 2x2")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        if self.bloch is not None:
-            b = np.asarray(self.bloch, dtype=float)
-            if b.shape != (3,):
-                raise InputError("bloch vector must have 3 components")
-            if abs(np.linalg.norm(b) - 1.0) > 1e-12:
-                raise InputError("bloch vector must have unit norm")
-            b.setflags(write=False)
-            object.__setattr__(self, "bloch", b)
 
     @classmethod
     def from_bloch(cls, n) -> "LocalObservable":
+        """n . sigma for the direction n, normalized to unit length."""
         n = np.asarray(n, dtype=float)
         nrm = np.linalg.norm(n)
         if nrm == 0:
             raise InputError("bloch vector must be nonzero")
         n = n / nrm
-        m = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-        return cls(m, bloch=n)
+        return cls(n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
 
     def squared(self) -> np.ndarray:
         return self.matrix @ self.matrix
@@ -192,30 +184,27 @@ def build_transfer(gate: Gate, chain: ChainSpec) -> TransferSet:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues of E, its canonicalized unit eigenspace, and that space's
-    projector and reduced resolvent; filled once by :func:`spectral`.
+    """Eigenvalues of E, and the projector onto its unit eigenspace and the
+    reduced resolvent; filled once by :func:`spectral`.
 
     ``values`` are all four eigenvalues from LAPACK in the order of
     :func:`chainsweep.densemat.eigenvalue_order`.  ``unit_dim`` is the number
-    of singular values of E - I at or below the unit tolerance;
-    ``unit_right`` columns span that null space with the first column equal
-    to vec(I), and ``unit_left`` rows are the biorthonormal partners
-    (<l_i|r_j> = delta_ij).  E is a unital CP map, so its unit eigenvalue is
-    semisimple and these null spaces are its whole eigenspace.
-    ``projector`` is P = unit_right unit_left; ``resolvent`` is
+    of singular values of E - I at or below the unit tolerance.  E is a
+    unital CP map, so its unit eigenvalue is semisimple and that null space
+    is its whole eigenspace.  ``projector`` is P = sum_i |r_i><l_i| over
+    biorthonormal right and left unit eigenvectors, r_0 = vec(I), so
+    P|I> = |I> and tr P = unit_dim; ``resolvent`` is
     S = (1 - E + P)^{-1} - P, with S(1 - E) = 1 - P and S P = 0, exact also
     when the decaying block is defective.  Every array is read-only.
     """
 
     values: np.ndarray
     unit_dim: int
-    unit_right: np.ndarray
-    unit_left: np.ndarray
     projector: np.ndarray
     resolvent: np.ndarray
 
     def __post_init__(self):
-        for name in ("values", "unit_right", "unit_left", "projector", "resolvent"):
+        for name in ("values", "projector", "resolvent"):
             getattr(self, name).setflags(write=False)
 
 
@@ -251,9 +240,13 @@ def spectral(e: np.ndarray, tol: float = UNIT_EIG_TOL) -> SpectralData:
     # are the leading left singular vectors of the unit space with vec(I)
     # projected out, orthonormal and orthogonal to it (Euclidean).  Taking
     # them from an SVD rather than Gram-Schmidt keeps a computed vector that
-    # lies almost along vec(I) from amplifying its rounding error.
-    rest = right - np.outer(VEC_IDENTITY, VEC_IDENTITY @ right) / 2.0
-    right = np.column_stack([VEC_IDENTITY, np.linalg.svd(rest)[0][:, :k - 1]])
+    # lies almost along vec(I) from amplifying its rounding error.  For
+    # k = 1 the basis is vec(I) alone.
+    if k == 1:
+        right = VEC_IDENTITY[:, None]
+    else:
+        rest = right - np.outer(VEC_IDENTITY, VEC_IDENTITY @ right) / 2.0
+        right = np.column_stack([VEC_IDENTITY, np.linalg.svd(rest)[0][:, :k - 1]])
     gram = left @ right
     if dm.singular_values(gram)[-1] < 1e-10:
         raise ConvergenceError("unit-space left/right pairing is singular")
@@ -265,23 +258,21 @@ def spectral(e: np.ndarray, tol: float = UNIT_EIG_TOL) -> SpectralData:
     # rounding error into 9e-12 on a coefficient that is exactly 0.
     left = left + left @ (e - np.eye(4)) @ _resolvent_pair(e, right, left)[1]
     pi, s_res = _resolvent_pair(e, right, left)
-    return SpectralData(values=values, unit_dim=k, unit_right=right, unit_left=left,
-                        projector=pi, resolvent=s_res)
+    return SpectralData(values=values, unit_dim=k, projector=pi, resolvent=s_res)
 
 
-def site_density_recursion(kraus: KrausPair, rho_prev: np.ndarray,
-                           tol: float = 1e-10) -> np.ndarray:
+def site_density_recursion(kraus: KrausPair, rho_prev: np.ndarray) -> np.ndarray:
     """rho_n = sum_i V_i^T rho_{n-1} V_i*: the trace-preserving dual map that
     propagates single-site reduced density matrices down the chain."""
     rho = dm.as_matrix(rho_prev)
     if rho.shape != (2, 2):
         raise InputError("density matrix must be 2x2")
-    if dm.max_abs(rho - rho.conj().T) > tol:
+    if dm.max_abs(rho - rho.conj().T) > _DENSITY_TOL:
         raise InputError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if abs(np.trace(rho) - 1.0) > _DENSITY_TOL:
         raise InputError("density matrix must have unit trace")
     evals, _ = dm.hermitian_eig(0.5 * (rho + rho.conj().T))
-    if evals[0] < -tol:
+    if evals[0] < -_DENSITY_TOL:
         raise InputError(f"density matrix is not positive semidefinite (min eig {evals[0]:.3e})")
     out = np.zeros((2, 2), dtype=np.complex128)
     for v in (kraus.v0, kraus.v1):

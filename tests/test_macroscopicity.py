@@ -28,8 +28,9 @@ def test_neff_identity_zero():
 
 
 def test_neff_agrees_with_asymptotic_quadratic():
-    # two independent code paths: unit-space matrix elements vs the full
-    # projector contraction in the correlator module
+    # two independent code paths: unit-space moments of the projector vs the
+    # finite-N lifted contraction, whose combination
+    # V(4N) - 3 V(2N) + 2 V(N) = 6 q N^2 cancels the linear and constant terms
     rng = np.random.default_rng(9)
     cases = [gates.weyl_gate(0.7, np.pi / 2, np.pi / 2),
              gates.controlled_rotation(np.pi),
@@ -43,8 +44,11 @@ def test_neff_agrees_with_asymptotic_quadratic():
             v /= np.linalg.norm(v)
             chain = ChainSpec.plus_state(4)
             ts = build_transfer(g, chain)
+            obs = LocalObservable.from_bloch(v)
             lhs = mac.neff(g, chain, v)
-            rhs = co.asymptotic_variance(ts, LocalObservable.from_bloch(v)).quadratic_coeff
+            n = 1000
+            var = {m: co.additive_variance_exact(ts, obs, m).total for m in (n, 2 * n, 4 * n)}
+            rhs = (var[4 * n] - 3.0 * var[2 * n] + 2.0 * var[n]) / (6.0 * n ** 2)
             assert abs(lhs - max(rhs, 0.0)) < 1e-8
 
 
@@ -95,20 +99,38 @@ def test_neff_optimize_is_global_maximum():
         best = mac.neff_optimize(g, chain).neff_coeff
         ts = build_transfer(g, chain)
         spec = transfer.spectral(ts.e)
-        values = [mac._neff_from_unit_space(ts, spec, LocalObservable.from_bloch(n))
-                  for n in directions]
+        values = [mac._neff_value(ts, spec, n) for n in directions]
         assert abs(mac.neff(g, chain, directions[0]) - max(values[0], 0.0)) < 1e-15
         assert max(values) <= best + 1e-12
 
 
 def test_neff_optimize_rejects_non_quadratic_form(monkeypatch):
-    def fake(ts, spec, obs):
-        n = obs.bloch
+    def fake(ts, spec, direction):
+        n = np.asarray(direction) / np.linalg.norm(direction)
         return float(n[0] ** 4 + 2.0 * n[1] ** 4 + 3.0 * n[2] ** 4)
 
-    monkeypatch.setattr(mac, "_neff_from_unit_space", fake)
+    monkeypatch.setattr(mac, "_neff_value", fake)
     with pytest.raises(ToleranceError):
         mac.neff_optimize(gates.weyl_gate(0.7, np.pi / 2, np.pi / 2), ChainSpec(4))
+
+
+@pytest.mark.parametrize("gate", [
+    gates.weyl_gate(0.7, np.pi / 2, np.pi / 2),
+    gates.macroscopic_family(0.5, 0.3, 1.1, seed=1),
+], ids=["weyl-degenerate", "macroscopic-family"])
+def test_neff_optimize_dresses_at_most_five_times(monkeypatch, gate):
+    # E, the three Pauli dressings of the form, and one check at n*
+    calls = []
+
+    def counting(kraus, a):
+        calls.append(a)
+        return dress(kraus, a)
+
+    dress = transfer._dress
+    monkeypatch.setattr(transfer, "_dress", counting)
+    report = mac.neff_optimize(gate, ChainSpec(2))
+    assert report.neff_coeff > 0.0
+    assert len(calls) <= 5
 
 
 def test_neff_optimize_nondegenerate_zero():

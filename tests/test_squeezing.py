@@ -117,7 +117,7 @@ def test_optimal_theta_rejects_non_quadratic_landscape(monkeypatch):
     # not return the extremum of the wrong model
     def fake(ts, obs, spec=None):
         return correlators.AsymptoticVariance(
-            quadratic_coeff=0.0, linear_coeff=1.0 + 0.5 * obs.bloch[0] ** 4)
+            quadratic_coeff=0.0, linear_coeff=1.0 + 0.5 * obs.matrix[0, 1].real ** 4)
 
     monkeypatch.setattr(correlators, "asymptotic_variance", fake)
     with pytest.raises(ToleranceError):

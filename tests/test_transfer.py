@@ -252,8 +252,8 @@ def test_transfer_invariants_all_families_and_random():
 def test_spectral_identity_gate():
     sd = spectral(transfer_E(extract_kraus(gates.identity_gate())))
     assert sd.unit_dim == 1
-    assert np.array_equal(sd.unit_right[:, 0], VEC_IDENTITY)
-    assert abs(sd.unit_left[0] @ sd.unit_right[:, 0] - 1.0) < 1e-12
+    assert np.max(np.abs(sd.projector @ VEC_IDENTITY - VEC_IDENTITY)) < 1e-12
+    assert abs(np.trace(sd.projector) - sd.unit_dim) < 1e-12
 
 
 def test_spectral_degenerate_weyl():
@@ -273,7 +273,8 @@ def test_spectral_squeezing_left_vector():
     sd = spectral(transfer_E(extract_kraus(gates.squeezing_gate(chi_t))))
     w2 = np.sin(chi_t) ** 2
     expected = np.array([1, 0, 0, w2]) / (1 + w2)
-    assert np.max(np.abs(sd.unit_left[0] - expected)) < 1e-12
+    # P = |I><l| for a non-degenerate unit eigenvalue, and vec(I)_0 = 1
+    assert np.max(np.abs(sd.projector[0] - expected)) < 1e-12
 
 
 def test_spectral_reconstruction():
@@ -290,7 +291,7 @@ def test_spectral_data_is_frozen_and_read_only():
         sd.unit_dim = 3
     with pytest.raises(AttributeError):
         sd.projector = np.eye(4)
-    for name in ("values", "unit_right", "unit_left", "projector", "resolvent"):
+    for name in ("values", "projector", "resolvent"):
         with pytest.raises(ValueError):
             getattr(sd, name)[0, ...] = 0.0
 
