@@ -6,7 +6,9 @@ class InputError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine hit its cap without reaching the requested tolerance."""
+    """A decomposition failed its own check: a singular left/right pairing
+    (`transfer.spectral`, `densemat.eig_general`), an eigen-residual above
+    tolerance (`eig_general`), or no completion (`densemat.orthonormal_complete`)."""
 
 
 class ToleranceError(RuntimeError):

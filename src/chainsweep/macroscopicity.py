@@ -1,10 +1,10 @@
 """Effective-size analysis: when does the sweep build macroscopic superpositions.
 
 The dichotomy is spectral: a non-degenerate unit eigenvalue of the transfer
-matrix kills the N^2 variance term, a degenerate one allows it.  The same
-dichotomy has a structural form (a common eigenvector of the Kraus pair
-carrying all the weight), implemented here as an executable test that must
-agree with the spectrum.
+matrix kills the N^2 variance term, a degenerate one allows it.  Its
+structural form, a common eigenvector of the Kraus pair carrying all the
+weight, is checked as a certificate on the witness read off the unit
+projector, so one singular value decides the verdict.
 """
 
 from __future__ import annotations
@@ -13,20 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import correlators, densemat as dm
+from . import correlators
 from .errors import InputError, ToleranceError
 from .gates import Gate, PAULI_X, PAULI_Y, PAULI_Z
 from .transfer import (ChainSpec, KrausPair, LocalObservable, SpectralData,
-                       TransferSet, VEC_IDENTITY, build_transfer, spectral)
+                       TransferSet, UNIT_EIG_TOL, VEC_IDENTITY, build_transfer,
+                       spectral)
 
 # Top eigenvalues of the effective-size form at or below this many eps times
 # max(1, max|M|) are rounding noise: 8e-50 to 2.2e-16 on controlled
 # rotations within 2e-5 of pi, where the threshold is about 5.7e-14,
 # against >= 2e-3 on 60 Weyl-degenerate and macroscopic-family gates.
 _FORM_NOISE = 256.0
-
-# Residual and weight tolerance of the structural common-eigenvector test.
-_STRUCTURAL_TOL = 1e-8
 
 _EPS = float(np.finfo(float).eps)
 
@@ -107,7 +105,7 @@ def neff_optimize(gate: Gate, chain: ChainSpec) -> MacroReport:
     form = _neff_form(ts, spec)
     evals, evecs = np.linalg.eigh(form)
     top = float(evals[-1])
-    witness = _structural_witness(ts.kraus, spec.unit_dim, _STRUCTURAL_TOL)[0]
+    witness = _witness(ts.kraus, spec, UNIT_EIG_TOL)[0]
     if top <= _FORM_NOISE * _EPS * max(1.0, float(np.max(np.abs(form)))):
         return MacroReport(spec.unit_dim, 0.0, z_axis, witness)
     direction = evecs[:, -1]
@@ -126,75 +124,44 @@ def neff_optimize(gate: Gate, chain: ChainSpec) -> MacroReport:
                        best_direction=direction, witness=witness)
 
 
-def _eigvecs_2x2(m: np.ndarray) -> list[np.ndarray] | None:
-    """Unit eigenvectors of a 2x2 matrix; None means every vector qualifies
-    (m is a multiple of the identity to 1e-7 relative)."""
-    if np.linalg.norm(m - 0.5 * np.trace(m) * np.eye(2), 2) <= 1e-7 * dm.max_abs(m):
-        return None
-    return list(np.linalg.eig(m)[1].T)
-
-
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    idx = int(np.argmax(np.abs(v)))
-    phase = v[idx] / abs(v[idx])
-    out = v / phase
-    return out / np.linalg.norm(out)
-
-
-def _bloch_of_state(v: np.ndarray) -> np.ndarray:
-    return np.array([np.real(v.conj() @ p @ v) for p in (PAULI_X, PAULI_Y, PAULI_Z)])
-
-
-def _structural_witness(kraus: KrausPair, unit_dim: int, tol: float
-                        ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(witness state, its Bloch vector) from a common eigenvector of the
-    Kraus pair whose eigenvalues exhaust the weight (|mu0|^2 + |mu1|^2 = 1),
-    or (None, None) when there is none; raises when that disagrees with the
-    unit-eigenvalue degeneracy ``unit_dim``."""
-    v0, v1 = kraus.v0, kraus.v1
-    candidates = _eigvecs_2x2(v0)
-    if candidates is None:
-        candidates = _eigvecs_2x2(v1)
-    if candidates is None:
-        candidates = [np.array([1.0, 0.0], dtype=np.complex128)]
-
-    hits: list[np.ndarray] = []
-    for cand in candidates:
-        cand = cand / np.linalg.norm(cand)
-        mu0 = complex(cand.conj() @ v0 @ cand)
-        mu1 = complex(cand.conj() @ v1 @ cand)
-        if (np.linalg.norm(v0 @ cand - mu0 * cand) <= tol
-                and np.linalg.norm(v1 @ cand - mu1 * cand) <= tol
-                and abs(abs(mu0) ** 2 + abs(mu1) ** 2 - 1.0) <= tol):
-            hits.append(cand)
-
-    structural = bool(hits)
-    if structural != (unit_dim >= 2):
-        raise ToleranceError(
-            f"structural test ({structural}) disagrees with unit-eigenvalue "
-            f"degeneracy ({unit_dim}); tolerance pathology at tol={tol:g}")
-    if not hits:
+def _witness(kraus: KrausPair, spec: SpectralData, tol: float):
+    """(witness state, its Bloch vector n) read off the unit projector, or
+    (None, None) for unit_dim 1.  A unital channel fixes the commutant of its
+    Kraus operators (Wolf 2012, ch. 6): n spans the Bloch block of P (z when
+    E = I), sign lexicographic.  Certificate: c = conj(state) has V_i c =
+    mu_i c with sum |mu_i|^2 = 1 to a residual r ~ sqrt(s2) and deficit
+    d ~ s2, s2 <= tol the singular value of E - I that set unit_dim; r^2 + d
+    above 2 tol + 8 eps (rounding: <= 3 eps on exact gates) raises."""
+    if spec.unit_dim == 1:
         return None, None
-    # The channel-invariant pure state is the conjugate of the common
-    # eigenvector; pick the lexicographically largest Bloch vector for
-    # reproducibility.
-    states = [_canonical_phase(np.conj(c)) for c in hits]
-    blochs = [_bloch_of_state(s) for s in states]
-    best = max(range(len(states)), key=lambda i: tuple(np.round(blochs[i], 12)))
-    return states[best], blochs[best]
+    bloch = np.array([0.0, 0.0, 1.0])
+    if spec.unit_dim < 4:
+        paulis = np.array([PAULI_X, PAULI_Y, PAULI_Z]).reshape(3, 4)  # rows vec(sigma_a)
+        q = 0.5 * paulis.conj() @ spec.projector @ paulis.T          # Bloch block of P
+        bloch = np.linalg.svd(q.real)[0][:, 0]
+        if tuple(np.round(-bloch, 12)) > tuple(np.round(bloch, 12)):
+            bloch = -bloch
+    x, y, z = bloch
+    state = np.array([1.0 + z, x + 1j * y] if z >= 0 else [x - 1j * y, 1.0 - z])
+    state /= np.linalg.norm(state)
+
+    v, c = np.stack((kraus.v0, kraus.v1)), state.conj()
+    mu = c.conj() @ v @ c
+    residual = float(np.max(np.linalg.norm(v @ c - mu[:, None] * c, axis=1)))
+    defect = residual ** 2 + abs(float(np.sum(np.abs(mu) ** 2)) - 1.0)
+    if defect > 2.0 * tol + 8.0 * _EPS:
+        raise ToleranceError(f"unit space of dimension {spec.unit_dim} holds no fixed "
+                             f"pure state: r^2 + d = {defect:.3e} at tol={tol:g}")
+    return state, bloch
 
 
-def classify_macroscopic(gate: Gate, tol: float = _STRUCTURAL_TOL) -> MacroClassification:
-    """Structural test for macroscopicity: a common eigenvector of the Kraus
-    pair whose eigenvalues exhaust the weight (|mu0|^2 + |mu1|^2 = 1).
-
-    Cross-checked against the spectral criterion (degenerate unit eigenvalue
-    of E, counted at the same ``tol``); a disagreement raises instead of
-    returning a silent answer.
-    """
+def classify_macroscopic(gate: Gate, tol: float = UNIT_EIG_TOL) -> MacroClassification:
+    """Macroscopic iff the unit eigenvalue of E, counted at ``tol``, is
+    degenerate; the witness is its fixed pure state, certified as a common
+    Kraus eigenvector carrying all the weight (a failed certificate raises)."""
     ts = build_transfer(gate, ChainSpec(2))
     spec = spectral(ts.e, tol=tol)
-    witness, witness_bloch = _structural_witness(ts.kraus, spec.unit_dim, tol)
+    witness, witness_bloch = _witness(ts.kraus, spec, tol)
     return MacroClassification(is_macroscopic=witness is not None, witness=witness,
                                witness_bloch=witness_bloch,
                                unit_dimension=spec.unit_dim, spectrum=spec)

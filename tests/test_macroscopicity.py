@@ -171,9 +171,32 @@ def test_classify_matches_spectrum_on_families():
             gates.squeezing_gate(0.9),
             gates.macroscopic_family(0.2, 0.7, 0.1, seed=8),
             gates.macroscopic_family(0.0, 0.9, 0.0, seed=9)]
+    # independent witness reference: the null vector of T - I, T the real
+    # Bloch block of B^dagger E B with B = [vec I, vec X, vec Y, vec Z]/sqrt(2)
+    basis = np.column_stack([p.reshape(4) for p in (np.eye(2), gates.PAULI_X,
+                                                    gates.PAULI_Y, gates.PAULI_Z)]) / np.sqrt(2)
     for g in grid:
         cls = mac.classify_macroscopic(g)
         assert cls.is_macroscopic == (cls.unit_dimension >= 2)
+        if cls.unit_dimension == 2:
+            e = build_transfer(g, ChainSpec(2)).e
+            t = (basis.conj().T @ e @ basis)[1:, 1:].real
+            null = np.linalg.svd(t - np.eye(3))[2][-1]
+            n = cls.witness_bloch
+            assert min(np.max(np.abs(n - null)), np.max(np.abs(n + null))) < 1e-12
+
+
+def test_witness_certificate_refuses_a_foreign_unit_space(monkeypatch):
+    # the unit projector of controlled_rotation(pi) fixes the z axis, while
+    # the family gate's Kraus pair fixes x: r^2 + d = 0.84, far above 2 tol
+    foreign = transfer.spectral(build_transfer(gates.controlled_rotation(np.pi),
+                                               ChainSpec(2)).e)
+    monkeypatch.setattr(mac, "spectral", lambda e, tol=transfer.UNIT_EIG_TOL: foreign)
+    g = gates.macroscopic_family(0.5, 0.3, 1.1, seed=5)
+    with pytest.raises(ToleranceError):
+        mac.classify_macroscopic(g)
+    with pytest.raises(ToleranceError):
+        mac.neff_optimize(g, ChainSpec(2))
 
 
 def test_classify_conjugated_family_witness_rotates():

@@ -9,7 +9,6 @@ import pytest
 
 from chainsweep import (cli, correlators as co, densemat, gates,
                         macroscopicity as mac, squeezing as sq, transfer)
-from chainsweep.errors import ToleranceError
 from chainsweep.transfer import (ChainSpec, LocalObservable, SIGMA_X, SIGMA_Z,
                                  build_transfer)
 
@@ -34,14 +33,40 @@ def test_near_degenerate_rotation_computes(k):
             # computed one must lie within the reported estimate, which
             # grows like 1/gap (deviation/estimate 0.06 to 0.11 for k = 1..4)
             assert abs(z.linear_coeff) <= z.error_estimate
-    if k == 4:
-        # The structural weight deficit 1.0e-8 passes tol = 1e-8 while the
-        # second singular value of E - I, 1.41e-8, does not: the two tests
-        # disagree and the classification refuses instead of guessing.
-        with pytest.raises(ToleranceError):
-            mac.classify_macroscopic(g)
-    else:
-        assert mac.classify_macroscopic(g).is_macroscopic == (k >= 5)
+    # one verdict from the singular value that sets unit_dim: 1.41e-8 at
+    # k = 4 lies above the default tol 1e-9
+    assert mac.classify_macroscopic(g).is_macroscopic == (k >= 5)
+
+
+# The band where the unit dimension and a Kraus eigenvector search at one
+# tol once disagreed (exit 3): sigma_2(E - I) is 1.41e-8 for the rotation and
+# about d^2/2 for the Weyl gates at pi/2 - d, while the search's residual
+# scales like sqrt(sigma_2).
+_BAND = [("controlled_rotation", "pi-2e-4", gates.controlled_rotation(np.pi - 2e-4))] + [
+    ("weyl", f"0.7,pi/2-{eps},pi/2", gates.weyl_gate(0.7, np.pi / 2 - float(eps), np.pi / 2))
+    for eps in ("1e-4", "1e-5", "1e-6", "1e-7")]
+
+
+@pytest.mark.parametrize("family,params,gate", _BAND, ids=[b[1] for b in _BAND])
+def test_band_gates_get_one_verdict(family, params, gate, capsys):
+    argv = ["--gate", family, "--params", params]
+    for tol in (transfer.UNIT_EIG_TOL, 1e-8):
+        assert cli.main(["spectrum", *argv, "--tol", repr(tol)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        header = lines[1].split(",")
+        for row in (ln.split(",") for ln in lines[2:]):
+            dim = int(row[header.index("unit_dimension")])
+            assert row[header.index("is_macroscopic")] == str(int(dim >= 2))
+    assert cli.main(["neff", *argv]) == 0
+    capsys.readouterr()
+    e = build_transfer(gate, ChainSpec(2)).e
+    for cls, tol in ((mac.classify_macroscopic(gate), transfer.UNIT_EIG_TOL),
+                     (mac.classify_macroscopic(gate, tol=1e-8), 1e-8)):
+        assert cls.unit_dimension == transfer.spectral(e, tol=tol).unit_dim
+        assert cls.is_macroscopic == (cls.unit_dimension >= 2)
+    report = mac.neff_optimize(gate, ChainSpec(2))
+    assert report.unit_dimension == transfer.spectral(e).unit_dim
+    assert (report.witness is not None) == (report.unit_dimension >= 2)
 
 
 def _hot_path_gates():
