@@ -200,13 +200,9 @@ def cmd_fig3(args) -> int:
 def cmd_fig4(args) -> int:
     grid = parse_grid(args.chi_t)
     theta = parse_angle(args.theta) if args.theta is not None else None
-    rows = []
-    for entry in squeezing.fig4_curve(grid, theta=theta):
-        rows.append([entry["chi_t"], entry["m"], entry["v"], entry["f_half"],
-                     entry["f_one"], entry["below_separable"],
-                     entry["below_pairwise"]])
-    _write_csv(args, ["chi_t", "m", "v", "f_half", "f_one",
-                      "below_separable", "below_pairwise"], rows, _config_of(args))
+    header = ["chi_t", "m", "v", "f_half", "f_one", "below_separable", "below_pairwise"]
+    rows = [[entry[k] for k in header] for entry in squeezing.fig4_curve(grid, theta=theta)]
+    _write_csv(args, header, rows, _config_of(args))
     return 0
 
 

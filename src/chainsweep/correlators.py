@@ -45,18 +45,18 @@ _ASYM_SAFETY = 8.0
 _EPS = float(np.finfo(float).eps)
 
 
-def _real(value: complex, scale: float = 1.0) -> float:
+def _real(value, scale: float = 1.0):
     """Drop a numerically-zero imaginary part, loudly if it is not."""
-    bound = IMAG_TOL * max(1.0, abs(scale))
-    if abs(value.imag) > bound:
+    residue = abs(value.imag)
+    if np.count_nonzero(residue > IMAG_TOL * max(1.0, abs(scale))):
         raise ToleranceError(
-            f"expected a real quantity, got imaginary residue {value.imag:.3e}")
-    return float(value.real)
+            f"expected a real quantity, got imaginary residue {np.max(residue):.3e}")
+    return dm.unbatch(value.real)
 
 
 def _vec(obs: LocalObservable) -> np.ndarray:
     # vec(A) with the 2i+j index convention
-    return obs.matrix.reshape(-1)
+    return obs.matrix.reshape(obs.matrix.shape[:-2] + (4,))
 
 
 def _closing(ea: np.ndarray, obs: LocalObservable, last: bool) -> np.ndarray:
@@ -125,7 +125,7 @@ def site_correlations(ts: TransferSet, obs: LocalObservable, n_sites: int,
     one_vals = np.empty(n_sites, dtype=np.complex128)
     one_vals[:-1] = rows[:-1] @ bulk
     one_vals[-1] = rows[-1] @ last
-    one = [_real(complex(v)) for v in one_vals]
+    one = _real(one_vals).tolist()
     if not pairs:
         return one, []
 
@@ -138,7 +138,7 @@ def site_correlations(ts: TransferSet, obs: LocalObservable, n_sites: int,
     heads = rows[:-1] @ ea
     two_vals = np.einsum("ij,ij->i", heads[ms - 1],
                          cols[np.where(at_end, len(bulk_cols) + steps, steps)])
-    return one, [_real(complex(v)) for v in two_vals]
+    return one, _real(two_vals).tolist()
 
 
 def _lifted_contraction(ts: TransferSet, ops: dict, n: int) -> tuple[complex, float]:
@@ -211,7 +211,8 @@ class VarianceBreakdown:
 
 @dataclass
 class AsymptoticVariance:
-    """Coefficients of the N^2 and N terms of an additive variance.
+    """Coefficients of the N^2 and N terms of an additive variance; floats
+    for one transfer matrix, arrays of the batch shape for a stack.
 
     ``oscillatory`` marks spectra with coinciding unimodular non-unit
     eigenvalues, whose variance carries a bounded-amplitude oscillating
@@ -262,12 +263,12 @@ def _variance(ts: TransferSet, obs: LocalObservable, n: int) -> tuple[float, flo
 
 
 def _unit_moments(v_pi: np.ndarray, pi: np.ndarray,
-                  ea: np.ndarray) -> tuple[complex, complex]:
+                  ea: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(<v|P E_A|I>, <v|P E_A P E_A|I>) for the row v_pi = <v|P: the chain
     average of A and its unit-space second moment, whose difference
     kappa - mean^2 is the N^2 coefficient of the variance."""
     head = v_pi @ ea
-    return complex(head @ VEC_IDENTITY), complex(head @ pi @ ea @ VEC_IDENTITY)
+    return head @ VEC_IDENTITY, head @ pi @ ea @ VEC_IDENTITY
 
 
 def asymptotic_variance(ts: TransferSet, obs: LocalObservable,
@@ -281,46 +282,48 @@ def asymptotic_variance(ts: TransferSet, obs: LocalObservable,
     ToleranceError when ``error_estimate`` exceeds COLLECTIVE_REL_TOL of
     max(1, |l|), which happens only as the spectral gap closes.  P and S come
     from ``spec`` (by default the spectrum of ``ts.e``), so the call itself
-    makes no linear solve.
+    makes no linear solve.  A stacked ``ts`` or ``obs`` gives stacked
+    coefficients, bitwise those of one matrix: rows stay 1x4, so every
+    product takes the BLAS path of the one-matrix call.
     """
     if not obs.is_hermitian:
         raise InputError("variance needs a Hermitian observable")
     if spec is None:
         spec = spectral(ts.e)
     ea = ts.dressed(obs.matrix)
-    ea2_i = ts.dressed(obs.squared()) @ VEC_IDENTITY
-    a = _vec(obs)
-    v = ts.vrow
+    ea2_i = (ts.dressed(obs.squared()) @ VEC_IDENTITY)[..., None]
+    a = _vec(obs)[..., None]
+    v = ts.vrow[None, :]
     pi, s_res = spec.projector, spec.resolvent
 
     # Oscillatory diagnostics: coinciding non-unit eigenvalues on the circle
     # feed an N * lambda^N term that no fixed linear coefficient captures.
-    oscillatory = False
-    decay_vals = [lam for lam in spec.values if abs(lam - 1.0) >= F_BRANCH_TOL]
-    for i in range(len(decay_vals)):
-        for j in range(i + 1, len(decay_vals)):
-            if (abs(decay_vals[i] - decay_vals[j]) <= F_BRANCH_TOL
-                    and abs(abs(decay_vals[i]) - 1.0) <= F_BRANCH_TOL):
-                oscillatory = True
+    lam = spec.values
+    decay = np.abs(lam - 1.0) >= F_BRANCH_TOL
+    pairs = ((np.abs(lam[..., :, None] - lam[..., None, :]) <= F_BRANCH_TOL)
+             & (np.abs(np.abs(lam) - 1.0) <= F_BRANCH_TOL)[..., :, None]
+             & decay[..., :, None] & decay[..., None, :])
+    oscillatory = np.triu(pairs, 1).any(axis=(-2, -1))
 
     v_pi = v @ pi
     mean_inf, kappa = _unit_moments(v_pi, pi, ea)
-    quad = _real(kappa - mean_inf ** 2)
+    quad = _real((kappa - mean_inf ** 2)[..., 0])
 
-    s_inf = complex(v_pi @ ea2_i)
-    cross = complex(v_pi @ ea @ s_res @ ea @ VEC_IDENTITY)
-    cross += complex(v @ s_res @ ea @ pi @ ea @ VEC_IDENTITY)
-    boundary = complex(v_pi @ ea @ pi @ a)
-    nu_inf = complex(v_pi @ a)
-    c_mean = -mean_inf + complex(v @ s_res @ ea @ VEC_IDENTITY) + nu_inf
-    lin = _real(s_inf - 3.0 * kappa + 2.0 * cross + 2.0 * boundary
-                - 2.0 * mean_inf * c_mean, scale=10.0)
-    err = (_ASYM_SAFETY * _EPS * np.linalg.norm(s_res)
-           * np.linalg.norm(ea) ** 2)
-    bound = COLLECTIVE_REL_TOL * max(1.0, abs(lin))
-    if err > bound:
+    s_inf = (v_pi @ ea2_i)[..., 0]
+    cross = v_pi @ ea @ s_res @ ea @ VEC_IDENTITY
+    cross = cross + v @ s_res @ ea @ pi @ ea @ VEC_IDENTITY
+    boundary = (v_pi @ ea @ pi @ a)[..., 0]
+    nu_inf = (v_pi @ a)[..., 0]
+    c_mean = -mean_inf + v @ s_res @ ea @ VEC_IDENTITY + nu_inf
+    lin = _real((s_inf - 3.0 * kappa + 2.0 * cross + 2.0 * boundary
+                 - 2.0 * mean_inf * c_mean)[..., 0], scale=10.0)
+    err = (_ASYM_SAFETY * _EPS * np.linalg.norm(s_res, axis=(-2, -1))
+           * np.linalg.norm(ea, axis=(-2, -1)) ** 2)
+    excess = np.max(err / (COLLECTIVE_REL_TOL * np.maximum(1.0, np.abs(lin))))
+    if excess > 1.0:
         raise ToleranceError(
-            f"asymptotic variance: estimated error {err:.3e} exceeds "
-            f"{bound:.3e}; the spectral gap of E is too small")
+            f"asymptotic variance: estimated error exceeds its bound {excess:.3g}-fold; "
+            f"the spectral gap of E is too small")
     return AsymptoticVariance(quadratic_coeff=quad, linear_coeff=lin,
-                              oscillatory=oscillatory, error_estimate=err)
+                              oscillatory=dm.unbatch(oscillatory),
+                              error_estimate=dm.unbatch(err))

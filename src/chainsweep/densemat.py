@@ -33,14 +33,21 @@ MAX_EIG_SIZE = 8
 _GROUP_RADIUS = 1e-6
 
 
-def as_matrix(values) -> np.ndarray:
-    """Coerce to a finite 2-D complex128 array."""
+def as_matrix(values, stacked: bool = False) -> np.ndarray:
+    """Coerce to a finite 2-D complex128 array, or with ``stacked`` to a stack
+    of them with any leading batch axes."""
     m = np.asarray(values, dtype=np.complex128)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stacked and m.ndim > 2):
         raise InputError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InputError("matrix has non-finite entries")
     return m
+
+
+def unbatch(x):
+    """``x`` as a Python scalar when it has no batch axes, else unchanged."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
 
 
 def max_abs(m: np.ndarray) -> float:

@@ -67,16 +67,20 @@ def weyl_params(alpha: float, beta: float, gamma: float) -> tuple[complex, compl
     return complex(x), complex(y), complex(z), complex(w)
 
 
-def weyl_gate(alpha: float, beta: float, gamma: float, family: str = "weyl") -> Gate:
-    """exp(-i/2 (alpha XX + beta YY + gamma ZZ)) on a qubit pair."""
+def _weyl_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
     x, y, z, w = weyl_params(alpha, beta, gamma)
-    m = np.array([
+    return np.array([
         [x, 0, 0, w],
         [0, z, y, 0],
         [0, y, z, 0],
         [w, 0, 0, x],
     ], dtype=np.complex128)
-    return Gate(m, family=family, params=(alpha, beta, gamma))
+
+
+def weyl_gate(alpha: float, beta: float, gamma: float, family: str = "weyl") -> Gate:
+    """exp(-i/2 (alpha XX + beta YY + gamma ZZ)) on a qubit pair."""
+    return Gate(_weyl_matrix(alpha, beta, gamma), family=family,
+                params=(alpha, beta, gamma))
 
 
 def controlled_rotation(a: float) -> Gate:
@@ -94,9 +98,8 @@ def controlled_rotation(a: float) -> Gate:
 def squeezing_gate(chi_t: float) -> Gate:
     """exp(-i t H) for H = (chi/2)(XX - YY): the two-axis-twisting bond gate.
 
-    Identical matrix to weyl_gate(chi_t, -chi_t, 0)."""
-    g = weyl_gate(chi_t, -chi_t, 0.0, family="squeezing")
-    return Gate(g.matrix, family="squeezing", params=(chi_t,))
+    Identical matrix to weyl_gate(chi_t, -chi_t, 0), validated once."""
+    return Gate(_weyl_matrix(chi_t, -chi_t, 0.0), family="squeezing", params=(chi_t,))
 
 
 def x_rotation(theta: float) -> np.ndarray:

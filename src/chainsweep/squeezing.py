@@ -38,13 +38,17 @@ def mean_z_asymptotic_coeff(chi_t: float) -> float:
 
 def variance_asymptotic_coeff(chi_t: float, theta: float) -> float:
     """Linear coefficient of the transverse variance (Delta A_theta)^2."""
-    ts = _transfer_for(chi_t)
-    obs = _transverse_obs(theta)
-    return correlators.asymptotic_variance(ts, obs).linear_coeff
+    return _linear_coeff(_transfer_for(chi_t), theta)
 
 
-def _transverse_obs(theta: float) -> LocalObservable:
-    return LocalObservable.from_bloch([np.cos(theta), np.sin(theta), 0.0])
+def _linear_coeff(ts, theta, spec=None):
+    return correlators.asymptotic_variance(ts, _transverse_obs(theta), spec=spec).linear_coeff
+
+
+def _transverse_obs(theta) -> LocalObservable:
+    theta = np.asarray(theta, dtype=float)
+    return LocalObservable.from_bloch(
+        np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=-1))
 
 
 def mean_z(chi_t: float, n_sites: int, mode: str = "exact") -> float:
@@ -71,36 +75,34 @@ def transverse_variance(chi_t: float, theta: float, n_sites: int,
         ts, _transverse_obs(theta), n_sites).total
 
 
-def _theta_optimum(chi_t: float) -> tuple[float, float, bool]:
-    """(theta*, l(theta*), degenerate) for the linear variance coefficient.
+def _theta_optimum(ts) -> tuple[float, float, bool]:
+    """(theta*, l(theta*), degenerate) for the linear variance coefficient of
+    the squeezing transfer set ``ts``, or arrays of them for a stacked set.
 
     On the unit sphere l(n) = n^T L n (A^2 = I for A = n . sigma), so along
     the transverse circle l(theta) = a + b cos 2theta + c sin 2theta.  Three
     evaluations at theta = 0, pi/4, pi/2 fix (a, b, c); the minimum sits at
     theta* = atan2(-c, -b)/2 with value a - sqrt(b^2 + c^2) (Kitagawa & Ueda,
     PRA 47, 5138).  The coefficient is evaluated again at theta*, and a
-    mismatch with the predicted minimum raises instead of returning.  All
-    four evaluations share one transfer matrix and one spectrum.
+    mismatch with the predicted minimum at any element raises instead of
+    returning.  All four evaluations share one spectrum of the whole stack.
     """
-    ts = _transfer_for(chi_t)
     spec = spectral(ts.e)
-
-    def coeff(theta: float) -> float:
-        return correlators.asymptotic_variance(ts, _transverse_obs(theta),
-                                               spec=spec).linear_coeff
-
-    l0, l1, l2 = coeff(0.0), coeff(np.pi / 4), coeff(np.pi / 2)
+    l0, l1, l2 = (_linear_coeff(ts, t, spec) for t in (0.0, np.pi / 4, np.pi / 2))
     a = 0.5 * (l0 + l2)
     b = 0.5 * (l0 - l2)
     c = l1 - a
-    amplitude = float(np.hypot(b, c))
-    theta = float(0.5 * np.arctan2(-c, -b) % np.pi)
-    value = coeff(theta)
+    amplitude = np.hypot(b, c)
+    theta = 0.5 * np.arctan2(-c, -b) % np.pi
+    value = _linear_coeff(ts, theta, spec)
     predicted = a - amplitude
-    if abs(value - predicted) > 1e-10 * max(1.0, abs(predicted)):
+    miss = np.abs(value - predicted) > 1e-10 * np.maximum(1.0, np.abs(predicted))
+    if miss.any():
+        at = np.argmax(miss)
         raise ToleranceError(
             f"variance coefficient is not quadratic in theta: l(theta*) = "
-            f"{value!r} against the predicted minimum {predicted!r}")
+            f"{np.ravel(value)[at]:.17g} against the predicted minimum "
+            f"{np.ravel(predicted)[at]:.17g}")
     return theta, value, 2.0 * amplitude < THETA_DEGENERATE_SPAN
 
 
@@ -110,15 +112,15 @@ def optimal_theta(chi_t: float) -> tuple[float, bool]:
     Returns (theta, degenerate); a flat landscape (chi_t -> 0) is flagged
     degenerate and any angle qualifies.
     """
-    theta, _, degenerate = _theta_optimum(chi_t)
-    return theta, degenerate
+    theta, _, degenerate = _theta_optimum(_transfer_for(chi_t))
+    return float(theta), bool(degenerate)
 
 
 def xi_squared(chi_t: float, n_sites: int | None = None,
                mode: str = "exact") -> float:
     """Squeezing parameter N (Delta A_theta*)^2 / <A_z>^2 at the optimal
     transverse angle; < 1 witnesses entanglement."""
-    theta, var_coeff, _ = _theta_optimum(chi_t)
+    theta, var_coeff, _ = _theta_optimum(_transfer_for(chi_t))
     if mode == "asymptotic":
         mean_coeff = mean_z_asymptotic_coeff(chi_t)
         if abs(mean_coeff) < 1e-9:
@@ -176,27 +178,22 @@ def fig4_curve(chi_t_grid, theta: float | None = None) -> list[dict]:
     flags from the separable (v = m^2) and pairwise bounds.
 
     ``theta`` fixes the transverse direction; default minimizes it per point.
-    Each point builds one transfer matrix and one spectrum.
+    The whole grid is one stacked transfer set and one stacked spectrum, and
+    each variance evaluation covers every point at once.
     """
-    rows = []
     grid = [float(c) for c in chi_t_grid]
     if any(not 0.0 < c < np.pi / 2 for c in grid):
         raise InputError("chi_t grid must lie in (0, pi/2)")
-    for chi_t in grid:
+    if not grid:
+        return []
+    ts = build_transfer([squeezing_gate(c) for c in grid], ChainSpec(2))
+    v_all = _theta_optimum(ts)[1] if theta is None else _linear_coeff(ts, theta)
+    rows = []
+    for chi_t, v in zip(grid, v_all.tolist()):
         m = mean_z_asymptotic_coeff(chi_t)
-        if theta is None:
-            _, v, _ = _theta_optimum(chi_t)
-        else:
-            v = variance_asymptotic_coeff(chi_t, theta)
         f_half = m * m
         f_one = _pairwise_bound(abs(m)) if abs(m) <= 1.0 else None
-        rows.append({
-            "chi_t": chi_t,
-            "m": m,
-            "v": v,
-            "f_half": f_half,
-            "f_one": f_one,
-            "below_separable": bool(v < f_half - 1e-12),
-            "below_pairwise": bool(f_one is not None and v < f_one - 1e-12),
-        })
+        rows.append({"chi_t": chi_t, "m": m, "v": v, "f_half": f_half, "f_one": f_one,
+                     "below_separable": bool(v < f_half - 1e-12),
+                     "below_pairwise": bool(f_one is not None and v < f_one - 1e-12)})
     return rows

@@ -24,16 +24,16 @@ VEC_IDENTITY = np.array([1, 0, 0, 1], dtype=np.complex128)  # vec(I) = |00> + |1
 
 @dataclass(frozen=True)
 class KrausPair:
-    """The two 2x2 matrices extracted from a gate; they satisfy
-    V0* V0^T + V1* V1^T = I because the gate is unitary."""
+    """The two 2x2 matrices extracted from a gate (or stacks of them, one
+    pair per gate); they satisfy V0* V0^T + V1* V1^T = I."""
 
     v0: np.ndarray
     v1: np.ndarray
 
     def __post_init__(self):
         for name, v in (("v0", self.v0), ("v1", self.v1)):
-            v = dm.as_matrix(v)
-            if v.shape != (2, 2):
+            v = dm.as_matrix(v, stacked=True)
+            if v.shape[-2:] != (2, 2):
                 raise InputError(f"{name} must be 2x2")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
@@ -65,33 +65,35 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class LocalObservable:
-    """A single-site operator; :meth:`from_bloch` builds n . sigma."""
+    """A single-site operator, or a stack of them along leading batch axes;
+    :meth:`from_bloch` builds n . sigma."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = dm.as_matrix(self.matrix)
-        if m.shape != (2, 2):
+        m = dm.as_matrix(self.matrix, stacked=True)
+        if m.shape[-2:] != (2, 2):
             raise InputError("local observable must be 2x2")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @classmethod
     def from_bloch(cls, n) -> "LocalObservable":
-        """n . sigma for the direction n, normalized to unit length."""
+        """n . sigma for the direction n (last axis), normalized to unit length."""
         n = np.asarray(n, dtype=float)
-        nrm = np.linalg.norm(n)
-        if nrm == 0:
+        nrm = np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0]   # np.linalg.norm's dot
+        if (nrm == 0).any():
             raise InputError("bloch vector must be nonzero")
-        n = n / nrm
-        return cls(n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
+        n = (n / nrm)[..., None, None]
+        return cls(n[..., 0, :, :] * PAULI_X + n[..., 1, :, :] * PAULI_Y
+                   + n[..., 2, :, :] * PAULI_Z)
 
     def squared(self) -> np.ndarray:
         return self.matrix @ self.matrix
 
     @property
     def is_hermitian(self) -> bool:
-        return dm.max_abs(self.matrix - self.matrix.conj().T) <= 1e-12
+        return dm.max_abs(self.matrix - np.swapaxes(self.matrix, -1, -2).conj()) <= 1e-12
 
 
 SIGMA_X = LocalObservable.from_bloch([1.0, 0.0, 0.0])
@@ -99,16 +101,17 @@ SIGMA_Y = LocalObservable.from_bloch([0.0, 1.0, 0.0])
 SIGMA_Z = LocalObservable.from_bloch([0.0, 0.0, 1.0])
 
 
-def extract_kraus(gate: Gate) -> KrausPair:
+def extract_kraus(gate) -> KrausPair:
     """(V_i)_{jk} = U_{ik, j0}: reads the two bond matrices off the columns
-    of the gate that act on a fresh |0> qubit."""
-    v = np.ascontiguousarray(gate.matrix[:, ::2].reshape(2, 2, 2).transpose(0, 2, 1))
-    return KrausPair(v[0], v[1])
+    of the gate that act on a fresh |0> qubit; a sequence of gates gives a stack."""
+    u = gate.matrix if isinstance(gate, Gate) else np.stack([g.matrix for g in gate])
+    v = np.ascontiguousarray(u[..., ::2].reshape(u.shape[:-2] + (2, 2, 2)).swapaxes(-1, -2))
+    return KrausPair(v[..., 0, :, :], v[..., 1, :, :])
 
 
 def check_isometry(kraus: KrausPair) -> float:
     """Max-entry deviation of V0* V0^T + V1* V1^T from the identity."""
-    acc = kraus.v0.conj() @ kraus.v0.T + kraus.v1.conj() @ kraus.v1.T
+    acc = sum(v.conj() @ np.swapaxes(v, -1, -2) for v in (kraus.v0, kraus.v1))
     return dm.max_abs(acc - np.eye(2))
 
 
@@ -116,20 +119,17 @@ def _dress(kraus: KrausPair, a: np.ndarray) -> np.ndarray:
     """sum_ij a_ij V_i* x V_j, entry (2p + r, 2q + s) of a term being
     a_ij (V_i*)_pq (V_j)_rs.
 
-    The terms are added to zero in the order (0,0), (0,1), (1,0), (1,1),
-    skipping zero a_ij, and each Kronecker entry is the one complex product
-    numpy's Kronecker routine forms, so E and every E_A are bit-identical to
-    that literal sum (tests/test_transfer.py pins this).
+    ``kraus`` and ``a`` may carry batch axes, which broadcast.  The terms are
+    added to zero in the order (0,0), (0,1), (1,0), (1,1) (a zero a_ij adds
+    exactly nothing, as if skipped), and each Kronecker entry is the one
+    complex product numpy's Kronecker routine forms, so E and every E_A are
+    bit-identical to that literal sum (tests/test_transfer.py pins this).
     """
-    a = dm.as_matrix(a)
-    v = np.stack((kraus.v0, kraus.v1))
-    terms = v.conj()[:, None, :, None, :, None] * v[None, :, None, :, None, :]
-    out = np.zeros((4, 4), dtype=np.complex128)
-    for i in range(2):
-        for j in range(2):
-            if a[i, j] != 0:
-                out += a[i, j] * terms[i, j].reshape(4, 4)
-    return out
+    a = dm.as_matrix(a, stacked=True)
+    v = np.stack((kraus.v0, kraus.v1), axis=-3)
+    terms = v.conj()[..., :, None, :, None, :, None] * v[..., None, :, None, :, None, :]
+    t = a[..., :, :, None, None] * terms.reshape(v.shape[:-3] + (2, 2, 4, 4))
+    return 0.0 + t[..., 0, 0, :, :] + t[..., 0, 1, :, :] + t[..., 1, 0, :, :] + t[..., 1, 1, :, :]
 
 
 def transfer_E(kraus: KrausPair) -> np.ndarray:
@@ -153,8 +153,8 @@ def dressed_E(kraus: KrausPair, obs: LocalObservable) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransferSet:
-    """Everything the correlator formulas need for one (gate, chain) pair;
-    ``e`` and ``vrow`` are read-only, so one set serves every chain length."""
+    """Everything the correlator formulas need for one (gate, chain) pair, or
+    a stack of gates on one chain; read-only, so it serves every chain length."""
 
     kraus: KrausPair
     e: np.ndarray
@@ -165,7 +165,8 @@ class TransferSet:
         return _dress(self.kraus, a)
 
 
-def build_transfer(gate: Gate, chain: ChainSpec) -> TransferSet:
+def build_transfer(gate, chain: ChainSpec) -> TransferSet:
+    """The set of one Gate, or the stacked set of a sequence of them."""
     kraus = extract_kraus(gate)
     dev = check_isometry(kraus)
     if dev > ISOMETRY_TOL:
@@ -185,7 +186,8 @@ def build_transfer(gate: Gate, chain: ChainSpec) -> TransferSet:
 @dataclass(frozen=True)
 class SpectralData:
     """Eigenvalues of E, and the projector onto its unit eigenspace and the
-    reduced resolvent; filled once by :func:`spectral`.
+    reduced resolvent; filled once by :func:`spectral`.  A stack of E of batch
+    shape b gives b-stacked fields; for one E, ``unit_dim`` is an int.
 
     ``values`` are all four eigenvalues from LAPACK in the order of
     :func:`chainsweep.densemat.eigenvalue_order`.  ``unit_dim`` is the number
@@ -199,7 +201,7 @@ class SpectralData:
     """
 
     values: np.ndarray
-    unit_dim: int
+    unit_dim: int | np.ndarray
     projector: np.ndarray
     resolvent: np.ndarray
 
@@ -211,30 +213,12 @@ class SpectralData:
 def _resolvent_pair(e: np.ndarray, right: np.ndarray, left: np.ndarray):
     """P = right left and S = (1 - E + P)^{-1} - P."""
     pi = right @ left
-    return pi, dm.solve(np.eye(4, dtype=np.complex128) - e + pi, np.eye(4)) - pi
+    return pi, np.linalg.inv(np.eye(4, dtype=np.complex128) - e + pi) - pi
 
 
-def spectral(e: np.ndarray, tol: float = UNIT_EIG_TOL) -> SpectralData:
-    """Eigenvalues of a transfer matrix, its unit eigenspace from one SVD of
-    E - I, and that space's projector and reduced resolvent."""
-    e = dm.as_matrix(e)
-    if e.shape != (4, 4):
-        raise InputError("transfer matrix must be 4x4")
-    values = np.array(sorted(np.linalg.eigvals(e), key=dm.eigenvalue_order(dm.max_abs(e))))
-    moduli = np.abs(values)
-    if np.any(moduli > 1.0 + 1e-10):
-        raise InputError(f"transfer spectrum leaves the unit disk: max |lambda| = {moduli.max()}")
-
-    u, sv, vh = np.linalg.svd(e - np.eye(4))
-    k = int(np.sum(sv <= tol))
-    if k == 0:
-        raise InputError("transfer matrix has no unit eigenvalue; "
-                         "the Kraus pair cannot come from a unitary gate")
-    err = dm.max_abs(e @ VEC_IDENTITY - VEC_IDENTITY)
-    if err > tol:
-        raise InputError(f"transfer invariant E|I> = |I> violated by {err:.3e}")
-    right = vh[4 - k:].conj().T          # columns r with E r = r
-    left = u[:, 4 - k:].conj().T         # rows l with l E = l
+def _unit_space(e: np.ndarray, u: np.ndarray, vh: np.ndarray, k: int):
+    """(P, S) of E stacked with unit dimension k, from the SVD u, vh of E - I."""
+    left = np.swapaxes(u[:, :, 4 - k:].conj(), -1, -2)    # rows l with l E = l
 
     # Canonicalize: first right basis vector is vec(I) exactly; the others
     # are the leading left singular vectors of the unit space with vec(I)
@@ -242,23 +226,54 @@ def spectral(e: np.ndarray, tol: float = UNIT_EIG_TOL) -> SpectralData:
     # them from an SVD rather than Gram-Schmidt keeps a computed vector that
     # lies almost along vec(I) from amplifying its rounding error.  For
     # k = 1 the basis is vec(I) alone.
-    if k == 1:
-        right = VEC_IDENTITY[:, None]
-    else:
-        rest = right - np.outer(VEC_IDENTITY, VEC_IDENTITY @ right) / 2.0
-        right = np.column_stack([VEC_IDENTITY, np.linalg.svd(rest)[0][:, :k - 1]])
+    right = np.broadcast_to(VEC_IDENTITY[:, None], (len(e), 4, 1))
+    if k > 1:
+        unit = np.swapaxes(vh[:, 4 - k:].conj(), -1, -2)   # columns r with E r = r
+        rest = unit - VEC_IDENTITY[:, None] * (VEC_IDENTITY @ unit)[:, None, :] / 2.0
+        right = np.concatenate([right, np.linalg.svd(rest)[0][..., :k - 1]], axis=-1)
     gram = left @ right
-    if dm.singular_values(gram)[-1] < 1e-10:
+    if (np.linalg.svd(gram, compute_uv=False)[:, -1] < 1e-10).any():
         raise ConvergenceError("unit-space left/right pairing is singular")
-    left = dm.solve(gram, left)
+    left = np.linalg.solve(gram, left)
     # One step of iterative refinement against the exact eigenvalue 1,
     # l <- l + l(E - I)S, which leaves <l|r> unchanged (S r = 0).  The linear
     # variance coefficient is about 1/gap^2-sensitive to the left vectors: a
     # controlled rotation at a = pi - 0.02 (gap 1e-4) otherwise turns their
     # rounding error into 9e-12 on a coefficient that is exactly 0.
     left = left + left @ (e - np.eye(4)) @ _resolvent_pair(e, right, left)[1]
-    pi, s_res = _resolvent_pair(e, right, left)
-    return SpectralData(values=values, unit_dim=k, projector=pi, resolvent=s_res)
+    return _resolvent_pair(e, right, left)
+
+
+def spectral(e: np.ndarray, tol: float = UNIT_EIG_TOL) -> SpectralData:
+    """Eigenvalues of a transfer matrix, its unit eigenspace from one SVD of
+    E - I, and that space's projector and reduced resolvent.  A stack of E is
+    one pass, its unit spaces per unit dimension; any failed element raises."""
+    e = dm.as_matrix(e, stacked=True)
+    if e.shape[-2:] != (4, 4):
+        raise InputError("transfer matrix must be 4x4")
+    batch, e = e.shape[:-2], e.reshape(-1, 4, 4)
+    values = np.array([sorted(lam, key=dm.eigenvalue_order(scale)) for lam, scale
+                       in zip(np.linalg.eigvals(e).tolist(), np.abs(e).max(axis=(1, 2)))])
+    moduli = np.abs(values)
+    if (moduli > 1.0 + 1e-10).any():
+        raise InputError(f"transfer spectrum leaves the unit disk: max |lambda| = {moduli.max()}")
+
+    u, sv, vh = np.linalg.svd(e - np.eye(4))
+    k = np.sum(sv <= tol, axis=-1)
+    if (k == 0).any():
+        raise InputError("transfer matrix has no unit eigenvalue; "
+                         "the Kraus pair cannot come from a unitary gate")
+    err = dm.max_abs(e @ VEC_IDENTITY - VEC_IDENTITY)
+    if err > tol:
+        raise InputError(f"transfer invariant E|I> = |I> violated by {err:.3e}")
+    pi, s_res = np.empty_like(e), np.empty_like(e)
+    for dim in set(k.tolist()):
+        at = k == dim
+        pi[at], s_res[at] = _unit_space(e[at], u[at], vh[at], dim)
+    return SpectralData(values=values.reshape(batch + (4,)),
+                        unit_dim=dm.unbatch(k.reshape(batch)),
+                        projector=pi.reshape(batch + (4, 4)),
+                        resolvent=s_res.reshape(batch + (4, 4)))
 
 
 def site_density_recursion(kraus: KrausPair, rho_prev: np.ndarray) -> np.ndarray:

@@ -70,6 +70,16 @@ def test_squeezing_gate_equals_weyl():
         assert np.max(np.abs(a - b)) < 1e-15
 
 
+def test_squeezing_gate_bitwise_weyl_with_its_own_metadata():
+    # the squeezing gate builds the Weyl matrix once and validates it once
+    for chi_t in (0.02, 0.3, 0.7, 1.2, 1.5):
+        g = gates.squeezing_gate(chi_t)
+        assert np.array_equal(g.matrix, gates.weyl_gate(chi_t, -chi_t, 0.0).matrix)
+        assert g.family == "squeezing"
+        assert g.params == (chi_t,)
+        assert not g.matrix.flags.writeable
+
+
 def test_squeezing_gate_quarter_turn():
     x, y, z, w = gates.weyl_params(np.pi / 4, -np.pi / 4, 0.0)
     r = np.sqrt(2) / 2

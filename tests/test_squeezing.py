@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from chainsweep import correlators, gates, oracle, squeezing as sq
+from chainsweep import cli, correlators, gates, oracle, squeezing as sq
 from chainsweep.errors import InputError, ToleranceError
-from chainsweep.transfer import ChainSpec, LocalObservable, SIGMA_X, SIGMA_Y, SIGMA_Z
+from chainsweep.transfer import (ChainSpec, LocalObservable, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                                 build_transfer)
 
 
 def _bracket(chi_t):
@@ -112,18 +113,81 @@ def test_optimal_theta_closed_form_exact():
         assert abs(theta - np.pi / 4) <= 1e-12
 
 
+def _quartic_landscape(monkeypatch, bumped=None):
+    # l(theta) = 1 + cos(theta)^4 / 2, not of the form a + b cos 2theta +
+    # c sin 2theta, at every point or only at batch index ``bumped``
+    def fake(ts, obs, spec=None):
+        bump = np.ones(ts.e.shape[:-2])
+        if bumped is not None:
+            bump = (np.arange(bump.size) == bumped).reshape(bump.shape)
+        return correlators.AsymptoticVariance(
+            quadratic_coeff=0.0,
+            linear_coeff=1.0 + 0.5 * bump * obs.matrix[..., 0, 1].real ** 4)
+
+    monkeypatch.setattr(correlators, "asymptotic_variance", fake)
+
+
 def test_optimal_theta_rejects_non_quadratic_landscape(monkeypatch):
     # a landscape that is not a + b cos 2theta + c sin 2theta must raise,
     # not return the extremum of the wrong model
-    def fake(ts, obs, spec=None):
-        return correlators.AsymptoticVariance(
-            quadratic_coeff=0.0, linear_coeff=1.0 + 0.5 * obs.matrix[0, 1].real ** 4)
-
-    monkeypatch.setattr(correlators, "asymptotic_variance", fake)
+    _quartic_landscape(monkeypatch)
     with pytest.raises(ToleranceError):
         sq.optimal_theta(0.6)
     with pytest.raises(ToleranceError):
         sq.fig4_curve([0.6])
+
+
+GRID5 = [0.2, 0.5, 0.8, 1.1, 1.4]
+
+
+def test_fig4_rejects_one_non_quadratic_point(monkeypatch):
+    # one bad point among five fails the whole grid
+    _quartic_landscape(monkeypatch, bumped=3)
+    with pytest.raises(ToleranceError):
+        sq.fig4_curve(GRID5)
+
+
+def test_fig4_cli_exits_3_without_rows_on_one_non_quadratic_point(monkeypatch, capsys):
+    _quartic_landscape(monkeypatch, bumped=3)
+    code = cli.main(["fig4", "--chi-t", ",".join(map(str, GRID5))])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "not quadratic" in captured.err
+
+
+def _bench_grid(seed, lo=0.02, hi=1.5, count=75):
+    # the jittered grid of the fig4-trajectory benchmark
+    base = np.linspace(lo, hi, count)
+    base[1:-1] += np.random.default_rng(seed).uniform(-0.45, 0.45, count - 2) * (base[1] - base[0])
+    return [float(x) for x in base]
+
+
+FIG4_GRIDS = [cli.parse_grid("0.02:1.5:75"), _bench_grid(11)]
+
+
+@pytest.mark.parametrize("grid", FIG4_GRIDS, ids=["default", "jittered"])
+def test_fig4_stacked_pass_bitwise_equals_per_point(grid):
+    rows = sq.fig4_curve(grid)
+    fixed = sq.fig4_curve(grid, theta=np.pi / 4)
+    for chi_t, row, row_fixed in zip(grid, rows, fixed):
+        ts = build_transfer(gates.squeezing_gate(chi_t), ChainSpec(2))
+        assert row["v"] == sq._theta_optimum(ts)[1]
+        assert type(row["v"]) is float
+        assert row_fixed["v"] == sq.variance_asymptotic_coeff(chi_t, np.pi / 4)
+        assert row["m"] == row_fixed["m"] == sq.mean_z_asymptotic_coeff(chi_t)
+
+
+@pytest.mark.parametrize("theta", [None, "pi/4"])
+def test_fig4_cli_csv_is_the_formatted_rows(theta, capsys):
+    grid = FIG4_GRIDS[1]
+    argv = ["fig4", "--chi-t", ",".join(map(repr, grid))]
+    argv += ["--theta", theta] if theta else []
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[1].split(",")
+    rows = sq.fig4_curve(grid, theta=None if theta is None else np.pi / 4)
+    assert lines[2:] == [",".join(cli._fmt(row[k]) for k in header) for row in rows]
 
 
 def test_xi_squared_coherent_limit():

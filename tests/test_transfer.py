@@ -388,3 +388,41 @@ def test_spectral_order_of_squeezing_spectrum(chi_t):
     s = np.sin(chi_t)
     values = spectral(build_transfer(gates.squeezing_gate(chi_t), ChainSpec(2)).e).values
     assert np.max(np.abs(values - [1.0, s, -s, -s * s])) < 1e-12
+
+
+def _mixed_stack():
+    gs = [gates.random_gate(5),                                # unit_dim 1
+          gates.macroscopic_family(0.4, 0.3, 1.1, seed=2),      # unit_dim 2
+          gates.macroscopic_family(0.4, 0.0, 0.0, seed=3),      # unit_dim 4
+          gates.controlled_rotation(np.pi - 0.02)]              # gap 1e-4
+    return gs, build_transfer(gs, ChainSpec(2)).e
+
+
+def test_stacked_spectral_bitwise_equals_per_matrix():
+    _, e = _mixed_stack()
+    for stack in (e, e[::-1], np.stack([e, e[[2, 0, 3, 1]]])):
+        spec = spectral(stack)
+        flat = stack.reshape(-1, 4, 4)
+        unit_dims = np.ravel(spec.unit_dim)
+        for i, m in enumerate(flat):
+            one = spectral(m)
+            assert isinstance(one.unit_dim, int)
+            assert unit_dims[i] == one.unit_dim
+            for name in ("values", "projector", "resolvent"):
+                got = getattr(spec, name).reshape((len(flat),) + getattr(one, name).shape)[i]
+                assert np.array_equal(got, getattr(one, name)), name
+    assert sorted(np.ravel(spectral(e).unit_dim).tolist()) == [1, 1, 2, 4]
+
+
+def test_stacked_transfer_equals_per_gate():
+    gs, e = _mixed_stack()
+    for g, m in zip(gs, e):
+        assert np.array_equal(m, build_transfer(g, ChainSpec(2)).e)
+
+
+def test_stacked_spectral_rejects_one_matrix_outside_unit_disk():
+    _, e = _mixed_stack()
+    bad = e.copy()
+    bad[2] = 1.5 * bad[2]
+    with pytest.raises(InputError, match="unit disk"):
+        spectral(bad)
