@@ -97,7 +97,10 @@ def parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise InputError("grid wants start:stop:count or a comma list")
         start, stop = parse_angle(parts[0]), parse_angle(parts[1])
-        count = int(parts[2])
+        try:
+            count = int(parts[2])
+        except ValueError as exc:
+            raise InputError(f"bad grid count {parts[2]!r}") from exc
         if count < 1:
             raise InputError("grid count must be positive")
         return [float(x) for x in np.linspace(start, stop, count)]
@@ -150,10 +153,11 @@ def _resolve_chain(args, n: int) -> ChainSpec:
 
 
 def _resolve_bloch(args) -> LocalObservable:
-    if getattr(args, "bloch", None):
-        parts = [float(x) for x in args.bloch.split(",")]
-        return LocalObservable.from_bloch(parts)
-    return LocalObservable.from_bloch([0.0, 0.0, 1.0])
+    try:
+        parts = [float(x) for x in (args.bloch or "0,0,1").split(",")]
+    except ValueError as exc:
+        raise InputError(f"cannot parse --bloch {args.bloch!r}") from exc
+    return LocalObservable.from_bloch(parts)
 
 
 def _config_of(args, **extra) -> dict:

@@ -18,14 +18,9 @@ import numpy as np
 
 from . import densemat as dm
 from .errors import InputError, ToleranceError
-from .transfer import (LocalObservable, SpectralData, TransferSet,
-                       VEC_IDENTITY, spectral)
+from .transfer import LocalObservable, TransferSet, VEC_IDENTITY
 
 IMAG_TOL = 1e-10
-
-# Non-unit eigenvalues closer than this to each other and to the unit circle
-# mark an oscillatory spectrum in asymptotic_variance.
-F_BRANCH_TOL = 1e-7
 
 # A collective mean or variance whose estimated error exceeds this fraction
 # of max(|value|, its product-state scale) raises instead of returning.
@@ -214,9 +209,9 @@ class AsymptoticVariance:
     """Coefficients of the N^2 and N terms of an additive variance; floats
     for one transfer matrix, arrays of the batch shape for a stack.
 
-    ``oscillatory`` marks spectra with coinciding unimodular non-unit
-    eigenvalues, whose variance carries a bounded-amplitude oscillating
-    linear term that a fixed coefficient cannot represent.
+    The remainder V(N) - q N^2 - l N is bounded for every gate: E is unital,
+    so its unimodular eigenvalues are semisimple (Wolf 2012, Prop. 6.2) and
+    a non-unit one adds a bounded oscillation, never an N lambda^N term.
     ``error_estimate`` bounds the rounding error of the coefficients:
     _ASYM_SAFETY eps ||S||_F ||E_A||_F^2, S the reduced resolvent, which
     grows like 1/gap as the second eigenvalue of E approaches 1.
@@ -224,7 +219,6 @@ class AsymptoticVariance:
 
     quadratic_coeff: float
     linear_coeff: float
-    oscillatory: bool = False
     error_estimate: float = 0.0
 
 
@@ -271,8 +265,7 @@ def _unit_moments(v_pi: np.ndarray, pi: np.ndarray,
     return head @ VEC_IDENTITY, head @ pi @ ea @ VEC_IDENTITY
 
 
-def asymptotic_variance(ts: TransferSet, obs: LocalObservable,
-                        spec: SpectralData | None = None) -> AsymptoticVariance:
+def asymptotic_variance(ts: TransferSet, obs: LocalObservable) -> AsymptoticVariance:
     """Large-N coefficients of the additive variance, q N^2 + l N + O(1).
 
     q comes from unit-eigenspace projections only; l collects the single-site
@@ -281,29 +274,18 @@ def asymptotic_variance(ts: TransferSet, obs: LocalObservable,
     1 + 2 sum_j (E_A)_{1j} (E_A)_{j1} / (1 - lambda_j).  Raises
     ToleranceError when ``error_estimate`` exceeds COLLECTIVE_REL_TOL of
     max(1, |l|), which happens only as the spectral gap closes.  P and S come
-    from ``spec`` (by default the spectrum of ``ts.e``), so the call itself
+    from ``ts.spectrum``, computed once per transfer set, so the call itself
     makes no linear solve.  A stacked ``ts`` or ``obs`` gives stacked
     coefficients, bitwise those of one matrix: rows stay 1x4, so every
     product takes the BLAS path of the one-matrix call.
     """
     if not obs.is_hermitian:
         raise InputError("variance needs a Hermitian observable")
-    if spec is None:
-        spec = spectral(ts.e)
     ea = ts.dressed(obs.matrix)
     ea2_i = (ts.dressed(obs.squared()) @ VEC_IDENTITY)[..., None]
     a = _vec(obs)[..., None]
     v = ts.vrow[None, :]
-    pi, s_res = spec.projector, spec.resolvent
-
-    # Oscillatory diagnostics: coinciding non-unit eigenvalues on the circle
-    # feed an N * lambda^N term that no fixed linear coefficient captures.
-    lam = spec.values
-    decay = np.abs(lam - 1.0) >= F_BRANCH_TOL
-    pairs = ((np.abs(lam[..., :, None] - lam[..., None, :]) <= F_BRANCH_TOL)
-             & (np.abs(np.abs(lam) - 1.0) <= F_BRANCH_TOL)[..., :, None]
-             & decay[..., :, None] & decay[..., None, :])
-    oscillatory = np.triu(pairs, 1).any(axis=(-2, -1))
+    pi, s_res = ts.spectrum.projector, ts.spectrum.resolvent
 
     v_pi = v @ pi
     mean_inf, kappa = _unit_moments(v_pi, pi, ea)
@@ -325,5 +307,4 @@ def asymptotic_variance(ts: TransferSet, obs: LocalObservable,
             f"asymptotic variance: estimated error exceeds its bound {excess:.3g}-fold; "
             f"the spectral gap of E is too small")
     return AsymptoticVariance(quadratic_coeff=quad, linear_coeff=lin,
-                              oscillatory=dm.unbatch(oscillatory),
                               error_estimate=dm.unbatch(err))

@@ -7,6 +7,7 @@ first tensor factor the left/control qubit of each chain bond.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,10 +78,9 @@ def _weyl_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
     ], dtype=np.complex128)
 
 
-def weyl_gate(alpha: float, beta: float, gamma: float, family: str = "weyl") -> Gate:
+def weyl_gate(alpha: float, beta: float, gamma: float) -> Gate:
     """exp(-i/2 (alpha XX + beta YY + gamma ZZ)) on a qubit pair."""
-    return Gate(_weyl_matrix(alpha, beta, gamma), family=family,
-                params=(alpha, beta, gamma))
+    return Gate(_weyl_matrix(alpha, beta, gamma), family="weyl", params=(alpha, beta, gamma))
 
 
 def controlled_rotation(a: float) -> Gate:
@@ -201,7 +201,11 @@ def load_gate(path, unitarity_tol: float = UNITARITY_TOL) -> Gate:
     if not isinstance(payload, dict):
         raise InputError("gate file must hold a single JSON object")
     if "family" in payload:
-        return gate_from_family(payload["family"], payload.get("params", []))
+        params = payload.get("params", [])
+        if not isinstance(params, list) or not all(
+                type(p) in (int, float) and abs(p) <= sys.float_info.max for p in params):
+            raise InputError(f"gate file params must be finite real numbers, got {params!r}")
+        return gate_from_family(payload["family"], params)
     if "matrix" in payload:
         rows = payload["matrix"]
         try:

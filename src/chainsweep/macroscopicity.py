@@ -48,23 +48,23 @@ class MacroClassification:
     spectrum: SpectralData
 
 
-def _neff_value(ts: TransferSet, spec: SpectralData, direction) -> float:
+def _neff_value(ts: TransferSet, direction) -> float:
     """Coefficient of N^2 in the variance of sum n.sigma, kappa - mean^2 from
     the unit-space moments of one dressing; 0 for a non-degenerate unit
     eigenvalue."""
     obs = LocalObservable.from_bloch(direction)
-    if spec.unit_dim == 1:
+    if ts.spectrum.unit_dim == 1:
         return 0.0
-    pi = spec.projector
+    pi = ts.spectrum.projector
     mean, kappa = correlators._unit_moments(ts.vrow @ pi, pi, ts.dressed(obs.matrix))
     return correlators._real(kappa - mean ** 2, scale=4.0)
 
 
-def _neff_form(ts: TransferSet, spec: SpectralData) -> np.ndarray:
+def _neff_form(ts: TransferSet) -> np.ndarray:
     """The symmetric 3x3 M with n^T M n = _neff_value(n): E_A is linear in A,
     so M = sym(<v|P E_a P E_b|I>) - m m^T over the Pauli dressings E_a,
     m_a = <v|P E_a|I>."""
-    pi = spec.projector
+    pi = ts.spectrum.projector
     v_pi = ts.vrow @ pi
     eas = [ts.dressed(p) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
     heads = np.array([v_pi @ ea for ea in eas])                 # <v|P E_a
@@ -80,7 +80,7 @@ def neff(gate: Gate, chain: ChainSpec, direction) -> float:
     """Effective-size coefficient (of N) for the additive observable sum n.sigma."""
     ts = build_transfer(gate, chain)
     # The coefficient is a variance prefactor; clip the rounding dust.
-    return max(_neff_value(ts, spectral(ts.e), direction), 0.0)
+    return max(_neff_value(ts, direction), 0.0)
 
 
 def neff_optimize(gate: Gate, chain: ChainSpec) -> MacroReport:
@@ -97,15 +97,15 @@ def neff_optimize(gate: Gate, chain: ChainSpec) -> MacroReport:
     unit eigenvalue.
     """
     ts = build_transfer(gate, chain)
-    spec = spectral(ts.e)
+    spec = ts.spectrum
     z_axis = np.array([0.0, 0.0, 1.0])
     if spec.unit_dim == 1:
         return MacroReport(spec.unit_dim, 0.0, z_axis)
 
-    form = _neff_form(ts, spec)
+    form = _neff_form(ts)
     evals, evecs = np.linalg.eigh(form)
     top = float(evals[-1])
-    witness = _witness(ts.kraus, spec, UNIT_EIG_TOL)[0]
+    witness = _witness(ts.kraus, spec)[0]
     if top <= _FORM_NOISE * _EPS * max(1.0, float(np.max(np.abs(form)))):
         return MacroReport(spec.unit_dim, 0.0, z_axis, witness)
     direction = evecs[:, -1]
@@ -114,7 +114,7 @@ def neff_optimize(gate: Gate, chain: ChainSpec) -> MacroReport:
     # through acos).
     direction = (direction * np.sign(direction[np.argmax(np.abs(direction))])
                  / np.linalg.norm(direction))
-    achieved = _neff_value(ts, spec, direction)
+    achieved = _neff_value(ts, direction)
     if abs(achieved - top) > 1e-10 * max(1.0, abs(top)):
         raise ToleranceError(
             f"effective size is not quadratic in the direction: neff(n*) = "
@@ -124,14 +124,14 @@ def neff_optimize(gate: Gate, chain: ChainSpec) -> MacroReport:
                        best_direction=direction, witness=witness)
 
 
-def _witness(kraus: KrausPair, spec: SpectralData, tol: float):
+def _witness(kraus: KrausPair, spec: SpectralData):
     """(witness state, its Bloch vector n) read off the unit projector, or
     (None, None) for unit_dim 1.  A unital channel fixes the commutant of its
     Kraus operators (Wolf 2012, ch. 6): n spans the Bloch block of P (z when
     E = I), sign lexicographic.  Certificate: c = conj(state) has V_i c =
     mu_i c with sum |mu_i|^2 = 1 to a residual r ~ sqrt(s2) and deficit
-    d ~ s2, s2 <= tol the singular value of E - I that set unit_dim; r^2 + d
-    above 2 tol + 8 eps (rounding: <= 3 eps on exact gates) raises."""
+    d ~ s2, s2 <= spec.tol the singular value of E - I that set unit_dim;
+    r^2 + d above 2 spec.tol + 8 eps (rounding: <= 3 eps, exact gates) raises."""
     if spec.unit_dim == 1:
         return None, None
     bloch = np.array([0.0, 0.0, 1.0])
@@ -149,9 +149,9 @@ def _witness(kraus: KrausPair, spec: SpectralData, tol: float):
     mu = c.conj() @ v @ c
     residual = float(np.max(np.linalg.norm(v @ c - mu[:, None] * c, axis=1)))
     defect = residual ** 2 + abs(float(np.sum(np.abs(mu) ** 2)) - 1.0)
-    if defect > 2.0 * tol + 8.0 * _EPS:
+    if defect > 2.0 * spec.tol + 8.0 * _EPS:
         raise ToleranceError(f"unit space of dimension {spec.unit_dim} holds no fixed "
-                             f"pure state: r^2 + d = {defect:.3e} at tol={tol:g}")
+                             f"pure state: r^2 + d = {defect:.3e} at tol={spec.tol:g}")
     return state, bloch
 
 
@@ -161,7 +161,7 @@ def classify_macroscopic(gate: Gate, tol: float = UNIT_EIG_TOL) -> MacroClassifi
     Kraus eigenvector carrying all the weight (a failed certificate raises)."""
     ts = build_transfer(gate, ChainSpec(2))
     spec = spectral(ts.e, tol=tol)
-    witness, witness_bloch = _witness(ts.kraus, spec, tol)
+    witness, witness_bloch = _witness(ts.kraus, spec)
     return MacroClassification(is_macroscopic=witness is not None, witness=witness,
                                witness_bloch=witness_bloch,
                                unit_dimension=spec.unit_dim, spectrum=spec)

@@ -17,7 +17,7 @@ import numpy as np
 from . import correlators
 from .errors import InputError, ToleranceError
 from .gates import squeezing_gate
-from .transfer import ChainSpec, LocalObservable, SIGMA_Z, build_transfer, spectral
+from .transfer import ChainSpec, LocalObservable, SIGMA_Z, build_transfer
 
 THETA_DEGENERATE_SPAN = 1e-9
 
@@ -41,8 +41,8 @@ def variance_asymptotic_coeff(chi_t: float, theta: float) -> float:
     return _linear_coeff(_transfer_for(chi_t), theta)
 
 
-def _linear_coeff(ts, theta, spec=None):
-    return correlators.asymptotic_variance(ts, _transverse_obs(theta), spec=spec).linear_coeff
+def _linear_coeff(ts, theta):
+    return correlators.asymptotic_variance(ts, _transverse_obs(theta)).linear_coeff
 
 
 def _transverse_obs(theta) -> LocalObservable:
@@ -85,16 +85,15 @@ def _theta_optimum(ts) -> tuple[float, float, bool]:
     theta* = atan2(-c, -b)/2 with value a - sqrt(b^2 + c^2) (Kitagawa & Ueda,
     PRA 47, 5138).  The coefficient is evaluated again at theta*, and a
     mismatch with the predicted minimum at any element raises instead of
-    returning.  All four evaluations share one spectrum of the whole stack.
+    returning.  All four evaluations read ``ts.spectrum`` of the whole stack.
     """
-    spec = spectral(ts.e)
-    l0, l1, l2 = (_linear_coeff(ts, t, spec) for t in (0.0, np.pi / 4, np.pi / 2))
+    l0, l1, l2 = (_linear_coeff(ts, t) for t in (0.0, np.pi / 4, np.pi / 2))
     a = 0.5 * (l0 + l2)
     b = 0.5 * (l0 - l2)
     c = l1 - a
     amplitude = np.hypot(b, c)
     theta = 0.5 * np.arctan2(-c, -b) % np.pi
-    value = _linear_coeff(ts, theta, spec)
+    value = _linear_coeff(ts, theta)
     predicted = a - amplitude
     miss = np.abs(value - predicted) > 1e-10 * np.maximum(1.0, np.abs(predicted))
     if miss.any():

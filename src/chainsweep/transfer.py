@@ -8,6 +8,7 @@ tests pin this because everything downstream breaks under a silent flip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,8 +80,10 @@ class LocalObservable:
 
     @classmethod
     def from_bloch(cls, n) -> "LocalObservable":
-        """n . sigma for the direction n (last axis), normalized to unit length."""
+        """n . sigma for the 3-vector n (last axis), normalized to unit length."""
         n = np.asarray(n, dtype=float)
+        if n.shape[-1:] != (3,):
+            raise InputError(f"bloch vector needs 3 components, got shape {n.shape}")
         nrm = np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0]   # np.linalg.norm's dot
         if (nrm == 0).any():
             raise InputError("bloch vector must be nonzero")
@@ -154,7 +157,8 @@ def dressed_E(kraus: KrausPair, obs: LocalObservable) -> np.ndarray:
 @dataclass(frozen=True)
 class TransferSet:
     """Everything the correlator formulas need for one (gate, chain) pair, or
-    a stack of gates on one chain; read-only, so it serves every chain length."""
+    a stack of gates on one chain; read-only, so it serves every chain length.
+    ``spectrum`` (SpectralData of ``e`` at UNIT_EIG_TOL) is computed on first read."""
 
     kraus: KrausPair
     e: np.ndarray
@@ -163,6 +167,10 @@ class TransferSet:
     def dressed(self, a: np.ndarray) -> np.ndarray:
         """E_A for the 2x2 single-site operator ``a``."""
         return _dress(self.kraus, a)
+
+    @cached_property
+    def spectrum(self) -> "SpectralData":
+        return spectral(self.e)
 
 
 def build_transfer(gate, chain: ChainSpec) -> TransferSet:
@@ -197,13 +205,15 @@ class SpectralData:
     biorthonormal right and left unit eigenvectors, r_0 = vec(I), so
     P|I> = |I> and tr P = unit_dim; ``resolvent`` is
     S = (1 - E + P)^{-1} - P, with S(1 - E) = 1 - P and S P = 0, exact also
-    when the decaying block is defective.  Every array is read-only.
+    when the decaying block is defective.  ``tol`` counted ``unit_dim``, and
+    the witness certificate reads it from here.  Every array is read-only.
     """
 
     values: np.ndarray
     unit_dim: int | np.ndarray
     projector: np.ndarray
     resolvent: np.ndarray
+    tol: float
 
     def __post_init__(self):
         for name in ("values", "projector", "resolvent"):
@@ -273,7 +283,7 @@ def spectral(e: np.ndarray, tol: float = UNIT_EIG_TOL) -> SpectralData:
     return SpectralData(values=values.reshape(batch + (4,)),
                         unit_dim=dm.unbatch(k.reshape(batch)),
                         projector=pi.reshape(batch + (4, 4)),
-                        resolvent=s_res.reshape(batch + (4, 4)))
+                        resolvent=s_res.reshape(batch + (4, 4)), tol=tol)
 
 
 def site_density_recursion(kraus: KrausPair, rho_prev: np.ndarray) -> np.ndarray:

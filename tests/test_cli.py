@@ -228,6 +228,39 @@ def test_missing_gate_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["correlate", "--gate", "squeezing", "--params", "0.5", "--n", "4", "--bloch", "1,x,0"],
+    ["correlate", "--gate", "squeezing", "--params", "0.5", "--n", "4", "--bloch", "1,0"],
+    ["correlate", "--gate", "squeezing", "--params", "0.5", "--n", "4", "--bloch", "1,0,0,1"],
+    ["fig3", "--a-list", "pi", "--n-range", "4:8:2", "--bloch", "1,x,0"],
+    ["fig3", "--a-list", "pi", "--n-range", "4:8:2", "--bloch", "1,0"],
+    ["fig3", "--a-list", "pi", "--n-range", "4:8:2", "--bloch", "1,0,0,1"],
+    ["fig4", "--chi-t", "0.1:0.5:x"],
+])
+def test_malformed_arguments_exit_code(argv, capsys):
+    # rejected with one error line: no traceback, and no 4-vector read as
+    # a normalized 3-vector
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("payload", [
+    {"family": "weyl", "params": "0.7"},
+    {"family": "weyl", "params": [0.7, None, 1]},
+    {"family": "controlled_rotation", "params": ["pi"]},
+    {"family": "controlled_rotation", "params": [True]},
+    {"family": "controlled_rotation", "params": [float("nan")]},
+])
+def test_gate_file_family_params_exit_code(payload, tmp_path, capsys):
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["spectrum", "--gate-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.startswith("error: ")
+
+
 def test_out_file_and_env_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
     code, _ = run_cli(["spectrum", "--gate", "squeezing", "--params", "0.4",

@@ -388,22 +388,44 @@ def test_exact_minus_asymptotic_remainder_bounded():
 def test_asymptotic_variance_makes_no_solve(monkeypatch):
     # P and S are fields of the spectrum; the coefficients only read them
     ts = build_transfer(gates.random_gate(13), ChainSpec.plus_state(4))
-    spec = transfer.spectral(ts.e)
-    want = co.asymptotic_variance(ts, SIGMA_Z, spec=spec)
+    ts.spectrum  # computed before solve is forbidden
+    want = co.asymptotic_variance(ts, SIGMA_Z)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("densemat.solve called by asymptotic_variance")
 
     monkeypatch.setattr(dm, "solve", forbidden)
-    assert co.asymptotic_variance(ts, SIGMA_Z, spec=spec) == want
+    assert co.asymptotic_variance(ts, SIGMA_Z) == want
 
 
-def test_asymptotic_flags_oscillatory_spectrum():
-    # weyl(pi/2, -pi/2, g): sin a sin b = -1 is a doubly degenerate
-    # unimodular eigenvalue; the linear term oscillates with N
-    ts = build_transfer(gates.weyl_gate(np.pi / 2, -np.pi / 2, 0.4), ChainSpec(4))
-    asym = co.asymptotic_variance(ts, SIGMA_Z)
-    assert asym.oscillatory
+@pytest.mark.parametrize("gamma", [0.0, 0.4])
+def test_asymptotic_remainder_bounded_on_unimodular_spectrum(gamma):
+    # weyl(pi/2, -pi/2, g) has eigenvalues 1, 1, -1, -1.  A unital channel's
+    # unimodular eigenvalues are semisimple, so the -1 pair adds a bounded
+    # period-2 term to V(N) - q N^2 - l N, and l is exact: shifting it by
+    # 1e-3 moves the remainder by 1 between N and 2N.
+    ts = build_transfer(gates.weyl_gate(np.pi / 2, -np.pi / 2, gamma),
+                        ChainSpec(4, 0.6, 0.8j))
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        obs = _random_bloch(rng)
+        asym = co.asymptotic_variance(ts, obs)
+        rem = {n: co.additive_variance_exact(ts, obs, n).total
+               - asym.quadratic_coeff * n ** 2 - asym.linear_coeff * n
+               for n in (1000, 1001, 2000, 2001, 4000, 4001)}
+        assert max(abs(r) for r in rem.values()) < 2.0
+        for n in (2000, 4000):
+            assert abs(rem[n] - rem[1000]) < 1e-6
+            assert abs(rem[n + 1] - rem[1001]) < 1e-6
+
+
+def test_variances_reject_non_hermitian_observable():
+    ts = build_transfer(gates.random_gate(5), ChainSpec(4))
+    raising = LocalObservable(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(InputError, match="Hermitian"):
+        co.additive_variance_exact(ts, raising, 10)
+    with pytest.raises(InputError, match="Hermitian"):
+        co.asymptotic_variance(ts, raising)
 
 
 def test_variance_breakdown_fields():
@@ -411,7 +433,6 @@ def test_variance_breakdown_fields():
     obs = LocalObservable.from_bloch([np.cos(np.pi / 4), np.sin(np.pi / 4), 0.0])
     vb = co.additive_variance_exact(ts, obs, 200)
     asym = co.asymptotic_variance(ts, obs)
-    assert not asym.oscillatory
     remainder = vb.total - asym.quadratic_coeff * 200 ** 2 - asym.linear_coeff * 200
     recon = asym.quadratic_coeff * 200 ** 2 + asym.linear_coeff * 200 + remainder
     assert abs(recon - vb.total) < 1e-9

@@ -98,14 +98,13 @@ def test_neff_optimize_is_global_maximum():
               gates.macroscopic_family(0.8, 1.3, 2.9, seed=12)):
         best = mac.neff_optimize(g, chain).neff_coeff
         ts = build_transfer(g, chain)
-        spec = transfer.spectral(ts.e)
-        values = [mac._neff_value(ts, spec, n) for n in directions]
+        values = [mac._neff_value(ts, n) for n in directions]
         assert abs(mac.neff(g, chain, directions[0]) - max(values[0], 0.0)) < 1e-15
         assert max(values) <= best + 1e-12
 
 
 def test_neff_optimize_rejects_non_quadratic_form(monkeypatch):
-    def fake(ts, spec, direction):
+    def fake(ts, direction):
         n = np.asarray(direction) / np.linalg.norm(direction)
         return float(n[0] ** 4 + 2.0 * n[1] ** 4 + 3.0 * n[2] ** 4)
 
@@ -192,6 +191,7 @@ def test_witness_certificate_refuses_a_foreign_unit_space(monkeypatch):
     foreign = transfer.spectral(build_transfer(gates.controlled_rotation(np.pi),
                                                ChainSpec(2)).e)
     monkeypatch.setattr(mac, "spectral", lambda e, tol=transfer.UNIT_EIG_TOL: foreign)
+    monkeypatch.setattr(transfer, "spectral", lambda e, tol=transfer.UNIT_EIG_TOL: foreign)
     g = gates.macroscopic_family(0.5, 0.3, 1.1, seed=5)
     with pytest.raises(ToleranceError):
         mac.classify_macroscopic(g)

@@ -22,10 +22,10 @@ def test_near_degenerate_rotation_computes(k):
     g = _near_pi_rotation(k)
     for chain in (ChainSpec(2), ChainSpec.plus_state(2)):
         ts = build_transfer(g, chain)
-        spec = transfer.spectral(ts.e)
+        spec = ts.spectrum
         assert spec.unit_dim == (1 if k <= 4 else 2)
-        z = co.asymptotic_variance(ts, SIGMA_Z, spec=spec)
-        co.asymptotic_variance(ts, SIGMA_X, spec=spec)
+        z = co.asymptotic_variance(ts, SIGMA_Z)
+        co.asymptotic_variance(ts, SIGMA_X)
         report = mac.neff_optimize(g, chain)
         assert report.unit_dimension == spec.unit_dim
         if k <= 4 and chain.c1 != 0:

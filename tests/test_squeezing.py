@@ -116,7 +116,7 @@ def test_optimal_theta_closed_form_exact():
 def _quartic_landscape(monkeypatch, bumped=None):
     # l(theta) = 1 + cos(theta)^4 / 2, not of the form a + b cos 2theta +
     # c sin 2theta, at every point or only at batch index ``bumped``
-    def fake(ts, obs, spec=None):
+    def fake(ts, obs):
         bump = np.ones(ts.e.shape[:-2])
         if bumped is not None:
             bump = (np.arange(bump.size) == bumped).reshape(bump.shape)

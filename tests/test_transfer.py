@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import chainsweep
-from chainsweep import densemat as dm, gates, oracle, transfer
+from chainsweep import correlators as co, densemat as dm, gates, oracle, transfer
 from chainsweep.errors import InputError
 from chainsweep.transfer import (ChainSpec, LocalObservable, VEC_IDENTITY,
                                  boundary_row, build_transfer, check_isometry,
@@ -426,3 +426,24 @@ def test_stacked_spectral_rejects_one_matrix_outside_unit_disk():
     bad[2] = 1.5 * bad[2]
     with pytest.raises(InputError, match="unit disk"):
         spectral(bad)
+
+
+def test_transfer_set_spectrum_is_lazy_and_cached(monkeypatch):
+    # finite-N correlators never compute the spectrum; every asymptotic
+    # reader shares the one computed at UNIT_EIG_TOL on first read
+    calls = []
+
+    def counting(e, tol=transfer.UNIT_EIG_TOL):
+        calls.append(tol)
+        return spectral(e, tol=tol)
+
+    monkeypatch.setattr(transfer, "spectral", counting)
+    ts = build_transfer(gates.macroscopic_family(0.5, 0.3, 1.1, seed=3), ChainSpec(4))
+    co.site_correlations(ts, transfer.SIGMA_Z, 6, [(1, 2)])
+    co.additive_variance_exact(ts, transfer.SIGMA_Z, 6)
+    assert calls == []
+    co.asymptotic_variance(ts, transfer.SIGMA_Z)
+    co.asymptotic_variance(ts, transfer.SIGMA_X)
+    assert calls == [transfer.UNIT_EIG_TOL]
+    assert ts.spectrum.tol == transfer.UNIT_EIG_TOL and ts.spectrum.unit_dim == 2
+    assert spectral(ts.e, tol=1e-12).tol == 1e-12
