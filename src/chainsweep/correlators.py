@@ -189,6 +189,8 @@ def collective_mean(ts: TransferSet, obs: LocalObservable, n_sites: int) -> floa
     Raises ToleranceError when the error estimate exceeds COLLECTIVE_REL_TOL
     of max(|mean|, N ||A||).
     """
+    if n_sites < 1:
+        raise InputError(f"chain needs at least 1 site, got {n_sites}")
     mean, err = _mean(ts, obs.matrix, n_sites)
     _check_estimate("collective mean", mean, err,
                     n_sites * np.linalg.norm(obs.matrix, 2))
@@ -224,13 +226,12 @@ class AsymptoticVariance:
 
 def additive_variance_exact(ts: TransferSet, obs: LocalObservable,
                             n_sites: int) -> VarianceBreakdown:
-    """Variance of sum_m A_m over the full chain, all boundary terms included.
+    """Variance of sum_m A_m over the full chain, all boundary terms included;
+    A is Hermitian, as every LocalObservable is.
 
     Raises ToleranceError when the error estimate exceeds COLLECTIVE_REL_TOL
     of max(|variance|, N ||A - mu||^2), mu the chain average of A.
     """
-    if not obs.is_hermitian:
-        raise InputError("variance needs a Hermitian observable")
     if n_sites < 2:
         raise InputError("chain needs at least 2 sites")
     total, err = _variance(ts, obs, n_sites)
@@ -266,7 +267,8 @@ def _unit_moments(v_pi: np.ndarray, pi: np.ndarray,
 
 
 def asymptotic_variance(ts: TransferSet, obs: LocalObservable) -> AsymptoticVariance:
-    """Large-N coefficients of the additive variance, q N^2 + l N + O(1).
+    """Large-N coefficients of the additive variance, q N^2 + l N + O(1), of
+    a LocalObservable, which is Hermitian by construction.
 
     q comes from unit-eigenspace projections only; l collects the single-site
     term, the decaying-mode geometric sums, the boundary-site pairs, and the
@@ -279,8 +281,6 @@ def asymptotic_variance(ts: TransferSet, obs: LocalObservable) -> AsymptoticVari
     coefficients, bitwise those of one matrix: rows stay 1x4, so every
     product takes the BLAS path of the one-matrix call.
     """
-    if not obs.is_hermitian:
-        raise InputError("variance needs a Hermitian observable")
     ea = ts.dressed(obs.matrix)
     ea2_i = (ts.dressed(obs.squared()) @ VEC_IDENTITY)[..., None]
     a = _vec(obs)[..., None]

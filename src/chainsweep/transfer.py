@@ -18,7 +18,7 @@ from .gates import Gate, PAULI_X, PAULI_Y, PAULI_Z
 
 ISOMETRY_TOL = 1e-12
 UNIT_EIG_TOL = 1e-9
-_DENSITY_TOL = 1e-10  # Hermiticity, trace and positivity of a site density matrix
+_DENSITY_TOL = 1e-10  # trace and positivity of a site density matrix
 
 VEC_IDENTITY = np.array([1, 0, 0, 1], dtype=np.complex128)  # vec(I) = |00> + |11>
 
@@ -66,8 +66,10 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class LocalObservable:
-    """A single-site operator, or a stack of them along leading batch axes;
-    :meth:`from_bloch` builds n . sigma."""
+    """A Hermitian single-site operator, or a stack of them along leading
+    batch axes; :meth:`from_bloch` builds n . sigma.  Construction rejects any
+    element that is not Hermitian to 1e-12, so every expectation value the
+    package computes from an observable is real and no function re-checks."""
 
     matrix: np.ndarray
 
@@ -75,6 +77,9 @@ class LocalObservable:
         m = dm.as_matrix(self.matrix, stacked=True)
         if m.shape[-2:] != (2, 2):
             raise InputError("local observable must be 2x2")
+        dev = dm.max_abs(m - np.swapaxes(m, -1, -2).conj())
+        if dev > 1e-12:
+            raise InputError(f"local observable is not Hermitian: max deviation {dev:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -93,10 +98,6 @@ class LocalObservable:
 
     def squared(self) -> np.ndarray:
         return self.matrix @ self.matrix
-
-    @property
-    def is_hermitian(self) -> bool:
-        return dm.max_abs(self.matrix - np.swapaxes(self.matrix, -1, -2).conj()) <= 1e-12
 
 
 SIGMA_X = LocalObservable.from_bloch([1.0, 0.0, 0.0])
@@ -118,8 +119,9 @@ def check_isometry(kraus: KrausPair) -> float:
     return dm.max_abs(acc - np.eye(2))
 
 
-def _dress(kraus: KrausPair, a: np.ndarray) -> np.ndarray:
-    """sum_ij a_ij V_i* x V_j, entry (2p + r, 2q + s) of a term being
+def dressed_E(kraus: KrausPair, a: np.ndarray) -> np.ndarray:
+    """E_A = sum_ij a_ij V_i* x V_j for any 2x2 operator ``a``, Hermitian or
+    not, E itself being a = I; entry (2p + r, 2q + s) of a term is
     a_ij (V_i*)_pq (V_j)_rs.
 
     ``kraus`` and ``a`` may carry batch axes, which broadcast.  The terms are
@@ -137,7 +139,7 @@ def _dress(kraus: KrausPair, a: np.ndarray) -> np.ndarray:
 
 def transfer_E(kraus: KrausPair) -> np.ndarray:
     """E = V0* x V0 + V1* x V1, the vectorized unital channel."""
-    return _dress(kraus, np.eye(2))
+    return dressed_E(kraus, np.eye(2))
 
 
 def boundary_row(chain: ChainSpec) -> np.ndarray:
@@ -147,11 +149,6 @@ def boundary_row(chain: ChainSpec) -> np.ndarray:
     c0, c1 = chain.c0, chain.c1
     return np.array([np.conj(c0) * c0, np.conj(c0) * c1,
                      np.conj(c1) * c0, np.conj(c1) * c1], dtype=np.complex128)
-
-
-def dressed_E(kraus: KrausPair, obs: LocalObservable) -> np.ndarray:
-    """E_A = sum_ij <i|A|j> V_i* x V_j."""
-    return _dress(kraus, obs.matrix)
 
 
 @dataclass(frozen=True)
@@ -166,7 +163,7 @@ class TransferSet:
 
     def dressed(self, a: np.ndarray) -> np.ndarray:
         """E_A for the 2x2 single-site operator ``a``."""
-        return _dress(self.kraus, a)
+        return dressed_E(self.kraus, a)
 
     @cached_property
     def spectrum(self) -> "SpectralData":
@@ -292,11 +289,9 @@ def site_density_recursion(kraus: KrausPair, rho_prev: np.ndarray) -> np.ndarray
     rho = dm.as_matrix(rho_prev)
     if rho.shape != (2, 2):
         raise InputError("density matrix must be 2x2")
-    if dm.max_abs(rho - rho.conj().T) > _DENSITY_TOL:
-        raise InputError("density matrix is not Hermitian")
     if abs(np.trace(rho) - 1.0) > _DENSITY_TOL:
         raise InputError("density matrix must have unit trace")
-    evals, _ = dm.hermitian_eig(0.5 * (rho + rho.conj().T))
+    evals, _ = dm.hermitian_eig(rho)   # rejects a non-Hermitian rho
     if evals[0] < -_DENSITY_TOL:
         raise InputError(f"density matrix is not positive semidefinite (min eig {evals[0]:.3e})")
     out = np.zeros((2, 2), dtype=np.complex128)

@@ -246,6 +246,36 @@ def test_malformed_arguments_exit_code(argv, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["neff", "--gate", "weyl", "--params", "0.7,,pi/2,pi/2"],
+    ["spectrum", "--gate", "weyl", "--params", "0.7,pi/2,pi/2,"],
+    ["fig3", "--a-list", "pi,,pi-0.1"],
+    ["fig4", "--chi-t", "0.3,,0.5"],
+])
+def test_empty_list_field_exit_code(argv, capsys):
+    # an empty comma field is rejected, never skipped into a different input
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["neff"], ["correlate", "--n", "4"]])
+def test_unitarity_tol_loosens_only_unread_columns(command, tmp_path, capsys):
+    # The sweep reads only columns 0 and 2 (each new qubit enters as |0>);
+    # their isometry is re-checked at 1e-12 whatever --unitarity-tol says.
+    for col, code in ((0, 2), (1, 0)):
+        m = gates.random_gate(3).matrix.copy()
+        m[:, col] *= 1 + 1e-9
+        path = tmp_path / f"col{col}.json"
+        gates.save_gate(gates.Gate(m, tol=1e-6), path)
+        argv = command + ["--gate-file", str(path), "--unitarity-tol", "1e-6"]
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert err == ("error: Kraus pair violates the isometry constraint by 2.000e-09\n"
+                       if code else "")
+
+
 @pytest.mark.parametrize("payload", [
     {"family": "weyl", "params": "0.7"},
     {"family": "weyl", "params": [0.7, None, 1]},

@@ -420,12 +420,15 @@ def test_asymptotic_remainder_bounded_on_unimodular_spectrum(gamma):
 
 
 def test_variances_reject_non_hermitian_observable():
+    # the raising operator is rejected where it enters, before any variance
+    with pytest.raises(InputError, match="Hermitian"):
+        LocalObservable(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_collective_mean_rejects_empty_chain():
     ts = build_transfer(gates.random_gate(5), ChainSpec(4))
-    raising = LocalObservable(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(InputError, match="Hermitian"):
-        co.additive_variance_exact(ts, raising, 10)
-    with pytest.raises(InputError, match="Hermitian"):
-        co.asymptotic_variance(ts, raising)
+    with pytest.raises(InputError, match="chain needs at least 1 site, got 0"):
+        co.collective_mean(ts, SIGMA_Z, 0)
 
 
 def test_variance_breakdown_fields():

@@ -125,8 +125,8 @@ def test_neff_optimize_dresses_at_most_five_times(monkeypatch, gate):
         calls.append(a)
         return dress(kraus, a)
 
-    dress = transfer._dress
-    monkeypatch.setattr(transfer, "_dress", counting)
+    dress = transfer.dressed_E
+    monkeypatch.setattr(transfer, "dressed_E", counting)
     report = mac.neff_optimize(gate, ChainSpec(2))
     assert report.neff_coeff > 0.0
     assert len(calls) <= 5

@@ -164,7 +164,7 @@ def test_dressed_identity_reduces():
     k = extract_kraus(gates.random_gate(11))
     chain = ChainSpec(4, 0.6, 0.8)
     ident = LocalObservable(np.eye(2, dtype=complex))
-    assert np.max(np.abs(dressed_E(k, ident) - transfer_E(k))) < 1e-14
+    assert np.max(np.abs(dressed_E(k, ident.matrix) - transfer_E(k))) < 1e-14
     assert np.max(np.abs(_row_boundary(chain) - _literal_boundary(chain))) < 1e-14
 
 
@@ -174,7 +174,7 @@ def test_dressed_E_weyl_structure():
     k = extract_kraus(gates.weyl_gate(0.8, 0.5, 1.1))
     obs = LocalObservable.from_bloch([0.3, 0.5, np.sqrt(1 - 0.09 - 0.25)])
     a = obs.matrix
-    col = dressed_E(k, obs)[:, 0]
+    col = dressed_E(k, obs.matrix)[:, 0]
     assert abs(col[1] - np.conj(x) * z * a[0, 1]) < 1e-14
     assert abs(col[2] - x * np.conj(z) * a[1, 0]) < 1e-14
 
@@ -193,7 +193,7 @@ def test_dressed_E_squeezing_matrix():
         [(nx + 1j * ny) * x, -nz * w, 0, 0],
         [-nz, 0, 0, 0],
     ])
-    assert np.max(np.abs(dressed_E(k, obs) - expected)) < 1e-14
+    assert np.max(np.abs(dressed_E(k, obs.matrix) - expected)) < 1e-14
 
 
 def test_dressed_E_linearity():
@@ -201,8 +201,8 @@ def test_dressed_E_linearity():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    lhs = dressed_E(k, LocalObservable(a + b))
-    rhs = dressed_E(k, LocalObservable(a)) + dressed_E(k, LocalObservable(b))
+    lhs = dressed_E(k, a + b)
+    rhs = dressed_E(k, a) + dressed_E(k, b)
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
@@ -225,7 +225,7 @@ def test_dressing_equals_literal_ordered_sum_bitwise():
     for seed in range(200):
         k = extract_kraus(gates.random_gate(seed))
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert np.array_equal(dressed_E(k, LocalObservable(a)), _literal_dressing(k, a))
+        assert np.array_equal(dressed_E(k, a), _literal_dressing(k, a))
         assert np.array_equal(transfer_E(k), _literal_dressing(k, eye))
 
 
@@ -347,6 +347,26 @@ def test_site_density_rejects_bad_input():
     k = extract_kraus(gates.identity_gate())
     with pytest.raises(InputError):
         site_density_recursion(k, np.array([[1.0, 0.5], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("rho,match", [
+    (np.array([[0.7, 0.1], [0.1, 0.4]]), "unit trace"),
+    (np.array([[1.5, 0.0], [0.0, -0.5]]), "positive semidefinite"),
+])
+def test_site_density_rejects_bad_trace_and_negative_weight(rho, match):
+    k = extract_kraus(gates.random_gate(4))
+    with pytest.raises(InputError, match=match):
+        site_density_recursion(k, rho)
+
+
+def test_local_observable_rejects_non_hermitian():
+    # checked over every element of a stack, at 1e-12 of the adjoint
+    raising = np.array([[0.0, 1.0], [0.0, 0.0]])
+    x, z = transfer.SIGMA_X.matrix, transfer.SIGMA_Z.matrix
+    for bad in (raising, np.stack([x, raising, z]), z + 2e-12 * raising):
+        with pytest.raises(InputError, match="Hermitian"):
+            LocalObservable(bad)
+    assert LocalObservable(z + 5e-13 * raising).matrix.shape == (2, 2)
 
 
 def test_density_recursion_matches_oracle_chain():
