@@ -43,7 +43,8 @@ _EPS = float(np.finfo(float).eps)
 def _real(value, scale: float = 1.0):
     """Drop a numerically-zero imaginary part, loudly if it is not."""
     residue = abs(value.imag)
-    if np.count_nonzero(residue > IMAG_TOL * max(1.0, abs(scale))):
+    # residue > IMAG_TOL max(1, |scale|), element-wise, with no ufunc on a scalar
+    if np.count_nonzero((residue > IMAG_TOL) & (residue > IMAG_TOL * abs(scale))):
         raise ToleranceError(
             f"expected a real quantity, got imaginary residue {np.max(residue):.3e}")
     return dm.unbatch(value.real)
@@ -136,7 +137,7 @@ def site_correlations(ts: TransferSet, obs: LocalObservable, n_sites: int,
     return one, _real(two_vals).tolist()
 
 
-def _lifted_contraction(ts: TransferSet, ops: dict, n: int) -> tuple[complex, float]:
+def _lifted_contraction(ts: TransferSet, ops: dict, n):
     """Chain sum of a finite-automaton MPO: <v, 0, ..., 0| T^{N-1} |b>.
 
     The MPO is block upper triangular with identities on its diagonal and
@@ -151,32 +152,41 @@ def _lifted_contraction(ts: TransferSet, ops: dict, n: int) -> tuple[complex, fl
     that repeated squaring gives the unit eigenvalue (about N eps relative).
     Returns the value and its error estimate _ERR_SAFETY * N eps |row|.|b|,
     row = <v, 0, ...| T^{N-1} normalized.
+
+    An integer array ``n``, with ops carrying its batch axes, gives arrays
+    from one batched matpow, each bitwise its scalar call: rows stay 1 x 4k,
+    so every product takes the BLAS path of the scalar call.
     """
     k = 1 + max(j for _, j in ops)
-    t = np.zeros((4 * k, 4 * k), dtype=np.complex128)
-    b = np.zeros(4 * k, dtype=np.complex128)
+    batch = ops[0, 1].shape[:-2]
+    t = np.zeros(batch + (4 * k, 4 * k), dtype=np.complex128)
+    b = np.zeros(batch + (4 * k,), dtype=np.complex128)
     for i in range(k):
-        t[4 * i:4 * i + 4, 4 * i:4 * i + 4] = ts.e
-    for (i, j), op in ops.items():
-        t[4 * i:4 * i + 4, 4 * j:4 * j + 4] = ts.dressed(op)
+        t[..., 4 * i:4 * i + 4, 4 * i:4 * i + 4] = ts.e
+    dressed = ts.dressed(np.stack(list(ops.values()), axis=-3))
+    for m, ((i, j), op) in enumerate(ops.items()):
+        t[..., 4 * i:4 * i + 4, 4 * j:4 * j + 4] = dressed[..., m, :, :]
         if j == k - 1:
-            b[4 * i:4 * i + 4] = op.reshape(-1)
-    b[-4:] = VEC_IDENTITY
-    row = ts.vrow @ dm.matpow(t, n - 1)[:4]
-    row = row / complex(row[:4] @ VEC_IDENTITY)
-    err = _ERR_SAFETY * n * _EPS * float(np.abs(row) @ np.abs(b))
-    return complex(row @ b), err
+            b[..., 4 * i:4 * i + 4] = op.reshape(batch + (4,))
+    b[..., -4:] = VEC_IDENTITY
+    row = ts.vrow[None, :] @ dm.matpow(t, n - 1)[..., :4, :]
+    row = row / (row[..., :4] @ VEC_IDENTITY)[..., None]
+    err = _ERR_SAFETY * n * _EPS * (np.abs(row) @ np.abs(b)[..., None])[..., 0, 0]
+    return (row @ b[..., None])[..., 0, 0], err
 
 
-def _check_estimate(what: str, value: float, err: float, floor: float) -> None:
-    bound = COLLECTIVE_REL_TOL * max(abs(value), floor)
-    if err > bound:
-        raise ToleranceError(
-            f"{what}: estimated error {err:.3e} exceeds {bound:.3e}; "
-            f"the chain is too long for double precision")
+def _check_estimate(what: str, value, err, floor) -> None:
+    """Raise for the first element, in order, whose err exceeds its bound
+    COLLECTIVE_REL_TOL max(|value|, floor), compared term by term."""
+    over = (err > COLLECTIVE_REL_TOL * abs(value)) & (err > COLLECTIVE_REL_TOL * floor)
+    if np.count_nonzero(over):
+        i = np.argmax(np.ravel(over))
+        err, bound = np.ravel(err), np.ravel(COLLECTIVE_REL_TOL * np.maximum(abs(value), floor))
+        raise ToleranceError(f"{what}: estimated error {err[i]:.3e} exceeds {bound[i]:.3e}; "
+                             f"the chain is too long for double precision")
 
 
-def _mean(ts: TransferSet, a: np.ndarray, n: int) -> tuple[float, float]:
+def _mean(ts: TransferSet, a: np.ndarray, n) -> tuple:
     """sum_m <A_m> and its error estimate from the 8x8 lifted power
     [[E, E_A], [0, E]] closed by (vec A, |I>) at site N."""
     total, err = _lifted_contraction(ts, {(0, 1): a}, n)
@@ -192,8 +202,9 @@ def collective_mean(ts: TransferSet, obs: LocalObservable, n_sites: int) -> floa
     if n_sites < 1:
         raise InputError(f"chain needs at least 1 site, got {n_sites}")
     mean, err = _mean(ts, obs.matrix, n_sites)
+    # ||A||_2, the top singular value (np.linalg.norm(A, 2) without its overhead)
     _check_estimate("collective mean", mean, err,
-                    n_sites * np.linalg.norm(obs.matrix, 2))
+                    n_sites * np.linalg.svd(obs.matrix, compute_uv=False)[0])
     return mean
 
 
@@ -238,8 +249,9 @@ def additive_variance_exact(ts: TransferSet, obs: LocalObservable,
     return VarianceBreakdown(total=total, error_estimate=err)
 
 
-def _variance(ts: TransferSet, obs: LocalObservable, n: int) -> tuple[float, float]:
-    """Variance and its error estimate from the mean-shifted 12x12 power.
+def _variance(ts: TransferSet, obs: LocalObservable, n) -> tuple:
+    """Variance and its error estimate from the mean-shifted 12x12 power
+    (arrays for an array ``n``, one shifted operator per length).
 
     The second moment of sum_m A_m is the bond-dimension-3 MPO
     [[I, A, A^2], [0, I, 2A], [0, 0, I]].  A is first shifted by its chain
@@ -248,13 +260,13 @@ def _variance(ts: TransferSet, obs: LocalObservable, n: int) -> tuple[float, flo
     N^2-sized mean^2 is subtracted.
     """
     mean, _ = _mean(ts, obs.matrix, n)
-    shifted = obs.matrix - (mean / n) * np.eye(2)
+    shifted = obs.matrix - np.multiply.outer(mean / n, np.eye(2))
     second, err = _lifted_contraction(
         ts, {(0, 1): shifted, (0, 2): shifted @ shifted, (1, 2): 2.0 * shifted}, n)
-    total = _real(second, scale=float(n) ** 2)
+    total = _real(second, scale=(1.0 * n) ** 2)
     _check_estimate("collective variance", total, err,
-                    n * np.linalg.norm(shifted, 2) ** 2)
-    return total, err
+                    n * np.linalg.svd(shifted, compute_uv=False)[..., 0] ** 2)
+    return total, dm.unbatch(err)
 
 
 def _unit_moments(v_pi: np.ndarray, pi: np.ndarray,

@@ -55,22 +55,36 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def matpow(m: np.ndarray, k: int) -> np.ndarray:
-    """m**k by repeated squaring; m**0 is the identity."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+def matpow(m: np.ndarray, k) -> np.ndarray:
+    """m**k by repeated squaring; m**0 is the identity.  ``m`` may be a
+    stack (..., d, d) and ``k`` an integer array broadcasting against it: all
+    square in lockstep and take ``result @ base`` where bit j of their own k
+    is set, so each element is bitwise its scalar call (a scalar k, the batch
+    of one, keeps its bits as Python ints)."""
+    m = as_matrix(m, stacked=True)
+    if m.shape[-2] != m.shape[-1]:
         raise InputError("matpow needs a square matrix")
-    if k < 0 or int(k) != k:
-        raise InputError(f"power must be a nonnegative integer, got {k}")
-    k = int(k)
-    result = np.eye(m.shape[0], dtype=np.complex128)
-    base = m.copy()
-    while k:
-        if k & 1:
-            result = result @ base
-        k >>= 1
-        if k:
+    if isinstance(k, (int, np.integer)) and k >= 0:
+        k = int(k)
+        top = k.bit_length()
+    else:
+        k = np.asarray(k)
+        if k.dtype.kind not in "iu" or (k < 0).any():
+            raise InputError(f"powers must be nonnegative integers, got {k}")
+        top = int(k.max(initial=0)).bit_length()
+    result = np.eye(m.shape[-1], dtype=np.complex128)
+    base = m
+    for j in range(top):
+        bit = k >> j & 1
+        if isinstance(bit, int):
+            result = result @ base if bit else result
+        elif bit.any():
+            result = np.where(bit[..., None, None] != 0, result @ base, result)
+        if j + 1 < top:
             base = base @ base
+    if top == 0 and (m.ndim > 2 or np.ndim(k)):
+        result = np.broadcast_to(result, np.broadcast_shapes(m.shape[:-2], np.shape(k))
+                                 + result.shape).copy()
     return result
 
 

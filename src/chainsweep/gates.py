@@ -40,7 +40,7 @@ class Gate:
     tol: float = UNITARITY_TOL
 
     def __post_init__(self):
-        m = dm.as_matrix(self.matrix)
+        m = dm.as_matrix(self.matrix).copy()   # frozen below; the caller's stays writable
         if m.shape != (4, 4):
             raise InputError(f"gate must be 4x4, got {m.shape}")
         dev = unitarity_deviation(m)

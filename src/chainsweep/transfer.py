@@ -33,7 +33,7 @@ class KrausPair:
 
     def __post_init__(self):
         for name, v in (("v0", self.v0), ("v1", self.v1)):
-            v = dm.as_matrix(v, stacked=True)
+            v = dm.as_matrix(v, stacked=True).copy()   # the caller's stays writable
             if v.shape[-2:] != (2, 2):
                 raise InputError(f"{name} must be 2x2")
             v.setflags(write=False)
@@ -74,7 +74,7 @@ class LocalObservable:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = dm.as_matrix(self.matrix, stacked=True)
+        m = dm.as_matrix(self.matrix, stacked=True).copy()   # the caller's stays writable
         if m.shape[-2:] != (2, 2):
             raise InputError("local observable must be 2x2")
         dev = dm.max_abs(m - np.swapaxes(m, -1, -2).conj())

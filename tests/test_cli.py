@@ -140,6 +140,13 @@ def test_fig3_absurd_chain_length_exit_code(capsys):
     assert code == 3
 
 
+def test_fig3_mixed_chain_lengths_exit_code(capsys):
+    # one length beyond double precision refuses the whole sweep, no rows
+    code, out = run_cli(["fig3", "--a-list", "pi", "--n-range",
+                         "1000:1000000000000:3"], capsys)
+    assert code == 3 and out == ""
+
+
 def test_fig3_oracle_column(capsys):
     code, out = run_cli(["fig3", "--a-list", "pi-0.3", "--n-range", "4:10:3"], capsys)
     header, rows = _rows(out)

@@ -26,6 +26,54 @@ def test_matpow_rejects_negative():
         dm.matpow(np.eye(2), -1)
 
 
+def _contraction(rng, shape):
+    # spectral norm <= 1, so 10**12-th powers stay finite
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return m / np.linalg.norm(m, 2, axis=(-2, -1), keepdims=True)
+
+
+POWERS = [0, 1, 2, 3, 2 ** 5, 2 ** 5 - 1, 2 ** 11, 2 ** 11 - 1, 20100, 10 ** 12]
+
+
+def test_matpow_stack_with_scalar_power():
+    stack = _contraction(np.random.default_rng(1), (5, 3, 3))
+    for k in POWERS:
+        got = dm.matpow(stack, k)
+        assert got.shape == stack.shape
+        for g, m in zip(got, stack):
+            assert np.array_equal(g, dm.matpow(m, k))
+
+
+def test_matpow_one_matrix_with_power_array():
+    m = _contraction(np.random.default_rng(2), (4, 4))
+    got = dm.matpow(m, np.array(POWERS))
+    assert got.shape == (len(POWERS), 4, 4)
+    for g, k in zip(got, POWERS):
+        assert np.array_equal(g, dm.matpow(m, k))
+
+
+def test_matpow_stack_with_power_array():
+    stack = _contraction(np.random.default_rng(3), (len(POWERS), 4, 4))
+    got = dm.matpow(stack, np.array(POWERS))
+    for g, m, k in zip(got, stack, POWERS):
+        assert np.array_equal(g, dm.matpow(m, k))
+    # the powers broadcast against the batch: a (2, 1) k over a (3,) stack
+    ks = np.array([[7], [20100]])
+    got = dm.matpow(stack[:3], ks)
+    assert got.shape == (2, 3, 4, 4)
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(got[i, j], dm.matpow(stack[j], int(ks[i, 0])))
+    assert np.array_equal(dm.matpow(stack[:3], np.zeros(3, dtype=int)),
+                          np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+
+@pytest.mark.parametrize("k", [np.array([3, -1]), np.array([2.5, 3.0]),
+                               np.array([2.0, 3.0]), 2.0, -3, "4"])
+def test_matpow_rejects_bad_powers(k):
+    with pytest.raises(InputError):
+        dm.matpow(np.eye(2), k)
+
+
 def test_rejects_nonfinite():
     with pytest.raises(InputError):
         dm.as_matrix(np.array([[np.nan, 0], [0, 1]]))

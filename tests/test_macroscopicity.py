@@ -242,6 +242,52 @@ def test_variance_sweep_matches_oracle():
         assert abs(row["variance"] - oracle.collective_variance(state, SIGMA_Z)) < 1e-8
 
 
+SWEEP_N = [6, 13, 26, 55, 115, 240, 502, 1050, 2197, 4595, 9610, 20100]
+PLUS = (1 / np.sqrt(2), 1 / np.sqrt(2))
+RANDOM_DIRECTION = LocalObservable.from_bloch([0.37, -0.81, 0.45])
+SWEEP_CASES = (
+    [(gates.controlled_rotation(np.pi - d), PLUS, obs)
+     for d in (0.0, 0.1, 0.2, 0.3, 0.4) for obs in (SIGMA_Z, RANDOM_DIRECTION)]
+    + [(gates.random_gate(seed), (0.6, 0.8j), RANDOM_DIRECTION) for seed in range(5)]
+    + [(gates.squeezing_gate(chi_t), (1, 0), LocalObservable.from_bloch([1, 1, 0]))
+       for chi_t in (0.4, 0.9)])
+
+
+@pytest.mark.parametrize("gate,amplitudes,obs", SWEEP_CASES)
+def test_variance_sweep_is_bitwise_the_per_n_path(gate, amplitudes, obs):
+    rows = mac.variance_sweep(gate, amplitudes, obs, SWEEP_N)
+    ts = build_transfer(gate, ChainSpec(2, *amplitudes))
+    _, errors = co._variance(ts, obs, np.array(SWEEP_N))
+    prev = None
+    for row, n, err in zip(rows, SWEEP_N, errors):
+        single = co.additive_variance_exact(ts, obs, n)
+        assert row["n"] == n and row["variance"] == single.total
+        assert err == single.error_estimate
+        slope = None
+        if prev is not None and prev[1] > 0 and single.total > 0:
+            slope = ((np.log(single.total) - np.log(prev[1]))
+                     / (np.log(n) - np.log(prev[0])))
+        assert row["slope"] == slope
+        prev = (n, single.total)
+
+
+def test_variance_sweep_refuses_a_mixed_list():
+    # N = 1000 alone is fine; 10**12 in the same list raises for the list
+    rows = mac.variance_sweep(gates.controlled_rotation(np.pi), PLUS, SIGMA_Z, [1000])
+    assert rows[0]["variance"] == pytest.approx(1000.0 ** 2, rel=1e-12)
+    with pytest.raises(ToleranceError, match="collective variance"):
+        mac.variance_sweep(gates.controlled_rotation(np.pi), PLUS, SIGMA_Z,
+                           [1000, 10 ** 12])
+    # with two lengths over their bound, the first in the list is reported
+    ts = build_transfer(gates.controlled_rotation(np.pi), ChainSpec(2, *PLUS))
+    with pytest.raises(ToleranceError) as first:
+        co.additive_variance_exact(ts, SIGMA_Z, 10 ** 12)
+    with pytest.raises(ToleranceError) as swept:
+        mac.variance_sweep(gates.controlled_rotation(np.pi), PLUS, SIGMA_Z,
+                           [10 ** 12, 10 ** 13])
+    assert str(swept.value) == str(first.value)
+
+
 def test_variance_sweep_rejects_unsorted():
     with pytest.raises(Exception):
         mac.variance_sweep(gates.identity_gate(), (1, 0), SIGMA_Z, [4, 3])

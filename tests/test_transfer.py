@@ -359,6 +359,21 @@ def test_site_density_rejects_bad_trace_and_negative_weight(rho, match):
         site_density_recursion(k, rho)
 
 
+def test_constructors_keep_the_callers_array_writable():
+    a = np.eye(2, dtype=complex)
+    obs = LocalObservable(a)
+    a[0, 0] = 2.0
+    assert obs.matrix[0, 0] == 1.0 and not obs.matrix.flags.writeable
+    v0 = np.array([[1, 0], [0, 0]], dtype=complex)
+    pair = transfer.KrausPair(v0, np.array([[0, 0], [0, 1]], dtype=complex))
+    v0[0, 0] = 5.0
+    assert pair.v0[0, 0] == 1.0 and not pair.v0.flags.writeable
+    u = np.eye(4, dtype=complex)
+    gate = gates.Gate(u)
+    u[0, 0] = -1.0
+    assert gate.matrix[0, 0] == 1.0 and not gate.matrix.flags.writeable
+
+
 def test_local_observable_rejects_non_hermitian():
     # checked over every element of a stack, at 1e-12 of the adjoint
     raising = np.array([[0.0, 1.0], [0.0, 0.0]])
