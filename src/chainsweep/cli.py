@@ -41,7 +41,10 @@ def parse_angle(text: str) -> float:
         if match.group("coeff"):
             value *= float(match.group("coeff"))
         if match.group("den"):
-            value /= float(match.group("den"))
+            den = float(match.group("den"))
+            if den == 0.0:
+                raise InputError(f"zero denominator in angle {text!r}")
+            value /= den
         if match.group("sign") == "-":
             value = -value
         return float(value)
@@ -77,7 +80,7 @@ def parse_complex(text: str) -> complex:
 
 def parse_n_range(text: str) -> list[int]:
     """'start:stop:count' -> geometrically spaced integers, deduplicated,
-    endpoints included."""
+    endpoints included; count is at most the stop - start + 1 integers."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError("--n-range wants start:stop:count")
@@ -85,7 +88,7 @@ def parse_n_range(text: str) -> list[int]:
         start, stop, count = int(parts[0]), int(parts[1]), int(parts[2])
     except ValueError as exc:
         raise InputError(f"bad --n-range {text!r}") from exc
-    if start < 2 or stop < start or count < 1:
+    if start < 2 or stop < start or not 1 <= count <= stop - start + 1:
         raise InputError(f"bad --n-range {text!r}")
     if count == 1:
         return [start]
@@ -249,12 +252,13 @@ def cmd_correlate(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     from .gates import random_gate
+    if args.count < 1:
+        raise InputError(f"--count must be positive, got {args.count}")
+    gates = [random_gate(args.seed + k) for k in range(args.count)]
     rng = np.random.default_rng(args.seed)
     rows = []
     all_pass = True
-    for k in range(args.count):
-        seed = args.seed + k
-        gate = random_gate(seed)
+    for seed, gate in enumerate(gates, start=args.seed):
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
         obs = LocalObservable.from_bloch(direction)

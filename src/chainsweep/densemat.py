@@ -2,34 +2,26 @@
 
 Matrices are plain numpy ``complex128`` arrays in row-major order.  Everything
 here targets the tiny sizes this package needs (n <= 8).  The numerical work
-is LAPACK through numpy: Hermitian eigenproblems from ``eigh``, singular
-values, solves and matrix powers.  The general eigensolver at the end is a
-reference path, used by the acceptance and unit tests: it groups the rounding
-scatter of a multiple eigenvalue back into one value with its algebraic and
-geometric multiplicity, fixes the eigenvalue order, biorthonormalizes the
-left/right pairs, and raises on a residual above tolerance.  The transfer
-spectrum does not use it: its unit eigenspace comes from one SVD of E - I
-(:func:`chainsweep.transfer.spectral`).
+is LAPACK through numpy: Hermitian eigenproblems from ``eigh``, general
+eigenvalues from ``eigvals`` in one fixed order (:func:`eigenvalue_order`),
+and matrix powers.  The seeded gates are built by Gram-Schmidt and a seeded
+orthonormal completion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cmp_to_key
 
 import numpy as np
 
 from .errors import ConvergenceError, InputError
 
-_EPS = np.finfo(float).eps
-
-MAX_EIG_SIZE = 8
-
-# Eigenvalues closer than this times max|m_ij| are one multiple eigenvalue.
-# Rounding splits a double root with a Jordan block by about sqrt(eps)·|m|
-# (up to 5.8e-8 relative under the 200 random similarities of the Jordan
-# test in tests/test_densemat.py); distinct eigenvalues closer than the
-# radius are merged and then fail the residual check.
+# Sort keys closer than this times max|m_ij| are ties.  Keys that are equal
+# in exact arithmetic come out of LAPACK apart by rounding: the moduli and
+# real parts of a conjugate pair, or the roots of a multiple eigenvalue,
+# which a Jordan block splits by about sqrt(eps)·|m|.  As ties they pass the
+# decision to the next key or to LAPACK's order, which rounding cannot flip.
 _GROUP_RADIUS = 1e-6
 
 
@@ -99,22 +91,6 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(0.5 * (h + h.conj().T))
 
 
-def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values, descending."""
-    return np.linalg.svd(as_matrix(m), compute_uv=False)
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b; raises on a singular matrix."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise InputError("solve needs a square matrix")
-    try:
-        return np.linalg.solve(a, np.asarray(b, dtype=np.complex128))
-    except np.linalg.LinAlgError as exc:
-        raise InputError("singular matrix in solve") from exc
-
-
 def mgs_orthonormalize(m: np.ndarray) -> np.ndarray:
     """Orthonormalize the columns of m by modified Gram-Schmidt (two passes)."""
     q = as_matrix(m).copy()
@@ -162,44 +138,12 @@ def orthonormal_complete(cols: np.ndarray, seed: int = 0) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# General eigensolver
-# ---------------------------------------------------------------------------
-
 @dataclass
 class EigenResult:
-    """Spectral data of a small general matrix.
-
-    ``values`` carries all n eigenvalues with algebraic multiplicity, in the
-    order of :func:`eigenvalue_order`.  ``right`` holds eigenvector columns
-    and ``left`` eigenvector rows; ``vector_index[j]`` says which entry of
-    ``values`` column/row j belongs to.  When ``complete_basis`` is true
-    there is exactly one vector per eigenvalue, left/right pairs are
-    biorthonormal (<l_i|r_j> = delta_ij), and sum_i values[i] * right[:,i]
-    left[i,:] reconstructs the matrix.  For a defective matrix only the
-    geometric eigenvectors are returned and ``complete_basis`` is false.
-    """
+    """All n eigenvalues of a small general matrix, with algebraic
+    multiplicity, in the order of :func:`eigenvalue_order`."""
 
     values: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
-    vector_index: np.ndarray
-    residual: float
-    complete_basis: bool
-    # (eigenvalue, algebraic multiplicity, geometric multiplicity) per root
-    multiplicities: list[tuple[complex, int, int]] = field(default_factory=list)
-
-
-def _group(raw: np.ndarray, radius: float) -> list[tuple[complex, int]]:
-    """Single-linkage clusters of eigenvalues within ``radius``, as
-    (centroid, count): the centroid of a split multiple root is accurate far
-    below the split itself."""
-    clusters: list[list[complex]] = []
-    for z in raw:
-        near = [c for c in clusters if min(abs(z - w) for w in c) <= radius]
-        clusters = [c for c in clusters if all(c is not d for d in near)]
-        clusters.append([z] + [w for c in near for w in c])
-    return [(complex(np.mean(c)), len(c)) for c in clusters]
 
 
 def eigenvalue_order(scale: float):
@@ -217,66 +161,11 @@ def eigenvalue_order(scale: float):
     return cmp_to_key(compare)
 
 
-def eig_general(m: np.ndarray, tol: float = 1e-9) -> EigenResult:
-    """Full eigendecomposition of a general complex matrix of size <= 8.
-
-    Eigenvalues come from LAPACK and are grouped into multiple roots; each
-    group's geometric multiplicity and its right and left eigenvectors come
-    from the SVD null spaces of m - mu I, and non-defective groups are
-    biorthonormalized.  Raises ConvergenceError instead of returning vectors
-    whose residual exceeds ``tol``.
-    """
+def eig_general(m: np.ndarray) -> EigenResult:
+    """Eigenvalues of a square matrix from LAPACK in the order of
+    :func:`eigenvalue_order`, bitwise the ``values`` of transfer.spectral."""
     m = as_matrix(m)
-    n = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise InputError("eig_general needs a square matrix")
-    if n > MAX_EIG_SIZE:
-        raise InputError(f"eig_general handles size <= {MAX_EIG_SIZE}, got {n}")
-    scale = max_abs(m)
-    if scale == 0.0:
-        eye = np.eye(n, dtype=np.complex128)
-        return EigenResult(values=np.zeros(n, dtype=np.complex128), right=eye,
-                           left=eye.copy(), vector_index=np.arange(n),
-                           residual=0.0, complete_basis=True,
-                           multiplicities=[(0.0 + 0.0j, n, n)])
-    order = eigenvalue_order(scale)
-    groups = sorted(_group(np.linalg.eigvals(m), _GROUP_RADIUS * scale),
-                    key=lambda group: order(group[0]))
-
-    vec_gate = max(tol, 1e4 * _EPS) * scale
-    values: list[complex] = []
-    right_cols: list[np.ndarray] = []
-    left_rows: list[np.ndarray] = []
-    vec_index: list[int] = []
-    multiplicities: list[tuple[complex, int, int]] = []
-    complete = True
-    for mu, alg in groups:
-        u, sv, vh = np.linalg.svd(m - mu * np.eye(n))
-        geo = min(max(int(np.sum(sv <= vec_gate)), 1), alg)
-        rights = vh[n - geo:].conj().T         # columns r with m r = mu r
-        lefts = u[:, n - geo:].conj().T        # rows l with l m = mu l
-        if geo == alg:
-            gram = lefts @ rights
-            if singular_values(gram)[-1] < 1e-10:
-                raise ConvergenceError(
-                    f"left/right pairing is singular at eigenvalue {mu:.6g}")
-            lefts = solve(gram, lefts)
-        else:
-            complete = False
-        vec_index.extend(range(len(values), len(values) + geo))
-        values.extend([mu] * alg)
-        multiplicities.append((mu, alg, geo))
-        right_cols.extend(rights.T)
-        left_rows.extend(lefts)
-
-    values_arr = np.array(values, dtype=np.complex128)
-    right = np.column_stack(right_cols)
-    left = np.vstack(left_rows)
-    residual = max_abs(m @ right - right * values_arr[vec_index])
-    if residual > tol * max(1.0, scale):
-        raise ConvergenceError(
-            f"eigen-residual {residual:.3e} exceeds tolerance {tol:.1e}")
-    return EigenResult(values=values_arr, right=right, left=left,
-                       vector_index=np.array(vec_index, dtype=int),
-                       residual=residual, complete_basis=complete,
-                       multiplicities=multiplicities)
+    values = sorted(np.linalg.eigvals(m).tolist(), key=eigenvalue_order(max_abs(m)))
+    return EigenResult(values=np.array(values, dtype=np.complex128))

@@ -6,9 +6,9 @@ class InputError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A decomposition failed its own check: a singular left/right pairing
-    (`transfer.spectral`, `densemat.eig_general`), an eigen-residual above
-    tolerance (`eig_general`), or no completion (`densemat.orthonormal_complete`)."""
+    """A decomposition failed its own check: a singular unit-space left/right
+    pairing (`transfer.spectral`) or no completion
+    (`densemat.orthonormal_complete`)."""
 
 
 class ToleranceError(RuntimeError):

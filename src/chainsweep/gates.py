@@ -118,6 +118,8 @@ def macroscopic_family(p: float, theta: float, theta_p: float, seed: int = 0) ->
     """
     if not 0.0 <= p <= 1.0:
         raise InputError(f"probability p must lie in [0, 1], got {p}")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     v0 = np.sqrt(1.0 - p) * x_rotation(theta)
     v1 = np.sqrt(p) * x_rotation(theta_p)
     # Column (j, 0) of U holds row j of the Kraus matrices: U[2i+k, 2j] = (V_i)[j, k].
@@ -149,6 +151,8 @@ def conjugated_gate(g: Gate, r1: np.ndarray, r2: np.ndarray) -> Gate:
 
 def random_gate(seed: int) -> Gate:
     """Haar-like unitary from a seeded complex Gaussian, deterministic per seed."""
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     return Gate(dm.mgs_orthonormalize(raw), family="custom", params=(seed,))

@@ -243,6 +243,12 @@ def test_missing_gate_exit_code(capsys):
     ["fig3", "--a-list", "pi", "--n-range", "4:8:2", "--bloch", "1,0"],
     ["fig3", "--a-list", "pi", "--n-range", "4:8:2", "--bloch", "1,0,0,1"],
     ["fig4", "--chi-t", "0.1:0.5:x"],
+    ["spectrum", "--gate", "weyl", "--params", "pi/0,pi/2,pi/2"],
+    ["fig4", "--chi-t", "0.3:pi/0:3"],
+    ["fig3", "--a-list", "pi", "--n-range", "10:20:1000000000000"],
+    ["oracle-check", "--seed", "-1", "--count", "1"],
+    ["oracle-check", "--seed", "-1", "--count", "0"],
+    ["spectrum", "--gate", "macroscopic_family", "--params", "0.3,1,2,-1"],
 ])
 def test_malformed_arguments_exit_code(argv, capsys):
     # rejected with one error line: no traceback, and no 4-vector read as

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from chainsweep import (correlators as co, densemat as dm, gates, oracle,
-                        squeezing as sq, transfer)
+from chainsweep import correlators as co, gates, oracle, squeezing as sq, transfer
 from chainsweep.errors import InputError, ToleranceError
 from chainsweep.transfer import ChainSpec, LocalObservable, SIGMA_Z, build_transfer
 
@@ -388,13 +387,14 @@ def test_exact_minus_asymptotic_remainder_bounded():
 def test_asymptotic_variance_makes_no_solve(monkeypatch):
     # P and S are fields of the spectrum; the coefficients only read them
     ts = build_transfer(gates.random_gate(13), ChainSpec.plus_state(4))
-    ts.spectrum  # computed before solve is forbidden
+    ts.spectrum  # computed before solve and inv are forbidden
     want = co.asymptotic_variance(ts, SIGMA_Z)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("densemat.solve called by asymptotic_variance")
+        raise AssertionError("np.linalg.solve or inv called by asymptotic_variance")
 
-    monkeypatch.setattr(dm, "solve", forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
     assert co.asymptotic_variance(ts, SIGMA_Z) == want
 
 
