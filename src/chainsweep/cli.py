@@ -108,8 +108,8 @@ def parse_grid(text: str) -> list[float]:
             count = int(parts[2])
         except ValueError as exc:
             raise InputError(f"bad grid count {parts[2]!r}") from exc
-        if count < 1:
-            raise InputError("grid count must be positive")
+        if not 1 <= count <= 10 ** 5:   # one stacked fig4 pass holds every point
+            raise InputError(f"grid count must lie in 1..100000, got {count}")
         return [float(x) for x in np.linspace(start, stop, count)]
     return parse_angle_list(text)
 

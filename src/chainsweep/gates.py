@@ -27,7 +27,8 @@ FAMILIES = ("weyl", "controlled_rotation", "squeezing", "macroscopic_family",
 
 @dataclass(frozen=True)
 class Gate:
-    """A validated two-qubit unitary with its construction metadata.
+    """A validated two-qubit unitary with its construction metadata, or a stack
+    of them on leading batch axes, validated in one pass (a stack's params: ()).
 
     ``tol`` is the unitarity-validation tolerance; every in-package
     constructor uses the 1e-12 default, a looser value can be passed
@@ -40,8 +41,8 @@ class Gate:
     tol: float = UNITARITY_TOL
 
     def __post_init__(self):
-        m = dm.as_matrix(self.matrix).copy()   # frozen below; the caller's stays writable
-        if m.shape != (4, 4):
+        m = dm.as_matrix(self.matrix, stacked=True).copy()   # frozen below; the caller's stays writable
+        if m.shape[-2:] != (4, 4):
             raise InputError(f"gate must be 4x4, got {m.shape}")
         dev = unitarity_deviation(m)
         if dev > self.tol:
@@ -54,28 +55,36 @@ class Gate:
 
 
 def unitarity_deviation(m: np.ndarray) -> float:
-    m = dm.as_matrix(m)
-    return dm.max_abs(m.conj().T @ m - np.eye(m.shape[0]))
+    m = dm.as_matrix(m, stacked=True)
+    return dm.max_abs(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1]))
 
 
-def weyl_params(alpha: float, beta: float, gamma: float) -> tuple[complex, complex, complex, complex]:
+def single_gate(gate: Gate) -> Gate:
+    """``gate`` itself; a stack raises, for functions of one gate."""
+    if gate.matrix.ndim > 2:
+        raise InputError(f"expected one gate, got a stack of shape {gate.matrix.shape[:-2]}")
+    return gate
+
+
+def weyl_params(alpha, beta, gamma) -> tuple:
     """The four matrix entries (x, y, z, w) generated by the XX+YY+ZZ
-    interaction angles; exposed separately so tests can pin them."""
+    interaction angles, complex numbers or arrays that broadcast over array
+    angles; exposed separately so tests can pin them."""
     x = np.exp(-0.5j * gamma) * np.cos(0.5 * (alpha - beta))
     y = -1j * np.exp(0.5j * gamma) * np.sin(0.5 * (alpha + beta))
     z = np.exp(0.5j * gamma) * np.cos(0.5 * (alpha + beta))
     w = -1j * np.exp(-0.5j * gamma) * np.sin(0.5 * (alpha - beta))
-    return complex(x), complex(y), complex(z), complex(w)
+    return tuple(dm.unbatch(v) for v in (x, y, z, w))
 
 
-def _weyl_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
+def _weyl_matrix(alpha, beta, gamma) -> np.ndarray:
     x, y, z, w = weyl_params(alpha, beta, gamma)
-    return np.array([
-        [x, 0, 0, w],
-        [0, z, y, 0],
-        [0, y, z, 0],
-        [w, 0, 0, x],
-    ], dtype=np.complex128)
+    m = np.zeros(np.shape(x) + (4, 4), dtype=np.complex128)
+    m[..., 0, 0] = m[..., 3, 3] = x
+    m[..., 1, 1] = m[..., 2, 2] = z
+    m[..., 1, 2] = m[..., 2, 1] = y
+    m[..., 0, 3] = m[..., 3, 0] = w
+    return m
 
 
 def weyl_gate(alpha: float, beta: float, gamma: float) -> Gate:
@@ -95,11 +104,13 @@ def controlled_rotation(a: float) -> Gate:
     return Gate(m, family="controlled_rotation", params=(a,))
 
 
-def squeezing_gate(chi_t: float) -> Gate:
+def squeezing_gate(chi_t) -> Gate:
     """exp(-i t H) for H = (chi/2)(XX - YY): the two-axis-twisting bond gate.
 
-    Identical matrix to weyl_gate(chi_t, -chi_t, 0), validated once."""
-    return Gate(_weyl_matrix(chi_t, -chi_t, 0.0), family="squeezing", params=(chi_t,))
+    Identical matrix to weyl_gate(chi_t, -chi_t, 0), validated once; an array
+    of chi_t gives one stacked Gate, each element bitwise its scalar call."""
+    return Gate(_weyl_matrix(chi_t, -chi_t, 0.0), family="squeezing",
+                params=(chi_t,) if np.ndim(chi_t) == 0 else ())
 
 
 def x_rotation(theta: float) -> np.ndarray:
@@ -184,7 +195,7 @@ def gate_from_family(family: str, params) -> Gate:
 def save_gate(gate: Gate, path) -> None:
     """Write a gate file: either the family+params form or the explicit
     row-major [re, im] matrix form."""
-    if gate.family in _FAMILY_BUILDERS:
+    if single_gate(gate).family in _FAMILY_BUILDERS:
         payload = {"family": gate.family, "params": list(gate.params)}
     else:
         payload = {"matrix": [[[float(z.real), float(z.imag)] for z in row]

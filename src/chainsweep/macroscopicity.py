@@ -15,7 +15,7 @@ import numpy as np
 
 from . import correlators
 from .errors import InputError, ToleranceError
-from .gates import Gate, PAULI_X, PAULI_Y, PAULI_Z
+from .gates import Gate, PAULI_X, PAULI_Y, PAULI_Z, single_gate
 from .transfer import (ChainSpec, KrausPair, LocalObservable, SpectralData,
                        TransferSet, UNIT_EIG_TOL, VEC_IDENTITY, build_transfer,
                        spectral)
@@ -78,7 +78,7 @@ def _neff_form(ts: TransferSet) -> np.ndarray:
 
 def neff(gate: Gate, chain: ChainSpec, direction) -> float:
     """Effective-size coefficient (of N) for the additive observable sum n.sigma."""
-    ts = build_transfer(gate, chain)
+    ts = build_transfer(single_gate(gate), chain)
     # The coefficient is a variance prefactor; clip the rounding dust.
     return max(_neff_value(ts, direction), 0.0)
 
@@ -96,7 +96,7 @@ def neff_optimize(gate: Gate, chain: ChainSpec) -> MacroReport:
     direction; z is reported with coefficient 0, as for a non-degenerate
     unit eigenvalue.
     """
-    ts = build_transfer(gate, chain)
+    ts = build_transfer(single_gate(gate), chain)
     spec = ts.spectrum
     z_axis = np.array([0.0, 0.0, 1.0])
     if spec.unit_dim == 1:
@@ -159,7 +159,7 @@ def classify_macroscopic(gate: Gate, tol: float = UNIT_EIG_TOL) -> MacroClassifi
     """Macroscopic iff the unit eigenvalue of E, counted at ``tol``, is
     degenerate; the witness is its fixed pure state, certified as a common
     Kraus eigenvector carrying all the weight (a failed certificate raises)."""
-    ts = build_transfer(gate, ChainSpec(2))
+    ts = build_transfer(single_gate(gate), ChainSpec(2))
     spec = spectral(ts.e, tol=tol)
     witness, witness_bloch = _witness(ts.kraus, spec)
     return MacroClassification(is_macroscopic=witness is not None, witness=witness,
@@ -181,7 +181,7 @@ def variance_sweep(gate: Gate, chain_amplitudes: tuple[complex, complex],
         return rows
     # The correlators take N as an argument and read only E, <v| and the
     # Kraus pair, so one transfer set serves every chain length.
-    ts = build_transfer(gate, ChainSpec(n_list[0], *chain_amplitudes))
+    ts = build_transfer(single_gate(gate), ChainSpec(n_list[0], *chain_amplitudes))
     variances, _ = correlators._variance(ts, obs, np.array(n_list))
     prev = None
     for n, var in zip(n_list, variances.tolist()):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .gates import Gate
+from .gates import Gate, single_gate
 from .transfer import ChainSpec, LocalObservable
 
 DEFAULT_CAP = 16
@@ -77,9 +77,9 @@ def sweep(gate: Gate, chain: ChainSpec, cap: int = DEFAULT_CAP,
     last = chain.n - 1 if upto is None else upto
     if not 0 <= last <= chain.n - 1:
         raise InputError(f"prefix length {last} outside 0..{chain.n - 1}")
-    state = initial_state(chain)
+    state, u = initial_state(chain), single_gate(gate).matrix
     for m in range(1, last + 1):
-        state = apply_two_site(state, gate.matrix, m)
+        state = apply_two_site(state, u, m)
     return state
 
 

@@ -80,14 +80,16 @@ def _theta_optimum(ts) -> tuple[float, float, bool]:
     the squeezing transfer set ``ts``, or arrays of them for a stacked set.
 
     On the unit sphere l(n) = n^T L n (A^2 = I for A = n . sigma), so along
-    the transverse circle l(theta) = a + b cos 2theta + c sin 2theta.  Three
-    evaluations at theta = 0, pi/4, pi/2 fix (a, b, c); the minimum sits at
+    the transverse circle l(theta) = a + b cos 2theta + c sin 2theta.  One
+    evaluation at the probes theta = 0, pi/4, pi/2, stacked on a leading axis
+    (each value bitwise its own call), fixes (a, b, c); the minimum sits at
     theta* = atan2(-c, -b)/2 with value a - sqrt(b^2 + c^2) (Kitagawa & Ueda,
     PRA 47, 5138).  The coefficient is evaluated again at theta*, and a
     mismatch with the predicted minimum at any element raises instead of
-    returning.  All four evaluations read ``ts.spectrum`` of the whole stack.
+    returning.  Both evaluations read ``ts.spectrum`` of the whole stack.
     """
-    l0, l1, l2 = (_linear_coeff(ts, t) for t in (0.0, np.pi / 4, np.pi / 2))
+    probes = np.array([0.0, np.pi / 4, np.pi / 2]).reshape((3,) + (1,) * (ts.e.ndim - 2))
+    l0, l1, l2 = _linear_coeff(ts, probes)
     a = 0.5 * (l0 + l2)
     b = 0.5 * (l0 - l2)
     c = l1 - a
@@ -177,15 +179,15 @@ def fig4_curve(chi_t_grid, theta: float | None = None) -> list[dict]:
     flags from the separable (v = m^2) and pairwise bounds.
 
     ``theta`` fixes the transverse direction; default minimizes it per point.
-    The whole grid is one stacked transfer set and one stacked spectrum, and
-    each variance evaluation covers every point at once.
+    The whole grid is one stacked gate, transfer set and spectrum, and each
+    variance evaluation covers every point at once.
     """
     grid = [float(c) for c in chi_t_grid]
     if any(not 0.0 < c < np.pi / 2 for c in grid):
         raise InputError("chi_t grid must lie in (0, pi/2)")
     if not grid:
         return []
-    ts = build_transfer([squeezing_gate(c) for c in grid], ChainSpec(2))
+    ts = build_transfer(squeezing_gate(np.asarray(grid)), ChainSpec(2))
     v_all = _theta_optimum(ts)[1] if theta is None else _linear_coeff(ts, theta)
     rows = []
     for chi_t, v in zip(grid, v_all.tolist()):

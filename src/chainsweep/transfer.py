@@ -105,10 +105,10 @@ SIGMA_Y = LocalObservable.from_bloch([0.0, 1.0, 0.0])
 SIGMA_Z = LocalObservable.from_bloch([0.0, 0.0, 1.0])
 
 
-def extract_kraus(gate) -> KrausPair:
+def extract_kraus(gate: Gate) -> KrausPair:
     """(V_i)_{jk} = U_{ik, j0}: reads the two bond matrices off the columns
-    of the gate that act on a fresh |0> qubit; a sequence of gates gives a stack."""
-    u = gate.matrix if isinstance(gate, Gate) else np.stack([g.matrix for g in gate])
+    of the gate that act on a fresh |0> qubit; a stacked Gate gives a stack."""
+    u = gate.matrix
     v = np.ascontiguousarray(u[..., ::2].reshape(u.shape[:-2] + (2, 2, 2)).swapaxes(-1, -2))
     return KrausPair(v[..., 0, :, :], v[..., 1, :, :])
 
@@ -170,8 +170,8 @@ class TransferSet:
         return spectral(self.e)
 
 
-def build_transfer(gate, chain: ChainSpec) -> TransferSet:
-    """The set of one Gate, or the stacked set of a sequence of them."""
+def build_transfer(gate: Gate, chain: ChainSpec) -> TransferSet:
+    """The set of one Gate, or the stacked set of a stacked Gate."""
     kraus = extract_kraus(gate)
     dev = check_isometry(kraus)
     if dev > ISOMETRY_TOL:

@@ -245,6 +245,7 @@ def test_missing_gate_exit_code(capsys):
     ["fig4", "--chi-t", "0.1:0.5:x"],
     ["spectrum", "--gate", "weyl", "--params", "pi/0,pi/2,pi/2"],
     ["fig4", "--chi-t", "0.3:pi/0:3"],
+    ["fig4", "--chi-t", "0.1:0.5:1000000000000"],
     ["fig3", "--a-list", "pi", "--n-range", "10:20:1000000000000"],
     ["oracle-check", "--seed", "-1", "--count", "1"],
     ["oracle-check", "--seed", "-1", "--count", "0"],

@@ -163,6 +163,61 @@ def test_gate_rejects_non_unitary_matrix():
         gates.Gate(np.eye(4) * 1.001)
 
 
+def test_stacked_gate_rejects_one_non_unitary_element_with_its_deviation():
+    stack = np.stack([gates.random_gate(s).matrix for s in range(4)])
+    stack[2, 1, 1] += 3e-9
+    dev = gates.unitarity_deviation(stack[2])
+    assert 1e-9 < dev < 1e-8
+    with pytest.raises(InputError, match=f"max deviation {dev:.3e}"):
+        gates.Gate(stack)
+    with pytest.raises(InputError, match="4x4"):
+        gates.Gate(stack[..., :3])
+
+
+def test_squeezing_gate_metadata_scalar_and_stacked():
+    assert gates.squeezing_gate(0.4).params == (0.4,)
+    stacked = gates.squeezing_gate(np.array([0.4, 0.9]))
+    assert stacked.params == () and stacked.family == "squeezing"
+    assert stacked.matrix.shape == (2, 4, 4) and not stacked.matrix.flags.writeable
+    x, y, z, w = gates.weyl_params(np.array([0.4, 0.9]), np.array([-0.4, -0.9]), 0.0)
+    assert np.array_equal(stacked.matrix[:, [0, 1, 1, 0], [0, 1, 2, 3]],
+                          np.stack([x, z, y, w], axis=-1))
+
+
+def _stacked_squeezing():
+    return gates.squeezing_gate(np.array([0.3, 0.7, 1.1]))
+
+
+def test_save_gate_rejects_a_stack(tmp_path):
+    path = tmp_path / "stack.json"
+    with pytest.raises(InputError, match="stack"):
+        gates.save_gate(_stacked_squeezing(), path)
+    assert not path.exists()
+
+
+def test_functions_of_one_gate_reject_a_stack():
+    from chainsweep import macroscopicity, oracle
+    from chainsweep.transfer import SIGMA_Z, ChainSpec
+    stack = _stacked_squeezing()
+    calls = [lambda: macroscopicity.neff(stack, ChainSpec(4), [0.0, 0.0, 1.0]),
+             lambda: macroscopicity.neff_optimize(stack, ChainSpec(4)),
+             lambda: macroscopicity.classify_macroscopic(stack),
+             lambda: macroscopicity.variance_sweep(stack, (1.0, 0.0), SIGMA_Z, [4, 8]),
+             lambda: oracle.sweep(stack, ChainSpec(4))]
+    for call in calls:
+        with pytest.raises(InputError, match="stack"):
+            call()
+
+
+def test_conjugated_gate_conjugates_each_element_of_a_stack():
+    r1, r2 = gates.x_rotation(0.3), gates.x_rotation(-0.8)
+    stack = _stacked_squeezing()
+    out = gates.conjugated_gate(stack, r1, r2)
+    assert out.matrix.shape == (3, 4, 4) and out.params == ()
+    for chi_t, m in zip((0.3, 0.7, 1.1), out.matrix):
+        assert np.array_equal(m, gates.conjugated_gate(gates.squeezing_gate(chi_t), r1, r2).matrix)
+
+
 def test_gate_file_roundtrip_family(tmp_path):
     path = tmp_path / "gate.json"
     g = gates.weyl_gate(0.3, 0.6, 0.9)

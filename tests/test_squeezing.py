@@ -167,6 +167,31 @@ FIG4_GRIDS = [cli.parse_grid("0.02:1.5:75"), _bench_grid(11)]
 
 
 @pytest.mark.parametrize("grid", FIG4_GRIDS, ids=["default", "jittered"])
+def test_stacked_squeezing_gate_bitwise_equals_per_point(grid):
+    stacked = gates.squeezing_gate(np.asarray(grid)).matrix
+    per_point = np.stack([gates.squeezing_gate(c).matrix for c in grid])
+    assert np.array_equal(stacked, per_point)
+    # and the signs of the zero entries agree, which array_equal does not see
+    assert np.array_equal(np.signbit(stacked.view(float)), np.signbit(per_point.view(float)))
+
+
+@pytest.mark.parametrize("chi_t", [0.7, np.asarray(FIG4_GRIDS[0])], ids=["scalar", "fig4"])
+def test_stacked_theta_probes_bitwise_equal_separate_calls(chi_t):
+    # _theta_optimum evaluates l at theta = 0, pi/4, pi/2 in one stacked call
+    ts = build_transfer(gates.squeezing_gate(chi_t), ChainSpec(2))
+    probes = np.array([0.0, np.pi / 4, np.pi / 2])
+    stacked = sq._linear_coeff(ts, probes.reshape((3,) + (1,) * (ts.e.ndim - 2)))
+    assert stacked.shape == (3,) + ts.e.shape[:-2]
+    separate = [sq._linear_coeff(ts, theta) for theta in probes]
+    for got, want in zip(stacked, separate):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    l0, l1, l2 = separate
+    b, c = 0.5 * (l0 - l2), l1 - 0.5 * (l0 + l2)
+    assert np.array_equal(sq._theta_optimum(ts)[0], 0.5 * np.arctan2(-c, -b) % np.pi)
+
+
+@pytest.mark.parametrize("grid", FIG4_GRIDS, ids=["default", "jittered"])
 def test_fig4_stacked_pass_bitwise_equals_per_point(grid):
     rows = sq.fig4_curve(grid)
     fixed = sq.fig4_curve(grid, theta=np.pi / 4)

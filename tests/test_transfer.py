@@ -441,7 +441,7 @@ def _mixed_stack():
           gates.macroscopic_family(0.4, 0.3, 1.1, seed=2),      # unit_dim 2
           gates.macroscopic_family(0.4, 0.0, 0.0, seed=3),      # unit_dim 4
           gates.controlled_rotation(np.pi - 0.02)]              # gap 1e-4
-    return gs, build_transfer(gs, ChainSpec(2)).e
+    return gs, build_transfer(gates.Gate(np.stack([g.matrix for g in gs])), ChainSpec(2)).e
 
 
 def test_stacked_spectral_bitwise_equals_per_matrix():
