@@ -370,6 +370,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 < args.tol < np.inf:   # every command takes --tol
+            raise InputError(f"--tol must be positive and finite, got {args.tol:g}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

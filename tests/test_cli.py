@@ -250,6 +250,13 @@ def test_missing_gate_exit_code(capsys):
     ["oracle-check", "--seed", "-1", "--count", "1"],
     ["oracle-check", "--seed", "-1", "--count", "0"],
     ["spectrum", "--gate", "macroscopic_family", "--params", "0.3,1,2,-1"],
+    ["spectrum", "--gate", "controlled_rotation", "--params", "pi-0.3", "--tol", "inf"],
+    ["spectrum", "--gate", "controlled_rotation", "--params", "pi-0.3", "--tol", "nan"],
+    ["spectrum", "--gate", "controlled_rotation", "--params", "pi-0.3", "--tol", "-1"],
+    ["oracle-check", "--count", "1", "--tol", "nan"],
+    ["oracle-check", "--count", "1", "--tol", "-1"],
+    ["fig4", "--chi-t", "0.3", "--tol", "0"],
+    ["correlate", "--gate", "squeezing", "--params", "0.5", "--n", "4", "--tol=-inf"],
 ])
 def test_malformed_arguments_exit_code(argv, capsys):
     # rejected with one error line: no traceback, and no 4-vector read as

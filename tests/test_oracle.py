@@ -3,7 +3,7 @@ import pytest
 
 from chainsweep import gates, oracle
 from chainsweep.errors import InputError
-from chainsweep.transfer import ChainSpec, SIGMA_X, SIGMA_Z
+from chainsweep.transfer import ChainSpec, LocalObservable, SIGMA_X, SIGMA_Z
 
 
 def test_identity_sweep_keeps_initial_state():
@@ -91,3 +91,78 @@ def test_plus_state_transverse_mean():
 def test_state_vector_validates_norm():
     with pytest.raises(InputError):
         oracle.StateVector(2, np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+FAMILY_GATES = [gates.identity_gate(), gates.controlled_rotation(np.pi),
+                gates.controlled_rotation(np.pi - 0.3), gates.squeezing_gate(0.5),
+                gates.weyl_gate(0.7, np.pi / 2, np.pi / 2),
+                gates.macroscopic_family(0.3, 1.0, 2.0, seed=1)]
+TABLE_GATES = [gates.random_gate(seed) for seed in range(20)] + FAMILY_GATES
+
+
+def _random_case(rng, n):
+    direction = rng.standard_normal(3)
+    c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    c /= np.linalg.norm(c)
+    return LocalObservable.from_bloch(direction), ChainSpec(n, c[0], c[1])
+
+
+def _close(got, want):
+    return abs(got - want) <= 64 * np.finfo(float).eps * max(1.0, abs(want))
+
+
+def _two_application_values(state, obs):
+    """The formulas the site table replaced: A applied once per one-point
+    value and twice per pair, and a running sum over the sites."""
+    amps, n, a = state.amplitudes, state.n, obs.matrix
+    one = {m: complex(amps.conj() @ oracle._apply_local(amps, n, a, m)).real
+           for m in range(1, n + 1)}
+    two = {(m, k): complex(amps.conj() @ oracle._apply_local(
+        oracle._apply_local(amps, n, a, k), n, a, m)).real
+        for m in range(1, n + 1) for k in range(m + 1, n + 1)}
+    acc = np.zeros_like(amps)
+    for m in range(1, n + 1):
+        acc += oracle._apply_local(amps, n, a, m)
+    mean = complex(amps.conj() @ acc).real
+    return one, two, mean, float(np.real(acc.conj() @ acc)) - mean ** 2
+
+
+@pytest.mark.parametrize("gate_index", range(len(TABLE_GATES)))
+def test_site_table_matches_two_application_formulas(gate_index):
+    rng = np.random.default_rng(500 + gate_index)
+    for n in range(2, 13):
+        obs, chain = _random_case(rng, n)
+        state = oracle.sweep(TABLE_GATES[gate_index], chain)
+        one, two, mean, var = _two_application_values(state, obs)
+        assert all(_close(oracle.expect_local(state, obs, m), v) for m, v in one.items())
+        assert all(_close(oracle.expect_pair(state, obs, m, k), v)
+                   for (m, k), v in two.items())
+        assert all(_close(oracle.expect_pair(state, obs, k, m), v)
+                   for (m, k), v in two.items())
+        # the collective values add the rows in the loop's order: bitwise equal
+        assert oracle.collective_mean(state, obs) == mean
+        assert oracle.collective_variance(state, obs) == var
+
+
+def test_site_table_interleaved_observables():
+    state = oracle.sweep(gates.random_gate(3), ChainSpec(7, 0.6, 0.8j))
+    first, second = SIGMA_Z, LocalObservable.from_bloch([1.0, 2.0, -0.5])
+    want = [_two_application_values(state, obs) for obs in (first, second)]
+    for obs, (one, two, mean, var) in zip((first, second, first), want + want[:1]):
+        assert all(_close(oracle.expect_local(state, obs, m), v) for m, v in one.items())
+        assert all(_close(oracle.expect_pair(state, obs, m, k), v)
+                   for (m, k), v in two.items())
+        assert oracle.collective_mean(state, obs) == mean
+        assert oracle.collective_variance(state, obs) == var
+
+
+def test_state_vector_freezes_a_private_copy():
+    amps = np.zeros(8, dtype=complex)
+    amps[0] = 1.0
+    state = oracle.StateVector(3, amps)
+    assert not state.amplitudes.flags.writeable
+    assert amps.flags.writeable
+    amps[0], amps[1] = 0.0, 1.0   # the state and its site table do not follow
+    assert oracle.expect_local(state, SIGMA_Z, 3) == 1.0
+    with pytest.raises(ValueError):
+        state.amplitudes[0] = 0.0
