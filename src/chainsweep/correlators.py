@@ -8,10 +8,18 @@ sum is a finite-automaton MPO: sum_m A_m has bond dimension 2 and its square
 bond dimension 3, so the mean and the variance at any N come from one power
 of an 8x8 or 12x12 block upper-triangular lifted transfer matrix, O(log N)
 matrix products.  Asymptotic coefficients use the spectral data of E.
+
+What depends on the observable alone is memoized per transfer set
+(TransferSet.memoized, at most MEMO_ENTRIES entries keyed by the matrix
+bytes): E_A for one_point and two_point, and the 8x8 mean matrix, its
+closing column and its squaring ladder, so a series over N squares it once.
+Every stored array is read-only and each value is bitwise the cold call's.
+The 12x12 variance matrix is built per call: its mean shift depends on N.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +63,31 @@ def _vec(obs: LocalObservable) -> np.ndarray:
     return obs.matrix.reshape(obs.matrix.shape[:-2] + (4,))
 
 
+def _read_only(*arrays):
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
+
+
+def _memo_dressed(ts: TransferSet, obs: LocalObservable) -> np.ndarray:
+    """E_A of one_point and two_point, dressed once per transfer set."""
+    return ts.memoized("dressed", obs.matrix, lambda a: _read_only(ts.dressed(a))[0])
+
+
+def chain_length(n_sites, minimum: int) -> int:
+    """``n_sites`` as an int, checked where a chain length enters: an
+    integer (``operator.index``, so numpy integers pass) of at least
+    ``minimum``."""
+    try:
+        n = operator.index(n_sites)
+    except TypeError:
+        raise InputError(f"chain length must be an integer, got {n_sites!r}") from None
+    if n < minimum:
+        raise InputError(f"chain needs at least {minimum} site{'s' * (minimum > 1)}, "
+                         f"got {n}")
+    return n
+
+
 def _closing(ea: np.ndarray, obs: LocalObservable, last: bool) -> np.ndarray:
     """Column that closes a contraction at site n: E_A|I> for n < N, where
     the sites after n trace out to |I>, and vec A at the last site n = N."""
@@ -66,7 +99,7 @@ def one_point(ts: TransferSet, obs: LocalObservable, m: int, n_sites: int) -> fl
     from one O(log N) matrix power."""
     if not 1 <= m <= n_sites:
         raise InputError(f"site {m} outside 1..{n_sites}")
-    col = _closing(ts.dressed(obs.matrix), obs, m == n_sites)
+    col = _closing(_memo_dressed(ts, obs), obs, m == n_sites)
     return _real(complex(ts.vrow @ dm.matpow(ts.e, m - 1) @ col))
 
 
@@ -75,7 +108,7 @@ def two_point(ts: TransferSet, obs: LocalObservable, m: int, n: int,
     """<A_m A_n> = <v|E^{m-1} E_A E^{n-m-1} E_A|I> for m < n < N and
     <v|E^{m-1} E_A E^{N-m-1}|vec A> at n = N, from O(log N) matrix powers."""
     _check_pairs([(m, n)], n_sites)
-    ea = ts.dressed(obs.matrix)
+    ea = _memo_dressed(ts, obs)
     head = ts.vrow @ dm.matpow(ts.e, m - 1) @ ea
     col = _closing(ea, obs, n == n_sites)
     return _real(complex(head @ dm.matpow(ts.e, n - m - 1) @ col))
@@ -110,8 +143,7 @@ def site_correlations(ts: TransferSet, obs: LocalObservable, n_sites: int,
     one_point and two_point, to rounding: sequential products in place of
     repeated squaring.
     """
-    if n_sites < 1:
-        raise InputError(f"chain needs at least 1 site, got {n_sites}")
+    n_sites = chain_length(n_sites, 1)
     pairs = list(pairs)
     _check_pairs(pairs, n_sites)
     ea = ts.dressed(obs.matrix)
@@ -137,25 +169,15 @@ def site_correlations(ts: TransferSet, obs: LocalObservable, n_sites: int,
     return one, _real(two_vals).tolist()
 
 
-def _lifted_contraction(ts: TransferSet, ops: dict, n):
-    """Chain sum of a finite-automaton MPO: <v, 0, ..., 0| T^{N-1} |b>.
+def _lift(ts: TransferSet, ops: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Lifted transfer matrix T and closing column b of a finite-automaton
+    MPO, whose chain sum is <v, 0, ..., 0| T^{N-1} |b>.
 
     The MPO is block upper triangular with identities on its diagonal and
     the single-site operators ``ops[i, j]`` (i < j) above it (Crosswhite &
     Bacon, PRA 78, 012356 (2008)); sum_m A_m is {(0, 1): A}.  Dressing each
-    entry gives the lifted transfer matrix T, with E on the diagonal blocks
-    and E_{W_ij} above them, and site N closes with the column
-    b_i = vec W_{i,k-1}.
-
-    The value is divided by the state norm <v|E^{N-1}|I>, read off the same
-    power: mathematically it is 1, and the division cancels the common drift
-    that repeated squaring gives the unit eigenvalue (about N eps relative).
-    Returns the value and its error estimate _ERR_SAFETY * N eps |row|.|b|,
-    row = <v, 0, ...| T^{N-1} normalized.
-
-    An integer array ``n``, with ops carrying its batch axes, gives arrays
-    from one batched matpow, each bitwise its scalar call: rows stay 1 x 4k,
-    so every product takes the BLAS path of the scalar call.
+    entry gives T, with E on the diagonal blocks and E_{W_ij} above them,
+    and site N closes with the column b_i = vec W_{i,k-1}.
     """
     k = 1 + max(j for _, j in ops)
     batch = ops[0, 1].shape[:-2]
@@ -169,7 +191,24 @@ def _lifted_contraction(ts: TransferSet, ops: dict, n):
         if j == k - 1:
             b[..., 4 * i:4 * i + 4] = op.reshape(batch + (4,))
     b[..., -4:] = VEC_IDENTITY
-    row = ts.vrow[None, :] @ dm.matpow(t, n - 1)[..., :4, :]
+    return t, b
+
+
+def _contract(ts: TransferSet, n, t: np.ndarray, b: np.ndarray, ladder=None):
+    """<v, 0, ..., 0| T^{N-1} |b> of _lift's T and b, with ``ladder`` the
+    squaring ladder of T shared with earlier calls (densemat.matpow).
+
+    The value is divided by the state norm <v|E^{N-1}|I>, read off the same
+    power: mathematically it is 1, and the division cancels the common drift
+    that repeated squaring gives the unit eigenvalue (about N eps relative).
+    Returns the value and its error estimate _ERR_SAFETY * N eps |row|.|b|,
+    row = <v, 0, ...| T^{N-1} normalized.
+
+    An integer array ``n``, with T carrying its batch axes, gives arrays
+    from one batched matpow, each bitwise its scalar call: rows stay 1 x 4k,
+    so every product takes the BLAS path of the scalar call.
+    """
+    row = ts.vrow[None, :] @ dm.matpow(t, n - 1, ladder)[..., :4, :]
     row = row / (row[..., :4] @ VEC_IDENTITY)[..., None]
     err = _ERR_SAFETY * n * _EPS * (np.abs(row) @ np.abs(b)[..., None])[..., 0, 0]
     return (row @ b[..., None])[..., 0, 0], err
@@ -186,10 +225,18 @@ def _check_estimate(what: str, value, err, floor) -> None:
                              f"the chain is too long for double precision")
 
 
+def _mean_lift(ts: TransferSet, a: np.ndarray) -> tuple:
+    """(T, b, [T]) of the mean of sum_m A_m, read-only: independent of N,
+    so a transfer set memoizes them and the squaring ladder grows in place."""
+    t, b = _read_only(*_lift(ts, {(0, 1): a}))
+    return t, b, [t]
+
+
 def _mean(ts: TransferSet, a: np.ndarray, n) -> tuple:
     """sum_m <A_m> and its error estimate from the 8x8 lifted power
-    [[E, E_A], [0, E]] closed by (vec A, |I>) at site N."""
-    total, err = _lifted_contraction(ts, {(0, 1): a}, n)
+    [[E, E_A], [0, E]] closed by (vec A, |I>) at site N; the lifted matrix
+    and its squarings are memoized per transfer set and observable."""
+    total, err = _contract(ts, n, *ts.memoized("mean", a, lambda a: _mean_lift(ts, a)))
     return _real(total, scale=n), err
 
 
@@ -199,19 +246,16 @@ def collective_mean(ts: TransferSet, obs: LocalObservable, n_sites: int) -> floa
     Raises ToleranceError when the error estimate exceeds COLLECTIVE_REL_TOL
     of max(|mean|, N ||A||).
     """
-    if n_sites < 1:
-        raise InputError(f"chain needs at least 1 site, got {n_sites}")
+    n_sites = chain_length(n_sites, 1)
     mean, err = _mean(ts, obs.matrix, n_sites)
-    # ||A||_2, the top singular value (np.linalg.norm(A, 2) without its overhead)
-    _check_estimate("collective mean", mean, err,
-                    n_sites * np.linalg.svd(obs.matrix, compute_uv=False)[0])
+    _check_estimate("collective mean", mean, err, n_sites * obs.norm)
     return mean
 
 
 @dataclass
 class VarianceBreakdown:
     """Exact variance of an additive observable; ``error_estimate`` is the
-    estimated floating-point error of ``total`` (see _lifted_contraction)."""
+    estimated floating-point error of ``total`` (see _contract)."""
 
     total: float
     error_estimate: float
@@ -243,9 +287,7 @@ def additive_variance_exact(ts: TransferSet, obs: LocalObservable,
     Raises ToleranceError when the error estimate exceeds COLLECTIVE_REL_TOL
     of max(|variance|, N ||A - mu||^2), mu the chain average of A.
     """
-    if n_sites < 2:
-        raise InputError("chain needs at least 2 sites")
-    total, err = _variance(ts, obs, n_sites)
+    total, err = _variance(ts, obs, chain_length(n_sites, 2))
     return VarianceBreakdown(total=total, error_estimate=err)
 
 
@@ -261,8 +303,9 @@ def _variance(ts: TransferSet, obs: LocalObservable, n) -> tuple:
     """
     mean, _ = _mean(ts, obs.matrix, n)
     shifted = obs.matrix - np.multiply.outer(mean / n, np.eye(2))
-    second, err = _lifted_contraction(
-        ts, {(0, 1): shifted, (0, 2): shifted @ shifted, (1, 2): 2.0 * shifted}, n)
+    # Not memoized: T depends on N through mu.
+    second, err = _contract(ts, n, *_lift(
+        ts, {(0, 1): shifted, (0, 2): shifted @ shifted, (1, 2): 2.0 * shifted}))
     total = _real(second, scale=(1.0 * n) ** 2)
     _check_estimate("collective variance", total, err,
                     n * np.linalg.svd(shifted, compute_uv=False)[..., 0] ** 2)

@@ -47,15 +47,22 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def matpow(m: np.ndarray, k) -> np.ndarray:
+def matpow(m: np.ndarray, k, ladder: list | None = None) -> np.ndarray:
     """m**k by repeated squaring; m**0 is the identity.  ``m`` may be a
     stack (..., d, d) and ``k`` an integer array broadcasting against it: all
     square in lockstep and take ``result @ base`` where bit j of their own k
     is set, so each element is bitwise its scalar call (a scalar k, the batch
-    of one, keeps its bits as Python ints)."""
+    of one, keeps its bits as Python ints).
+
+    The bases come from the squaring ladder [m, m^2, m^4, ...].  A caller
+    that raises one m to many powers passes the same list, starting [m], to
+    every call: each squaring is then formed once, appended read-only as it
+    is first needed, and every power stays bitwise its cold call."""
     m = as_matrix(m, stacked=True)
     if m.shape[-2] != m.shape[-1]:
         raise InputError("matpow needs a square matrix")
+    if ladder is None:
+        ladder = [m]
     if isinstance(k, (int, np.integer)) and k >= 0:
         k = int(k)
         top = k.bit_length()
@@ -65,15 +72,16 @@ def matpow(m: np.ndarray, k) -> np.ndarray:
             raise InputError(f"powers must be nonnegative integers, got {k}")
         top = int(k.max(initial=0)).bit_length()
     result = np.eye(m.shape[-1], dtype=np.complex128)
-    base = m
     for j in range(top):
+        if j == len(ladder):
+            square = ladder[-1] @ ladder[-1]
+            square.setflags(write=False)
+            ladder.append(square)
         bit = k >> j & 1
         if isinstance(bit, int):
-            result = result @ base if bit else result
+            result = result @ ladder[j] if bit else result
         elif bit.any():
-            result = np.where(bit[..., None, None] != 0, result @ base, result)
-        if j + 1 < top:
-            base = base @ base
+            result = np.where(bit[..., None, None] != 0, result @ ladder[j], result)
     if top == 0 and (m.ndim > 2 or np.ndim(k)):
         result = np.broadcast_to(result, np.broadcast_shapes(m.shape[:-2], np.shape(k))
                                  + result.shape).copy()

@@ -67,14 +67,14 @@ def initial_state(chain: ChainSpec) -> StateVector:
 def apply_two_site(state: StateVector, gate_matrix: np.ndarray, m: int) -> StateVector:
     """Apply a 4x4 gate to sites (m, m+1) in place of dense 2^N operators:
     reshape so the pair forms one axis and contract."""
-    n = state.n
-    _check_site(n, m)
-    _check_site(n, m + 1)
-    left = 2 ** (m - 1)
-    right = 2 ** (n - m - 1)
-    psi = state.amplitudes.reshape(left, 4, right)
-    out = np.einsum("ij,ajb->aib", gate_matrix, psi)
-    return StateVector(n, out.reshape(-1))
+    _check_site(state.n, m)
+    _check_site(state.n, m + 1)
+    return StateVector(state.n, _apply_pair(state.amplitudes, state.n, gate_matrix, m))
+
+
+def _apply_pair(amps: np.ndarray, n: int, gate_matrix: np.ndarray, m: int) -> np.ndarray:
+    psi = amps.reshape(2 ** (m - 1), 4, 2 ** (n - m - 1))
+    return np.einsum("ij,ajb->aib", gate_matrix, psi).reshape(-1)
 
 
 def sweep(gate: Gate, chain: ChainSpec, cap: int = DEFAULT_CAP,
@@ -83,7 +83,8 @@ def sweep(gate: Gate, chain: ChainSpec, cap: int = DEFAULT_CAP,
     (1,2), (2,3), ..., (N-1,N), in that order.
 
     ``upto`` truncates the sweep after that many bond gates (the prefix
-    state); default applies all N-1.
+    state); default applies all N-1.  The bonds act on one amplitude array,
+    and only the final state is built and checked.
     """
     if chain.n > cap:
         mem = 2 ** chain.n * 16 / 1e6
@@ -93,10 +94,10 @@ def sweep(gate: Gate, chain: ChainSpec, cap: int = DEFAULT_CAP,
     last = chain.n - 1 if upto is None else upto
     if not 0 <= last <= chain.n - 1:
         raise InputError(f"prefix length {last} outside 0..{chain.n - 1}")
-    state, u = initial_state(chain), single_gate(gate).matrix
+    amps, u = initial_state(chain).amplitudes, single_gate(gate).matrix
     for m in range(1, last + 1):
-        state = apply_two_site(state, u, m)
-    return state
+        amps = _apply_pair(amps, chain.n, u, m)
+    return StateVector(chain.n, amps)
 
 
 def _apply_local(amps: np.ndarray, n: int, op: np.ndarray, m: int) -> np.ndarray:

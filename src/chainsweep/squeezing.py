@@ -46,28 +46,37 @@ def _linear_coeff(ts, theta):
 
 
 def _transverse_obs(theta) -> LocalObservable:
+    """A_theta = cos t sigma_x + sin t sigma_y, a stack for an array theta;
+    a scalar theta is built and validated once (_scalar_transverse_obs)."""
+    if np.ndim(theta) == 0:
+        return _scalar_transverse_obs(float(theta))
     theta = np.asarray(theta, dtype=float)
     return LocalObservable.from_bloch(
         np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=-1))
 
 
+@lru_cache(maxsize=8)
+def _scalar_transverse_obs(theta: float) -> LocalObservable:
+    # -0.0 == 0.0 shares an entry: both give the same matrix bytes
+    return LocalObservable.from_bloch([np.cos(theta), np.sin(theta), 0.0])
+
+
 def mean_z(chi_t: float, n_sites: int, mode: str = "exact") -> float:
     """Collective <A_z> after the sweep from |0...0>."""
     if mode == "asymptotic":
-        return n_sites * mean_z_asymptotic_coeff(chi_t)
+        return correlators.chain_length(n_sites, 1) * mean_z_asymptotic_coeff(chi_t)
     if mode != "exact":
         raise InputError(f"unknown mode {mode!r}")
-    if n_sites < 2:
-        raise InputError("exact mode needs N >= 2")
     ts = _transfer_for(chi_t)
-    return correlators.collective_mean(ts, SIGMA_Z, n_sites)
+    return correlators.collective_mean(ts, SIGMA_Z, correlators.chain_length(n_sites, 2))
 
 
 def transverse_variance(chi_t: float, theta: float, n_sites: int,
                         mode: str = "exact") -> float:
-    """(Delta A_theta)^2 for A_theta = sum (cos t sigma_x + sin t sigma_y)."""
+    """(Delta A_theta)^2 for A_theta = sum (cos t sigma_x + sin t sigma_y);
+    an array theta gives an array."""
     if mode == "asymptotic":
-        return n_sites * variance_asymptotic_coeff(chi_t, theta)
+        return correlators.chain_length(n_sites, 1) * variance_asymptotic_coeff(chi_t, theta)
     if mode != "exact":
         raise InputError(f"unknown mode {mode!r}")
     ts = _transfer_for(chi_t)
@@ -121,6 +130,10 @@ def xi_squared(chi_t: float, n_sites: int | None = None,
                mode: str = "exact") -> float:
     """Squeezing parameter N (Delta A_theta*)^2 / <A_z>^2 at the optimal
     transverse angle; < 1 witnesses entanglement."""
+    if mode == "exact":
+        if n_sites is None:
+            raise InputError("exact mode needs a chain length")
+        n_sites = correlators.chain_length(n_sites, 2)
     theta, var_coeff, _ = _theta_optimum(_transfer_for(chi_t))
     if mode == "asymptotic":
         mean_coeff = mean_z_asymptotic_coeff(chi_t)
@@ -129,8 +142,6 @@ def xi_squared(chi_t: float, n_sites: int | None = None,
         return var_coeff / mean_coeff ** 2
     if mode != "exact":
         raise InputError(f"unknown mode {mode!r}")
-    if n_sites is None:
-        raise InputError("exact mode needs a chain length")
     mean = mean_z(chi_t, n_sites, mode="exact")
     if abs(mean) < 1e-9 * n_sites:
         raise InputError("squeezing parameter undefined: <A_z> vanishes")

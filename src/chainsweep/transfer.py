@@ -19,6 +19,9 @@ from .gates import Gate, PAULI_X, PAULI_Y, PAULI_Z
 ISOMETRY_TOL = 1e-12
 UNIT_EIG_TOL = 1e-9
 _DENSITY_TOL = 1e-10  # trace and positivity of a site density matrix
+# Per-transfer-set memo size: a squeezing series alternates the means of
+# sigma_z and A_theta, and one_point/two_point add one E_A per observable.
+MEMO_ENTRIES = 4
 
 VEC_IDENTITY = np.array([1, 0, 0, 1], dtype=np.complex128)  # vec(I) = |00> + |11>
 
@@ -99,6 +102,15 @@ class LocalObservable:
     def squared(self) -> np.ndarray:
         return self.matrix @ self.matrix
 
+    @cached_property
+    def norm(self):
+        """||A||_2, the top singular value (a read-only array of them for a
+        stack), computed on first read; the matrix is read-only, so it never
+        goes stale."""
+        top = np.linalg.svd(self.matrix, compute_uv=False)[..., 0]
+        top.setflags(write=False)
+        return dm.unbatch(top)
+
 
 SIGMA_X = LocalObservable.from_bloch([1.0, 0.0, 0.0])
 SIGMA_Y = LocalObservable.from_bloch([0.0, 1.0, 0.0])
@@ -155,7 +167,14 @@ def boundary_row(chain: ChainSpec) -> np.ndarray:
 class TransferSet:
     """Everything the correlator formulas need for one (gate, chain) pair, or
     a stack of gates on one chain; read-only, so it serves every chain length.
-    ``spectrum`` (SpectralData of ``e`` at UNIT_EIG_TOL) is computed on first read."""
+    ``spectrum`` (SpectralData of ``e`` at UNIT_EIG_TOL) is computed on first read.
+
+    :meth:`memoized` keeps what the correlators derive from an observable
+    alone, independent of N: the E_A of ``one_point``/``two_point`` and the
+    lifted matrix, closing column and squaring ladder of a collective mean.
+    It holds the MEMO_ENTRIES newest entries, keyed by the observable's
+    matrix bytes; every entry is read-only and is what the cold call builds,
+    so each value computed from it is bitwise the cold call's."""
 
     kraus: KrausPair
     e: np.ndarray
@@ -168,6 +187,22 @@ class TransferSet:
     @cached_property
     def spectrum(self) -> "SpectralData":
         return spectral(self.e)
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def memoized(self, kind: str, a: np.ndarray, build):
+        """``build(a)``, built on the first call for this ``kind`` and these
+        matrix bytes and then returned as stored; the oldest entry is dropped
+        beyond MEMO_ENTRIES.  ``build`` returns read-only arrays."""
+        key = (kind, a.shape, a.tobytes())
+        memo = self._memo
+        if key not in memo:
+            if len(memo) == MEMO_ENTRIES:
+                del memo[next(iter(memo))]
+            memo[key] = build(a)
+        return memo[key]
 
 
 def build_transfer(gate: Gate, chain: ChainSpec) -> TransferSet:

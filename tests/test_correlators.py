@@ -429,6 +429,68 @@ def test_collective_mean_rejects_empty_chain():
     ts = build_transfer(gates.random_gate(5), ChainSpec(4))
     with pytest.raises(InputError, match="chain needs at least 1 site, got 0"):
         co.collective_mean(ts, SIGMA_Z, 0)
+    with pytest.raises(InputError, match="chain needs at least 2 sites, got 1"):
+        co.additive_variance_exact(ts, SIGMA_Z, 1)
+
+
+@pytest.mark.parametrize("n_sites", [2.5, 10.0, np.float64(10.0), "10", None])
+def test_collective_sums_reject_non_integer_chain_length(n_sites):
+    ts = build_transfer(gates.random_gate(5), ChainSpec(4))
+    for call in (co.collective_mean, co.additive_variance_exact):
+        with pytest.raises(InputError, match="chain length must be an integer"):
+            call(ts, SIGMA_Z, n_sites)
+
+
+def test_collective_sums_take_numpy_integer_chain_length():
+    ts = build_transfer(gates.random_gate(5), ChainSpec(4))
+    assert co.collective_mean(ts, SIGMA_Z, np.int64(10)) == co.collective_mean(ts, SIGMA_Z, 10)
+    assert (co.additive_variance_exact(ts, SIGMA_Z, np.int64(10))
+            == co.additive_variance_exact(ts, SIGMA_Z, 10))
+
+
+# ---------------------------------------------------------------------------
+# per-transfer-set memo
+# ---------------------------------------------------------------------------
+
+def test_memoized_calls_equal_fresh_transfer_sets():
+    # interleaved observables on one transfer set against a new set per call
+    gate, chain = gates.random_gate(11), ChainSpec(2, 0.6, 0.8j)
+    ts = build_transfer(gate, chain)
+
+    def fresh():
+        return build_transfer(gate, chain)
+
+    obs_t = LocalObservable.from_bloch([1.0, -2.0, 0.5])
+    for n in (2, 3, 17, 1000, 20100):
+        for obs in (SIGMA_Z, obs_t, SIGMA_Z):
+            assert co.collective_mean(ts, obs, n) == co.collective_mean(fresh(), obs, n)
+            assert (co.additive_variance_exact(ts, obs, n)
+                    == co.additive_variance_exact(fresh(), obs, n))
+            m = min(n, 5)
+            assert co.one_point(ts, obs, m, n) == co.one_point(fresh(), obs, m, n)
+            assert co.two_point(ts, obs, 1, m, n) == co.two_point(fresh(), obs, 1, m, n)
+    assert len(ts._memo) <= transfer.MEMO_ENTRIES
+
+
+def test_memo_entries_are_read_only_and_keyed_by_observable():
+    ts = build_transfer(gates.squeezing_gate(0.7), ChainSpec(2))
+    obs_t = LocalObservable.from_bloch([1.0, 1.0, 0.0])
+    for obs in (SIGMA_Z, obs_t):
+        co.collective_mean(ts, obs, 20000)
+        co.one_point(ts, obs, 1, 5)
+
+    def unbuilt(a):
+        raise AssertionError("memo entry missing")
+
+    for obs in (SIGMA_Z, obs_t):
+        t, b, ladder = ts.memoized("mean", obs.matrix, unbuilt)
+        want_t, want_b = co._lift(ts, {(0, 1): obs.matrix})
+        assert np.array_equal(t, want_t) and np.array_equal(b, want_b)
+        assert ladder[0] is t and len(ladder) == (20000 - 1).bit_length()
+        ea = ts.memoized("dressed", obs.matrix, unbuilt)
+        assert np.array_equal(ea, ts.dressed(obs.matrix))
+        for x in (t, b, ea, *ladder):
+            assert not x.flags.writeable
 
 
 def test_variance_breakdown_fields():

@@ -67,6 +67,22 @@ def test_matpow_stack_with_power_array():
                           np.broadcast_to(np.eye(4), (3, 4, 4)))
 
 
+@pytest.mark.parametrize("shape, ks", [
+    ((4, 4), POWERS[::-1] + POWERS),                 # scalar k, shrinking then growing
+    ((4, 4), [np.array(POWERS), np.array([5, 0])]),  # array k
+    ((3, 4, 4), [0, 20100, np.array([[3], [10 ** 12]]), 7, 0]),   # stacked m
+])
+def test_matpow_reused_ladder_equals_fresh_calls(shape, ks):
+    m = _contraction(np.random.default_rng(4), shape)
+    ladder = [m]
+    for k in ks:
+        assert np.array_equal(dm.matpow(m, k, ladder), dm.matpow(m, k))
+    assert len(ladder) == 40   # m^(2^j) up to the top bit of 10**12
+    for j, square in enumerate(ladder[1:], 1):
+        assert not square.flags.writeable
+        assert np.array_equal(square, dm.matpow(m, 2 ** j))
+
+
 @pytest.mark.parametrize("k", [np.array([3, -1]), np.array([2.5, 3.0]),
                                np.array([2.0, 3.0]), 2.0, -3, "4"])
 def test_matpow_rejects_bad_powers(k):

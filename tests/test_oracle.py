@@ -42,6 +42,15 @@ def test_sweep_locality_prefix():
             assert np.max(np.abs(amps[tuple(sl)])) == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 7, 12])
+def test_sweep_equals_bond_by_bond_states(n):
+    gate, chain = gates.random_gate(n), ChainSpec(n, 0.6, 0.8j)
+    state = oracle.initial_state(chain)
+    for m in range(1, n):
+        state = oracle.apply_two_site(state, gate.matrix, m)
+        assert np.array_equal(oracle.sweep(gate, chain, upto=m).amplitudes, state.amplitudes)
+
+
 def test_sweep_cap_rejection_mentions_memory():
     with pytest.raises(InputError, match="MB"):
         oracle.sweep(gates.identity_gate(), ChainSpec(18), cap=16)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chainsweep import cli, correlators, gates, oracle, squeezing as sq
+from chainsweep import cli, correlators, gates, oracle, squeezing as sq, transfer
 from chainsweep.errors import InputError, ToleranceError
 from chainsweep.transfer import (ChainSpec, LocalObservable, SIGMA_X, SIGMA_Y, SIGMA_Z,
                                  build_transfer)
@@ -80,6 +80,64 @@ def test_transfer_set_shared_per_chi_t_and_read_only():
         ts.e[0, 0] = 1
     with pytest.raises(ValueError):
         ts.vrow[0] = 1
+
+
+def test_squeezing_series_on_one_transfer_set_equals_fresh_sets():
+    # a series alternates the sigma_z and A_theta means on one shared set
+    chi_t, theta = 0.43, np.pi / 4
+    obs = sq._transverse_obs(theta)
+
+    def series():
+        for n in (2, 5, 12, 300, 20100):
+            yield (sq.mean_z(chi_t, n), sq.transverse_variance(chi_t, theta, n),
+                   correlators.collective_mean(sq._transfer_for(chi_t), obs, n))
+
+    sq._transfer_for.cache_clear()
+    shared = list(series())
+    fresh = []
+    for n in (2, 5, 12, 300, 20100):
+        row = []
+        for call in (lambda: sq.mean_z(chi_t, n),
+                     lambda: sq.transverse_variance(chi_t, theta, n),
+                     lambda: correlators.collective_mean(sq._transfer_for(chi_t), obs, n)):
+            sq._transfer_for.cache_clear()
+            row.append(call())
+        fresh.append(tuple(row))
+    assert shared == fresh
+
+
+def test_memo_stays_bounded_over_a_theta_sweep():
+    chi_t, n = 0.61, 1500
+    sq._transfer_for.cache_clear()
+    thetas = np.linspace(0.0, np.pi, 100)
+    swept = [sq.transverse_variance(chi_t, theta, n) for theta in thetas]
+    memo = sq._transfer_for(chi_t)._memo
+    assert len(memo) == transfer.MEMO_ENTRIES
+    for theta, value in zip(thetas[::11], swept[::11]):
+        sq._transfer_for.cache_clear()
+        assert sq.transverse_variance(chi_t, theta, n) == value
+    # an array theta still gives an array, bitwise the scalar calls
+    stacked = sq.transverse_variance(chi_t, thetas[:5], n)
+    assert isinstance(stacked, np.ndarray) and stacked.tolist() == swept[:5]
+
+
+@pytest.mark.parametrize("n_sites", [2.5, 10.0, np.float64(10.0), "10"])
+def test_chain_length_checked_at_entry(n_sites):
+    for call in (lambda: sq.mean_z(0.5, n_sites),
+                 lambda: sq.mean_z(0.5, n_sites, mode="asymptotic"),
+                 lambda: sq.transverse_variance(0.5, 0.3, n_sites),
+                 lambda: sq.transverse_variance(0.5, 0.3, n_sites, mode="asymptotic"),
+                 lambda: sq.xi_squared(0.5, n_sites)):
+        with pytest.raises(InputError, match="chain length must be an integer"):
+            call()
+
+
+def test_chain_length_takes_numpy_integers():
+    assert sq.mean_z(0.5, np.int64(10)) == sq.mean_z(0.5, 10)
+    assert sq.transverse_variance(0.5, 0.3, np.int64(10)) == sq.transverse_variance(0.5, 0.3, 10)
+    assert sq.xi_squared(0.5, np.int64(10)) == sq.xi_squared(0.5, 10)
+    with pytest.raises(InputError, match="chain needs at least 2 sites, got 1"):
+        sq.xi_squared(0.5, 1)
 
 
 def test_optimal_theta_quarter():
