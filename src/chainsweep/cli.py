@@ -25,16 +25,16 @@ OUT_DIR_ENV = "CHAINSWEEP_OUT_DIR"
 # correlate writes every pair (m, n) up to this chain length and only the
 # nearest neighbours (m, m + 1) above it.
 PAIR_CAP = 32
+CORRELATE_MAX_N = 10 ** 6   # correlate's longest chain, checked before any allocation
 
 _PI_TOKEN = re.compile(
     r"^(?P<sign>[+-])?(?P<coeff>\d+\.?\d*|\.\d+)?\*?pi(?:/(?P<den>\d+\.?\d*))?$",
     re.IGNORECASE)
+_TERM_SIGN = re.compile(r"(?<=[^eE+-])([+-])")
 
 
-def parse_angle(text: str) -> float:
-    """Decimal radians or pi tokens with multipliers and a single offset:
-    'pi', '-pi/4', '3pi/4', 'pi-0.1'."""
-    token = text.strip().replace(" ", "")
+def _angle_term(token: str, text: str) -> float | None:
+    """A decimal or a pi token ('pi', '-pi/4', '3pi/4') in radians, else None."""
     match = _PI_TOKEN.match(token)
     if match:
         value = np.pi
@@ -51,16 +51,26 @@ def parse_angle(text: str) -> float:
     try:
         return float(token)
     except ValueError:
-        pass
-    for pos in range(len(token) - 1, 0, -1):
-        if token[pos] in "+-" and token[pos - 1] not in "eE+-":
-            try:
-                left = parse_angle(token[:pos])
-                right = parse_angle(token[pos + 1:])
-            except InputError:
-                continue
-            return left + right if token[pos] == "+" else left - right
-    raise InputError(f"cannot parse angle {text!r}")
+        return None
+
+
+def parse_angle(text: str) -> float:
+    """Radians as one decimal or pi token, or a sum of them: 'pi', '-pi/4',
+    '3pi/4', 'pi-0.1', '0.7+pi/2-0.1'.  A token that is not one term splits
+    once at each + or - that is not its first character and does not follow
+    e, E, + or -; the terms add left to right."""
+    token = text.strip().replace(" ", "")
+    value = _angle_term(token, text)
+    if value is not None:
+        return value
+    parts = _TERM_SIGN.split(token)
+    terms = [_angle_term(part, text) for part in parts[::2]]
+    if len(terms) == 1 or None in terms:
+        raise InputError(f"cannot parse angle {text!r}")
+    value = terms[0]
+    for sign, term in zip(parts[1::2], terms[1:]):
+        value = value + term if sign == "+" else value - term
+    return value
 
 
 def parse_angle_list(text: str) -> list[float]:
@@ -235,6 +245,8 @@ def cmd_neff(args) -> int:
 
 
 def cmd_correlate(args) -> int:
+    if args.n > CORRELATE_MAX_N:
+        raise InputError(f"--n must be at most {CORRELATE_MAX_N}, got {args.n}")
     gate = _resolve_gate(args, args.params)
     chain = _resolve_chain(args, args.n)
     ts = build_transfer(gate, chain)
@@ -349,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", help="one- and two-point functions")
     add_gate_flags(p)
     p.add_argument("--n", type=int, required=True,
-                   help=f"chain length; above {PAIR_CAP} only nearest-neighbour "
-                        f"pairs are written")
+                   help=f"chain length, at most {CORRELATE_MAX_N}; above {PAIR_CAP} "
+                        f"only nearest-neighbour pairs are written")
     p.add_argument("--bloch", help="observable direction nx,ny,nz (default z)")
     add_common(p)
     p.set_defaults(func=cmd_correlate)

@@ -1,32 +1,32 @@
 """Exact finite-N and asymptotic expectation values along the chain.
 
-Single-site and pair correlators contract the rank-1 boundary |I><v|
-through its row vector <v| and powers of the 4x4 transfer matrix E: one entry
-from O(log N) repeated squaring, or the whole table of a chain from one
-O(N + P) sweep of sequential products (site_correlations).  A collective
-sum is a finite-automaton MPO: sum_m A_m has bond dimension 2 and its square
-bond dimension 3, so the mean and the variance at any N come from one power
-of an 8x8 or 12x12 block upper-triangular lifted transfer matrix, O(log N)
-matrix products.  Asymptotic coefficients use the spectral data of E.
+Every finite-N value is a boundary row walked, bit by ascending bit, through
+the squaring ladder of one transfer matrix (densemat.walk).  Single-site and
+pair correlators walk the row <v| of the rank-1 boundary |I><v| through the
+4x4 transfer matrix E, one entry per call or a whole chain's rows doubled from
+the same ladder (site_correlations), bitwise the same.  A collective sum is a
+finite-automaton MPO: sum_m A_m has bond dimension 2 and its square bond
+dimension 3, so the mean and the variance at any N walk <v, 0, ..., 0| through
+an 8x8 or 12x12 block upper-triangular lifted transfer matrix, O(log N)
+products.  Asymptotic coefficients use the spectral data of E.
 
 What depends on the observable alone is memoized per transfer set
 (TransferSet.memoized, at most MEMO_ENTRIES entries keyed by the matrix
-bytes): E_A for one_point and two_point, and the 8x8 mean matrix, its
-closing column and its squaring ladder, so a series over N squares it once.
+bytes): E_A for the site correlators, and the 8x8 mean matrix, its closing
+column and its squaring ladder, so a series over N squares it once.
 Every stored array is read-only and each value is bitwise the cold call's.
 The 12x12 variance matrix is built per call: its mean shift depends on N.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import densemat as dm
 from .errors import InputError, ToleranceError
-from .transfer import LocalObservable, TransferSet, VEC_IDENTITY
+from .transfer import LocalObservable, TransferSet, VEC_IDENTITY, chain_length
 
 IMAG_TOL = 1e-10
 
@@ -70,48 +70,36 @@ def _read_only(*arrays):
 
 
 def _memo_dressed(ts: TransferSet, obs: LocalObservable) -> np.ndarray:
-    """E_A of one_point and two_point, dressed once per transfer set."""
+    """E_A of the site correlators, dressed once per transfer set."""
     return ts.memoized("dressed", obs.matrix, lambda a: _read_only(ts.dressed(a))[0])
 
 
-def chain_length(n_sites, minimum: int) -> int:
-    """``n_sites`` as an int, checked where a chain length enters: an
-    integer (``operator.index``, so numpy integers pass) of at least
-    ``minimum``."""
-    try:
-        n = operator.index(n_sites)
-    except TypeError:
-        raise InputError(f"chain length must be an integer, got {n_sites!r}") from None
-    if n < minimum:
-        raise InputError(f"chain needs at least {minimum} site{'s' * (minimum > 1)}, "
-                         f"got {n}")
-    return n
-
-
-def _closing(ea: np.ndarray, obs: LocalObservable, last: bool) -> np.ndarray:
-    """Column that closes a contraction at site n: E_A|I> for n < N, where
-    the sites after n trace out to |I>, and vec A at the last site n = N."""
-    return _vec(obs) if last else ea @ VEC_IDENTITY
+def _closed(ea: np.ndarray, obs: LocalObservable, ends: np.ndarray, sites, n_sites: int):
+    """Walked rows ``ends`` (..., 1, 4) closed at ``sites``: by E_A|I> at a
+    site n < N, where the sites after n trace out to |I>, by vec A at N."""
+    cols = np.where(np.equal(sites, n_sites)[..., None], _vec(obs), ea @ VEC_IDENTITY)
+    return _real((ends @ cols[..., None])[..., 0, 0])
 
 
 def one_point(ts: TransferSet, obs: LocalObservable, m: int, n_sites: int) -> float:
     """<A_m> = <v|E^{m-1} E_A|I> for m < N and <v|E^{N-1}|vec A> at m = N,
-    from one O(log N) matrix power."""
+    walking <v| through O(log N) squarings of E."""
     if not 1 <= m <= n_sites:
         raise InputError(f"site {m} outside 1..{n_sites}")
-    col = _closing(_memo_dressed(ts, obs), obs, m == n_sites)
-    return _real(complex(ts.vrow @ dm.matpow(ts.e, m - 1) @ col))
+    return _closed(_memo_dressed(ts, obs), obs,
+                   dm.walk(ts.vrow[None, :], ts.e, m - 1, [ts.e]), m, n_sites)
 
 
 def two_point(ts: TransferSet, obs: LocalObservable, m: int, n: int,
               n_sites: int) -> float:
     """<A_m A_n> = <v|E^{m-1} E_A E^{n-m-1} E_A|I> for m < n < N and
-    <v|E^{m-1} E_A E^{N-m-1}|vec A> at n = N, from O(log N) matrix powers."""
+    <v|E^{m-1} E_A E^{N-m-1}|vec A> at n = N: <v| walks to the head
+    <v|E^{m-1} E_A, and the head walks on by the separation n - m - 1."""
     _check_pairs([(m, n)], n_sites)
     ea = _memo_dressed(ts, obs)
-    head = ts.vrow @ dm.matpow(ts.e, m - 1) @ ea
-    col = _closing(ea, obs, n == n_sites)
-    return _real(complex(head @ dm.matpow(ts.e, n - m - 1) @ col))
+    ladder = [ts.e]
+    head = dm.walk(ts.vrow[None, :], ts.e, m - 1, ladder) @ ea
+    return _closed(ea, obs, dm.walk(head, ts.e, n - m - 1, ladder), n, n_sites)
 
 
 def _check_pairs(pairs, n_sites: int) -> None:
@@ -122,51 +110,23 @@ def _check_pairs(pairs, n_sites: int) -> None:
             raise InputError(f"two-point sites need m < n, got ({m},{n})")
 
 
-def _powers(m: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
-    """Rows m^j start for j = 0..count-1, by sequential products."""
-    out = np.empty((count, 4), dtype=np.complex128)
-    if count:
-        out[0] = start
-    for j in range(1, count):
-        out[j] = m @ out[j - 1]
-    return out
-
-
 def site_correlations(ts: TransferSet, obs: LocalObservable, n_sites: int,
                       pairs) -> tuple[list[float], list[float]]:
     """All N one-point values <A_m> and <A_m A_n> for each (m, n) in
-    ``pairs``, in O(N + P) products of 4-vectors with 4x4 matrices.
-
-    Prefix rows r_k = <v|E^k> (k < N) give <A_m> = r_{m-1}.close(m) and the
-    heads r_{m-1} E_A; columns E^j close(n), built only up to the largest
-    separation in ``pairs``, close each pair.  The values are those of
-    one_point and two_point, to rounding: sequential products in place of
-    repeated squaring.
-    """
+    ``pairs``, each == its one_point and two_point call: the rows
+    r_k = <v|E^k> (k < N) of one doubling table (densemat.walk_table) close
+    at their site, <A_m> = r_{m-1} close(m), and each pair's head
+    r_{m-1} E_A walks on by its own separation n - m - 1 to close(n)."""
     n_sites = chain_length(n_sites, 1)
     pairs = list(pairs)
     _check_pairs(pairs, n_sites)
-    ea = ts.dressed(obs.matrix)
-    bulk, last = _closing(ea, obs, False), _closing(ea, obs, True)
-
-    rows = _powers(ts.e.T, ts.vrow, n_sites)
-    one_vals = np.empty(n_sites, dtype=np.complex128)
-    one_vals[:-1] = rows[:-1] @ bulk
-    one_vals[-1] = rows[-1] @ last
-    one = _real(one_vals).tolist()
-    if not pairs:
-        return one, []
-
-    ms, ns = np.array(pairs).T
-    steps = ns - ms - 1
-    at_end = ns == n_sites
-    bulk_cols = _powers(ts.e, bulk, int(steps[~at_end].max(initial=-1)) + 1)
-    last_cols = _powers(ts.e, last, int(steps[at_end].max(initial=-1)) + 1)
-    cols = np.concatenate([bulk_cols, last_cols])
-    heads = rows[:-1] @ ea
-    two_vals = np.einsum("ij,ij->i", heads[ms - 1],
-                         cols[np.where(at_end, len(bulk_cols) + steps, steps)])
-    return one, _real(two_vals).tolist()
+    ea = _memo_dressed(ts, obs)
+    ladder = [ts.e]
+    rows = dm.walk_table(ts.vrow[None, :], n_sites, ladder)
+    one = _closed(ea, obs, rows, np.arange(1, n_sites + 1), n_sites).tolist()
+    ms, ns = np.array(pairs, dtype=int).reshape(-1, 2).T
+    ends = dm.walk(rows[ms - 1] @ ea, ts.e, ns - ms - 1, ladder)
+    return one, _closed(ea, obs, ends, ns, n_sites).tolist()
 
 
 def _lift(ts: TransferSet, ops: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -195,20 +155,21 @@ def _lift(ts: TransferSet, ops: dict) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _contract(ts: TransferSet, n, t: np.ndarray, b: np.ndarray, ladder=None):
-    """<v, 0, ..., 0| T^{N-1} |b> of _lift's T and b, with ``ladder`` the
-    squaring ladder of T shared with earlier calls (densemat.matpow).
+    """<v, 0, ..., 0| T^{N-1} |b> of _lift's T and b, the lifted row walked
+    through T's squaring ``ladder`` (densemat.walk), shared with earlier calls.
 
     The value is divided by the state norm <v|E^{N-1}|I>, read off the same
-    power: mathematically it is 1, and the division cancels the common drift
+    row: mathematically it is 1, and the division cancels the common drift
     that repeated squaring gives the unit eigenvalue (about N eps relative).
     Returns the value and its error estimate _ERR_SAFETY * N eps |row|.|b|,
     row = <v, 0, ...| T^{N-1} normalized.
 
     An integer array ``n``, with T carrying its batch axes, gives arrays
-    from one batched matpow, each bitwise its scalar call: rows stay 1 x 4k,
+    from one batched walk, each bitwise its scalar call: rows stay 1 x 4k,
     so every product takes the BLAS path of the scalar call.
     """
-    row = ts.vrow[None, :] @ dm.matpow(t, n - 1, ladder)[..., :4, :]
+    row = dm.walk(np.pad(ts.vrow, (0, t.shape[-1] - 4))[None, :], t, n - 1,
+                  [t] if ladder is None else ladder)
     row = row / (row[..., :4] @ VEC_IDENTITY)[..., None]
     err = _ERR_SAFETY * n * _EPS * (np.abs(row) @ np.abs(b)[..., None])[..., 0, 0]
     return (row @ b[..., None])[..., 0, 0], err

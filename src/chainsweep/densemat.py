@@ -47,45 +47,56 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def matpow(m: np.ndarray, k, ladder: list | None = None) -> np.ndarray:
-    """m**k by repeated squaring; m**0 is the identity.  ``m`` may be a
-    stack (..., d, d) and ``k`` an integer array broadcasting against it: all
-    square in lockstep and take ``result @ base`` where bit j of their own k
-    is set, so each element is bitwise its scalar call (a scalar k, the batch
-    of one, keeps its bits as Python ints).
+def _rung(ladder: list, j: int) -> np.ndarray:
+    """m^(2^j) of the ladder [m, m^2, m^4, ...], appending missing squares read-only."""
+    while len(ladder) <= j:
+        ladder.append(ladder[-1] @ ladder[-1])
+        ladder[-1].setflags(write=False)
+    return ladder[j]
 
-    The bases come from the squaring ladder [m, m^2, m^4, ...].  A caller
-    that raises one m to many powers passes the same list, starting [m], to
-    every call: each squaring is then formed once, appended read-only as it
-    is first needed, and every power stays bitwise its cold call."""
+
+def walk(start: np.ndarray, m: np.ndarray, k, ladder: list) -> np.ndarray:
+    """start @ m**k for a row stack ``start`` (..., r, d), multiplied by the
+    squaring ladder [m, m^2, m^4, ...] bit by ascending bit of k.  ``m`` may
+    be a stack (..., d, d) and ``k`` an integer array, all broadcasting; only
+    the rows whose own bit j is set take ``row @ m^(2^j)``, so each element
+    is bitwise its scalar call.  ``ladder`` starts as [m]; callers walking
+    one m many times share it, so each square is formed once, and every value
+    stays bitwise its cold call."""
+    if isinstance(k, (int, np.integer)) and k > 0:
+        out = start
+        for j in range(int(k).bit_length()):
+            out = out @ _rung(ladder, j) if k >> j & 1 else out
+        return out
+    k = np.asarray(k)
+    if k.dtype.kind not in "iu" or (k < 0).any():
+        raise InputError(f"powers must be nonnegative integers, got {k}")
+    batch = np.broadcast_shapes(start.shape[:-2], m.shape[:-2], k.shape)
+    out = np.broadcast_to(start, batch + start.shape[-2:]).astype(np.complex128, order="C")
+    for j in range(int(k.max(initial=0)).bit_length()):
+        out = np.where((k >> j & 1)[..., None, None] != 0, out @ _rung(ladder, j), out)
+    return out
+
+
+def walk_table(start: np.ndarray, count: int, ladder: list) -> np.ndarray:
+    """start @ m**k for k = 0..count-1 along a new leading axis, doubled from
+    the squaring ladder [m, ...]: block [2^j, 2^(j+1)) is block [0, 2^j) @
+    m^(2^j), the top bit of its k, so each row is bitwise walk(start, m, k)."""
+    table = np.empty((count,) + start.shape, dtype=np.complex128)
+    table[:1] = start
+    for j in range((count - 1).bit_length()):
+        table[1 << j:2 << j] = table[:min(1 << j, count - (1 << j))] @ _rung(ladder, j)
+    return table
+
+
+def matpow(m: np.ndarray, k, ladder: list | None = None) -> np.ndarray:
+    """m**k, the identity walked through m's squaring ladder; ``m``, ``k``
+    and ``ladder`` may be stacked and shared as in :func:`walk`."""
     m = as_matrix(m, stacked=True)
     if m.shape[-2] != m.shape[-1]:
         raise InputError("matpow needs a square matrix")
-    if ladder is None:
-        ladder = [m]
-    if isinstance(k, (int, np.integer)) and k >= 0:
-        k = int(k)
-        top = k.bit_length()
-    else:
-        k = np.asarray(k)
-        if k.dtype.kind not in "iu" or (k < 0).any():
-            raise InputError(f"powers must be nonnegative integers, got {k}")
-        top = int(k.max(initial=0)).bit_length()
-    result = np.eye(m.shape[-1], dtype=np.complex128)
-    for j in range(top):
-        if j == len(ladder):
-            square = ladder[-1] @ ladder[-1]
-            square.setflags(write=False)
-            ladder.append(square)
-        bit = k >> j & 1
-        if isinstance(bit, int):
-            result = result @ ladder[j] if bit else result
-        elif bit.any():
-            result = np.where(bit[..., None, None] != 0, result @ ladder[j], result)
-    if top == 0 and (m.ndim > 2 or np.ndim(k)):
-        result = np.broadcast_to(result, np.broadcast_shapes(m.shape[:-2], np.shape(k))
-                                 + result.shape).copy()
-    return result
+    return walk(np.eye(m.shape[-1], dtype=np.complex128), m, k,
+                [m] if ladder is None else ladder)
 
 
 def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ import numpy as np
 from . import correlators
 from .errors import InputError, ToleranceError
 from .gates import squeezing_gate
-from .transfer import ChainSpec, LocalObservable, SIGMA_Z, build_transfer
+from .transfer import ChainSpec, LocalObservable, SIGMA_Z, build_transfer, chain_length
 
 THETA_DEGENERATE_SPAN = 1e-9
 
@@ -64,11 +64,11 @@ def _scalar_transverse_obs(theta: float) -> LocalObservable:
 def mean_z(chi_t: float, n_sites: int, mode: str = "exact") -> float:
     """Collective <A_z> after the sweep from |0...0>."""
     if mode == "asymptotic":
-        return correlators.chain_length(n_sites, 1) * mean_z_asymptotic_coeff(chi_t)
+        return chain_length(n_sites, 1) * mean_z_asymptotic_coeff(chi_t)
     if mode != "exact":
         raise InputError(f"unknown mode {mode!r}")
     ts = _transfer_for(chi_t)
-    return correlators.collective_mean(ts, SIGMA_Z, correlators.chain_length(n_sites, 2))
+    return correlators.collective_mean(ts, SIGMA_Z, chain_length(n_sites, 2))
 
 
 def transverse_variance(chi_t: float, theta: float, n_sites: int,
@@ -76,7 +76,7 @@ def transverse_variance(chi_t: float, theta: float, n_sites: int,
     """(Delta A_theta)^2 for A_theta = sum (cos t sigma_x + sin t sigma_y);
     an array theta gives an array."""
     if mode == "asymptotic":
-        return correlators.chain_length(n_sites, 1) * variance_asymptotic_coeff(chi_t, theta)
+        return chain_length(n_sites, 1) * variance_asymptotic_coeff(chi_t, theta)
     if mode != "exact":
         raise InputError(f"unknown mode {mode!r}")
     ts = _transfer_for(chi_t)
@@ -133,7 +133,7 @@ def xi_squared(chi_t: float, n_sites: int | None = None,
     if mode == "exact":
         if n_sites is None:
             raise InputError("exact mode needs a chain length")
-        n_sites = correlators.chain_length(n_sites, 2)
+        n_sites = chain_length(n_sites, 2)
     theta, var_coeff, _ = _theta_optimum(_transfer_for(chi_t))
     if mode == "asymptotic":
         mean_coeff = mean_z_asymptotic_coeff(chi_t)

@@ -7,6 +7,7 @@ tests pin this because everything downstream breaks under a silent flip.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,10 +21,23 @@ ISOMETRY_TOL = 1e-12
 UNIT_EIG_TOL = 1e-9
 _DENSITY_TOL = 1e-10  # trace and positivity of a site density matrix
 # Per-transfer-set memo size: a squeezing series alternates the means of
-# sigma_z and A_theta, and one_point/two_point add one E_A per observable.
+# sigma_z and A_theta, and the site correlators add one E_A per observable.
 MEMO_ENTRIES = 4
 
 VEC_IDENTITY = np.array([1, 0, 0, 1], dtype=np.complex128)  # vec(I) = |00> + |11>
+
+
+def chain_length(n_sites, minimum: int) -> int:
+    """``n_sites`` as an int of at least ``minimum``, checked where a chain
+    length enters (``operator.index``, so numpy integers pass)."""
+    try:
+        n = operator.index(n_sites)
+    except TypeError:
+        raise InputError(f"chain length must be an integer, got {n_sites!r}") from None
+    if n < minimum:
+        raise InputError(f"chain needs at least {minimum} site{'s' * (minimum > 1)}, "
+                         f"got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -52,8 +66,7 @@ class ChainSpec:
     c1: complex = 0.0 + 0.0j
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InputError(f"chain needs at least 2 sites, got {self.n}")
+        object.__setattr__(self, "n", chain_length(self.n, 2))
         c0, c1 = complex(self.c0), complex(self.c1)
         norm = abs(c0) ** 2 + abs(c1) ** 2
         if abs(norm - 1.0) > 1e-12:
@@ -170,7 +183,7 @@ class TransferSet:
     ``spectrum`` (SpectralData of ``e`` at UNIT_EIG_TOL) is computed on first read.
 
     :meth:`memoized` keeps what the correlators derive from an observable
-    alone, independent of N: the E_A of ``one_point``/``two_point`` and the
+    alone, independent of N: the E_A of the site correlators and the
     lifted matrix, closing column and squaring ladder of a collective mean.
     It holds the MEMO_ENTRIES newest entries, keyed by the observable's
     matrix bytes; every entry is read-only and is what the cold call builds,

@@ -38,6 +38,79 @@ def test_parse_angle_rejects_garbage():
         cli.parse_angle("two pies")
 
 
+def _recursive_parse_angle(text):
+    # the recursive parser the one-pass parse_angle replaced: it retries
+    # every +/- split, so each unparseable term doubles its time
+    token = text.strip().replace(" ", "")
+    match = cli._PI_TOKEN.match(token)
+    if match:
+        value = np.pi
+        if match.group("coeff"):
+            value *= float(match.group("coeff"))
+        if match.group("den"):
+            den = float(match.group("den"))
+            if den == 0.0:
+                raise InputError(f"zero denominator in angle {text!r}")
+            value /= den
+        if match.group("sign") == "-":
+            value = -value
+        return float(value)
+    try:
+        return float(token)
+    except ValueError:
+        pass
+    for pos in range(len(token) - 1, 0, -1):
+        if token[pos] in "+-" and token[pos - 1] not in "eE+-":
+            try:
+                left = _recursive_parse_angle(token[:pos])
+                right = _recursive_parse_angle(token[pos + 1:])
+            except InputError:
+                continue
+            return left + right if token[pos] == "+" else left - right
+    raise InputError(f"cannot parse angle {text!r}")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text).hex()
+    except InputError:
+        return InputError
+
+
+# every angle the README, the tests and the bench argv pass, then a seeded
+# corpus of short tokens built from numbers, pi tokens, signs and junk
+_DOC_ANGLES = (["pi", "pi-0.1", "pi-0.2", "pi-0.3", "pi-0.4", "pi/2", "pi-2e-5",
+                "pi/0", "0.3", "0.7", "0.9", "0.4", "0.5", "0.02", "1.5", "-1", "7",
+                "0", "1", "2", "1.0", "1.2", "1.3", "0.0", "0.7+pi/2-0.1"]
+               + [format(x, ".17g") for x in cli.parse_grid("0.02:1.5:75")])
+_PIECES = ["pi", "2", "0.5", ".5", "3pi/4", "pi/2", "2*pi", "pi/0", "1e-5", "1E+2",
+           "e", "E", "+", "-", "*", "/", ".", "x", "1", "0", "inf"]
+
+
+def test_parse_angle_matches_recursive_parser():
+    # the same float bits, or an InputError from both
+    rng = np.random.default_rng(0)
+    corpus = ["".join(rng.choice(_PIECES, size=int(rng.integers(1, 7))))
+              for _ in range(20000)]
+    parsed = 0
+    for text in _DOC_ANGLES + corpus:
+        want = _outcome(_recursive_parse_angle, text)
+        assert _outcome(cli.parse_angle, text) == want, text
+        parsed += want is not InputError
+    assert parsed > 2000
+
+
+def test_parse_angle_parses_each_term_once(monkeypatch):
+    # the whole token once, then each of its 20 terms once: linear, where
+    # the recursive parser made about 2**20 term parses
+    calls = []
+    term = cli._angle_term
+    monkeypatch.setattr(cli, "_angle_term", lambda *a: calls.append(a) or term(*a))
+    with pytest.raises(InputError):
+        cli.parse_angle("-".join(["1x"] * 20))
+    assert len(calls) <= 2 * 20
+
+
 def test_parse_n_range():
     out = cli.parse_n_range("4:1000:5")
     assert out[0] == 4 and out[-1] == 1000
@@ -257,6 +330,8 @@ def test_missing_gate_exit_code(capsys):
     ["oracle-check", "--count", "1", "--tol", "-1"],
     ["fig4", "--chi-t", "0.3", "--tol", "0"],
     ["correlate", "--gate", "squeezing", "--params", "0.5", "--n", "4", "--tol=-inf"],
+    ["correlate", "--gate", "squeezing", "--params", "0.5", "--n", "10000000000"],
+    ["fig3", "--a-list", "-".join(["1x"] * 40)],
 ])
 def test_malformed_arguments_exit_code(argv, capsys):
     # rejected with one error line: no traceback, and no 4-vector read as

@@ -184,16 +184,16 @@ def _table_cases(n, seed):
         yield build_transfer(g, _random_chain(rng, max(n, 2))), _random_bloch(rng)
 
 
-def _assert_table_matches(ts, obs, n, pairs, sites, checked, tol):
+def _assert_table_matches(ts, obs, n, pairs, sites, checked):
+    # the table walks the same squaring ladder as the per-entry calls, so
+    # every value is bitwise theirs
     one, two = co.site_correlations(ts, obs, n, pairs)
     assert len(one) == n and len(two) == len(pairs)
     for m in sites:
-        ref = co.one_point(ts, obs, m, n)
-        assert abs(one[m - 1] - ref) <= tol * max(1.0, abs(ref))
+        assert one[m - 1] == co.one_point(ts, obs, m, n)
     value = dict(zip(pairs, two))
     for m, k in checked:
-        ref = co.two_point(ts, obs, m, k, n)
-        assert abs(value[m, k] - ref) <= tol * max(1.0, abs(ref))
+        assert value[m, k] == co.two_point(ts, obs, m, k, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 33, 200])
@@ -213,19 +213,19 @@ def test_site_correlations_match_per_site(n):
         checked += [rest[i] for i in picks]
     sites = range(1, n + 1)
     for ts, obs in _table_cases(n, seed=20 + n):
-        _assert_table_matches(ts, obs, n, full, sites, checked, 1e-13)
-        _assert_table_matches(ts, obs, n, near, sites, near, 1e-13)
+        _assert_table_matches(ts, obs, n, full, sites, checked)
+        _assert_table_matches(ts, obs, n, near, sites, near)
 
 
 def test_site_correlations_long_chain_drift():
-    # sequential products against repeated squaring over 2000 sites; the
-    # per-entry reference covers every tenth site and the last two
+    # 2000 sites, eleven table blocks; the per-entry reference covers every
+    # tenth site and the last two
     n = 2000
     near = [(m, m + 1) for m in range(1, n)]
     sites = sorted(set(range(1, n + 1, 10)) | {n - 1, n})
     checked = [(m, m + 1) for m in sites if m < n]
     for ts, obs in _table_cases(n, seed=29):
-        _assert_table_matches(ts, obs, n, near, sites, checked, 1e-12)
+        _assert_table_matches(ts, obs, n, near, sites, checked)
 
 
 def test_site_correlations_rejects_bad_pairs():

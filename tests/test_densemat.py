@@ -83,6 +83,44 @@ def test_matpow_reused_ladder_equals_fresh_calls(shape, ks):
         assert np.array_equal(square, dm.matpow(m, 2 ** j))
 
 
+def _ascending_walk(start, m, k):
+    # start @ m**k, one squaring ladder step per bit of k, lowest bit first
+    out, square = start, m
+    while k:
+        if k & 1:
+            out = out @ square
+        k >>= 1
+        square = square @ square
+    return out
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 33, 1000])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_walk_table_is_bitwise_the_walk(count, rows):
+    rng = np.random.default_rng(count + rows)
+    m = _contraction(rng, (4, 4))
+    start = rng.standard_normal((rows, 4)) + 1j * rng.standard_normal((rows, 4))
+    ladder = [m]
+    table = dm.walk_table(start, count, ladder)
+    assert table.shape == (count, rows, 4)
+    assert np.array_equal(table, dm.walk(start, m, np.arange(count), ladder))
+    for k in range(count):
+        assert np.array_equal(table[k], _ascending_walk(start, m, k))
+        assert np.array_equal(table[k], dm.walk(start, m, k, [m]))
+
+
+def test_walk_stack_takes_only_its_own_bits():
+    # a stacked m and start against an exponent array, each bitwise alone
+    rng = np.random.default_rng(5)
+    stack = _contraction(rng, (3, 4, 4))
+    start = rng.standard_normal((3, 1, 4)) + 0j
+    ks = np.array([[0], [5], [20100]])
+    got = dm.walk(start, stack, ks, [stack])
+    assert got.shape == (3, 3, 1, 4)
+    for i, j in np.ndindex(3, 3):
+        assert np.array_equal(got[i, j], _ascending_walk(start[j], stack[j], int(ks[i, 0])))
+
+
 @pytest.mark.parametrize("k", [np.array([3, -1]), np.array([2.5, 3.0]),
                                np.array([2.0, 3.0]), 2.0, -3, "4"])
 def test_matpow_rejects_bad_powers(k):

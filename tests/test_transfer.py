@@ -179,6 +179,20 @@ def test_chain_spec_rejects_unnormalized():
         ChainSpec(1, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("n", [4.5, 10.0, "10", None])
+def test_chain_spec_rejects_non_integer_length(n):
+    # ChainSpec(4.5) used to construct and fail later inside numpy
+    with pytest.raises(InputError):
+        ChainSpec(n)
+    with pytest.raises(InputError):
+        oracle.sweep(gates.random_gate(1), ChainSpec(n))
+
+
+def test_chain_spec_length_is_an_int():
+    n = ChainSpec(np.int64(5)).n
+    assert n == 5 and type(n) is int
+
+
 def test_dressed_identity_reduces():
     k = extract_kraus(gates.random_gate(11))
     chain = ChainSpec(4, 0.6, 0.8)
