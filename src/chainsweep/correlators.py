@@ -12,10 +12,11 @@ products.  Asymptotic coefficients use the spectral data of E.
 
 What depends on the observable alone is memoized per transfer set
 (TransferSet.memoized, at most MEMO_ENTRIES entries keyed by the matrix
-bytes): E_A for the site correlators, and the 8x8 mean matrix, its closing
-column and its squaring ladder, so a series over N squares it once.
-Every stored array is read-only and each value is bitwise the cold call's.
-The 12x12 variance matrix is built per call: its mean shift depends on N.
+bytes): E_A for the site correlators, the 8x8 mean matrix, its closing
+column and its squaring ladder, and the 12x12 variance matrix of A shifted
+by its chain average, with its closing columns, ladder and guard floor, so
+a series over N squares each once.  Every stored array is read-only and
+each value is bitwise the cold call's.
 """
 
 from __future__ import annotations
@@ -130,49 +131,49 @@ def site_correlations(ts: TransferSet, obs: LocalObservable, n_sites: int,
 
 
 def _lift(ts: TransferSet, ops: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Lifted transfer matrix T and closing column b of a finite-automaton
-    MPO, whose chain sum is <v, 0, ..., 0| T^{N-1} |b>.
+    """Lifted transfer matrix T and closing columns of a finite-automaton
+    MPO, whose chain sum ending in automaton state j is
+    <v, 0, ..., 0| T^{N-1} |cols[:, j-1]>; the last column closes the sum.
 
     The MPO is block upper triangular with identities on its diagonal and
     the single-site operators ``ops[i, j]`` (i < j) above it (Crosswhite &
     Bacon, PRA 78, 012356 (2008)); sum_m A_m is {(0, 1): A}.  Dressing each
-    entry gives T, with E on the diagonal blocks and E_{W_ij} above them,
-    and site N closes with the column b_i = vec W_{i,k-1}.
+    entry gives T, with E on the diagonal blocks and E_{W_ij} above them;
+    site N closes state j by the blocks vec W_ij (i < j), |I> (i = j), 0.
     """
     k = 1 + max(j for _, j in ops)
     batch = ops[0, 1].shape[:-2]
     t = np.zeros(batch + (4 * k, 4 * k), dtype=np.complex128)
-    b = np.zeros(batch + (4 * k,), dtype=np.complex128)
+    cols = np.zeros(batch + (4 * k, k - 1), dtype=np.complex128)
+    cols[..., 4:, :] = np.kron(np.eye(k - 1), VEC_IDENTITY[:, None])
     for i in range(k):
         t[..., 4 * i:4 * i + 4, 4 * i:4 * i + 4] = ts.e
     dressed = ts.dressed(np.stack(list(ops.values()), axis=-3))
     for m, ((i, j), op) in enumerate(ops.items()):
         t[..., 4 * i:4 * i + 4, 4 * j:4 * j + 4] = dressed[..., m, :, :]
-        if j == k - 1:
-            b[..., 4 * i:4 * i + 4] = op.reshape(batch + (4,))
-    b[..., -4:] = VEC_IDENTITY
-    return t, b
+        cols[..., 4 * i:4 * i + 4, j - 1] = op.reshape(batch + (4,))
+    return t, cols
 
 
-def _contract(ts: TransferSet, n, t: np.ndarray, b: np.ndarray, ladder=None):
-    """<v, 0, ..., 0| T^{N-1} |b> of _lift's T and b, the lifted row walked
-    through T's squaring ``ladder`` (densemat.walk), shared with earlier calls.
+def _contract(ts: TransferSet, n, t: np.ndarray, cols: np.ndarray, ladder: list):
+    """<v, 0, ..., 0| T^{N-1} |cols> of _lift's T and closing columns, the
+    lifted row walked through T's squaring ``ladder`` (densemat.walk), shared
+    with earlier calls; one value per column along the last axis.
 
-    The value is divided by the state norm <v|E^{N-1}|I>, read off the same
+    The values are divided by the state norm <v|E^{N-1}|I>, read off the same
     row: mathematically it is 1, and the division cancels the common drift
     that repeated squaring gives the unit eigenvalue (about N eps relative).
-    Returns the value and its error estimate _ERR_SAFETY * N eps |row|.|b|,
-    row = <v, 0, ...| T^{N-1} normalized.
+    Returns the values and, per column c, the error estimate
+    _ERR_SAFETY * N eps |row|.|c|, row = <v, 0, ...| T^{N-1} normalized.
 
-    An integer array ``n``, with T carrying its batch axes, gives arrays
-    from one batched walk, each bitwise its scalar call: rows stay 1 x 4k,
-    so every product takes the BLAS path of the scalar call.
+    An integer array ``n`` (T may carry batch axes too) gives arrays from
+    one batched walk, each bitwise its scalar call: rows stay 1 x 4k, so
+    every product takes the BLAS path of the scalar call.
     """
-    row = dm.walk(np.pad(ts.vrow, (0, t.shape[-1] - 4))[None, :], t, n - 1,
-                  [t] if ladder is None else ladder)
+    row = dm.walk(np.pad(ts.vrow, (0, t.shape[-1] - 4))[None, :], t, n - 1, ladder)
     row = row / (row[..., :4] @ VEC_IDENTITY)[..., None]
-    err = _ERR_SAFETY * n * _EPS * (np.abs(row) @ np.abs(b)[..., None])[..., 0, 0]
-    return (row @ b[..., None])[..., 0, 0], err
+    err = np.expand_dims(_ERR_SAFETY * n * _EPS, -1) * (np.abs(row) @ np.abs(cols))[..., 0, :]
+    return (row @ cols)[..., 0, :], err
 
 
 def _check_estimate(what: str, value, err, floor) -> None:
@@ -186,37 +187,32 @@ def _check_estimate(what: str, value, err, floor) -> None:
                              f"the chain is too long for double precision")
 
 
-def _mean_lift(ts: TransferSet, a: np.ndarray) -> tuple:
-    """(T, b, [T]) of the mean of sum_m A_m, read-only: independent of N,
-    so a transfer set memoizes them and the squaring ladder grows in place."""
-    t, b = _read_only(*_lift(ts, {(0, 1): a}))
-    return t, b, [t]
-
-
-def _mean(ts: TransferSet, a: np.ndarray, n) -> tuple:
-    """sum_m <A_m> and its error estimate from the 8x8 lifted power
-    [[E, E_A], [0, E]] closed by (vec A, |I>) at site N; the lifted matrix
-    and its squarings are memoized per transfer set and observable."""
-    total, err = _contract(ts, n, *ts.memoized("mean", a, lambda a: _mean_lift(ts, a)))
-    return _real(total, scale=n), err
+def _lifted(ts: TransferSet, ops: dict) -> tuple:
+    """(T, closing columns, [T]) of _lift, read-only: independent of N, so a
+    transfer set memoizes them and the squaring ladder grows in place."""
+    t, cols = _read_only(*_lift(ts, ops))
+    return t, cols, [t]
 
 
 def collective_mean(ts: TransferSet, obs: LocalObservable, n_sites: int) -> float:
-    """sum_m <A_m> from one power of the 8x8 lifted transfer matrix.
+    """sum_m <A_m> from the 8x8 lifted power [[E, E_A], [0, E]] closed by
+    (vec A, |I>) at site N, memoized per transfer set and observable.
 
     Raises ToleranceError when the error estimate exceeds COLLECTIVE_REL_TOL
     of max(|mean|, N ||A||).
     """
     n_sites = chain_length(n_sites, 1)
-    mean, err = _mean(ts, obs.matrix, n_sites)
-    _check_estimate("collective mean", mean, err, n_sites * obs.norm)
+    total, err = _contract(ts, n_sites, *ts.memoized(
+        "mean", obs.matrix, lambda a: _lifted(ts, {(0, 1): a})))
+    mean = _real(total[..., 0], scale=n_sites)
+    _check_estimate("collective mean", mean, err[..., 0], n_sites * obs.norm)
     return mean
 
 
 @dataclass
 class VarianceBreakdown:
     """Exact variance of an additive observable; ``error_estimate`` is the
-    estimated floating-point error of ``total`` (see _contract)."""
+    estimated floating-point error of ``total`` (see _variance)."""
 
     total: float
     error_estimate: float
@@ -252,24 +248,31 @@ def additive_variance_exact(ts: TransferSet, obs: LocalObservable,
     return VarianceBreakdown(total=total, error_estimate=err)
 
 
-def _variance(ts: TransferSet, obs: LocalObservable, n) -> tuple:
-    """Variance and its error estimate from the mean-shifted 12x12 power
-    (arrays for an array ``n``, one shifted operator per length).
+def _variance_lift(ts: TransferSet, a: np.ndarray) -> tuple:
+    """(T, closing columns, [T], ||A'||^2) of the MPO [[I, A', A'^2],
+    [0, I, 2A'], [0, 0, I]], read-only; its columns close the mean M1 and
+    second moment M2 of sum_m A'_m.  A' = A - mu: any real shift leaves
+    M2 - M1^2 exact, and the chain average mu = Re <v|P E_A|I> (P from
+    ts.spectrum) is independent of N and keeps M1 bounded for unital E."""
+    pi = ts.spectrum.projector
+    mu = _unit_moments(ts.vrow @ pi, pi, ts.dressed(a))[0].real
+    shifted = a - np.multiply.outer(mu, np.eye(2))
+    floor = np.asarray(np.linalg.svd(shifted, compute_uv=False)[..., 0] ** 2)
+    return (*_lifted(ts, {(0, 1): shifted, (0, 2): shifted @ shifted,
+                          (1, 2): 2.0 * shifted}), *_read_only(floor))
 
-    The second moment of sum_m A_m is the bond-dimension-3 MPO
-    [[I, A, A^2], [0, I, 2A], [0, 0, I]].  A is first shifted by its chain
-    average mu (from the 8x8 mean power): the variance is unchanged and the
-    shifted sum has zero mean, so its second moment is the variance and no
-    N^2-sized mean^2 is subtracted.
-    """
-    mean, _ = _mean(ts, obs.matrix, n)
-    shifted = obs.matrix - np.multiply.outer(mean / n, np.eye(2))
-    # Not memoized: T depends on N through mu.
-    second, err = _contract(ts, n, *_lift(
-        ts, {(0, 1): shifted, (0, 2): shifted @ shifted, (1, 2): 2.0 * shifted}))
-    total = _real(second, scale=(1.0 * n) ** 2)
-    _check_estimate("collective variance", total, err,
-                    n * np.linalg.svd(shifted, compute_uv=False)[..., 0] ** 2)
+
+def _variance(ts: TransferSet, obs: LocalObservable, n) -> tuple:
+    """Variance M2 - M1^2 and its error estimate (arrays for an array ``n``)
+    from one row walked through the memoized _variance_lift.  M1 is bounded,
+    so M1^2 stays small next to the variance; the estimate adds 2 |M1| times
+    M1's to M2's, and the guard's floor is N ||A - mu||^2."""
+    t, cols, ladder, floor = ts.memoized("variance", obs.matrix,
+                                         lambda a: _variance_lift(ts, a))
+    (m1, m2), (err1, err2) = (np.moveaxis(x, -1, 0) for x in _contract(ts, n, t, cols, ladder))
+    total = _real(m2 - m1 * m1, scale=(1.0 * n) ** 2)
+    err = err2 + 2.0 * np.abs(m1) * err1
+    _check_estimate("collective variance", total, err, n * floor)
     return total, dm.unbatch(err)
 
 

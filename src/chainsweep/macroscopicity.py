@@ -170,9 +170,10 @@ def classify_macroscopic(gate: Gate, tol: float = UNIT_EIG_TOL) -> MacroClassifi
 def variance_sweep(gate: Gate, chain_amplitudes: tuple[complex, complex],
                    obs: LocalObservable, n_list) -> list[dict]:
     """Exact collective variance over a list of chain lengths, with the
-    empirical log-log slope between consecutive entries.  One stacked
-    lifted contraction serves the whole list, each variance bitwise that of
-    additive_variance_exact at its N; the first N over its error bound raises."""
+    empirical log-log slope between consecutive entries.  One batched walk
+    through the memoized 12x12 ladder serves the whole list, each variance
+    bitwise that of additive_variance_exact at its N; the first N over its
+    error bound raises."""
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InputError("N list must be strictly ascending")

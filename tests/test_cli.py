@@ -213,6 +213,17 @@ def test_fig3_absurd_chain_length_exit_code(capsys):
     assert code == 3
 
 
+def test_fig3_variance_at_n_1e18_is_the_saturated_value(capsys):
+    # the exact variance of this rotation saturates at 1875.0692422523...;
+    # dropping the shifted sum's squared mean printed 2516.98 here
+    code, out = run_cli(["fig3", "--a-list", "pi-0.4", "--n-range",
+                         "1000000000000000000:1000000000000000000:1"], capsys)
+    assert code == 0
+    header, rows = _rows(out)
+    assert len(rows) == 1
+    assert abs(float(rows[0][header.index("variance")]) - 1875.0692422523) <= 1e-9
+
+
 def test_fig3_mixed_chain_lengths_exit_code(capsys):
     # one length beyond double precision refuses the whole sweep, no rows
     code, out = run_cli(["fig3", "--a-list", "pi", "--n-range",

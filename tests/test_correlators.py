@@ -311,6 +311,30 @@ def test_variance_error_estimate_covers_large_n_deviation():
         assert abs(vb.total - predicted(n) - rem) <= vb.error_estimate
 
 
+def test_variance_subtracts_the_shifted_mean_at_huge_n():
+    # controlled_rotation(pi - 0.4) on |+> with sigma_z: the exact variance
+    # is the same at every N from 1e4 on.  The shifted sum keeps a mean M1
+    # of 0.91 at N = 1e16 and 25 at 1e18; without its square subtracted the
+    # variance read 1875.90 and 2516.98 there.
+    ts = build_transfer(gates.controlled_rotation(np.pi - 0.4), ChainSpec.plus_state(2))
+    want = co.additive_variance_exact(ts, SIGMA_Z, 10 ** 4).total
+    for n in (10 ** 16, 10 ** 18):
+        assert abs(co.additive_variance_exact(ts, SIGMA_Z, n).total - want) <= 1e-12 * want
+
+
+def test_variance_of_a_drifting_macroscopic_gate_at_n_1e8():
+    # The 8x8 mean walk of this case carries an imaginary residue of 4.0e-2
+    # at N = 1e8, above IMAG_TOL N, so a variance shifted by mean/N raised
+    # here; the N-independent shift needs no mean walk.
+    ts = build_transfer(gates.macroscopic_family(0.3, 1.0, 2.0, seed=0),
+                        ChainSpec(2, 0.6, 0.8j))
+    obs = LocalObservable.from_bloch([1.0, 1.0, 0.0])
+    asym = co.asymptotic_variance(ts, obs)
+    n = 10 ** 8
+    want = asym.quadratic_coeff * n ** 2 + asym.linear_coeff * n
+    assert abs(co.additive_variance_exact(ts, obs, n).total - want) <= 1e-12 * want
+
+
 def test_collective_guard_rejects_absurd_chain_length():
     ts = build_transfer(gates.squeezing_gate(0.5), ChainSpec(2))
     obs = LocalObservable.from_bloch([1.0, 1.0, 0.0])
@@ -491,6 +515,43 @@ def test_memo_entries_are_read_only_and_keyed_by_observable():
         assert np.array_equal(ea, ts.dressed(obs.matrix))
         for x in (t, b, ea, *ladder):
             assert not x.flags.writeable
+
+
+def test_variance_memo_holds_the_shifted_lift(monkeypatch):
+    ts = build_transfer(gates.random_gate(7), ChainSpec(2, 0.6, 0.8j))
+    obs = LocalObservable.from_bloch([1.0, -2.0, 0.5])
+    first = co.additive_variance_exact(ts, obs, 20000)
+
+    def unbuilt(a):
+        raise AssertionError("memo entry missing")
+
+    entry = ts.memoized("variance", obs.matrix, unbuilt)
+    t, cols, ladder, floor = entry
+    pi = ts.spectrum.projector
+    mu = (ts.vrow @ pi @ ts.dressed(obs.matrix) @ transfer.VEC_IDENTITY).real
+    shifted = obs.matrix - mu * np.eye(2)
+    want_t, want_cols = co._lift(ts, {(0, 1): shifted, (0, 2): shifted @ shifted,
+                                      (1, 2): 2.0 * shifted})
+    assert np.array_equal(t, want_t) and np.array_equal(cols, want_cols)
+    assert np.array_equal(cols[:, 0], np.concatenate([shifted.ravel(),
+                                                      transfer.VEC_IDENTITY, np.zeros(4)]))
+    assert floor == np.linalg.svd(shifted, compute_uv=False)[0] ** 2
+    assert ladder[0] is t and len(ladder) == (20000 - 1).bit_length()
+    for x in (t, cols, floor, *ladder):
+        assert not x.flags.writeable
+
+    # a second call on the same set and observable builds no lift, makes no
+    # squaring and calls no SVD
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rebuilt on a memoized call")
+
+    rungs = list(ladder)
+    monkeypatch.setattr(co, "_lift", forbidden)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    assert co.additive_variance_exact(ts, obs, 20000) == first
+    co.additive_variance_exact(ts, obs, 300)
+    assert ts.memoized("variance", obs.matrix, unbuilt) is entry
+    assert len(ladder) == len(rungs) and all(x is y for x, y in zip(ladder, rungs))
 
 
 def test_variance_breakdown_fields():

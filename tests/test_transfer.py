@@ -489,8 +489,10 @@ def test_stacked_spectral_rejects_one_matrix_outside_unit_disk():
 
 
 def test_transfer_set_spectrum_is_lazy_and_cached(monkeypatch):
-    # finite-N correlators never compute the spectrum; every asymptotic
-    # reader shares the one computed at UNIT_EIG_TOL on first read
+    # the site correlators and the collective mean never compute the
+    # spectrum; the finite-N variance reads its mean shift from it, and it
+    # and every asymptotic reader share the one computed at UNIT_EIG_TOL on
+    # first read
     calls = []
 
     def counting(e, tol=transfer.UNIT_EIG_TOL):
@@ -500,8 +502,13 @@ def test_transfer_set_spectrum_is_lazy_and_cached(monkeypatch):
     monkeypatch.setattr(transfer, "spectral", counting)
     ts = build_transfer(gates.macroscopic_family(0.5, 0.3, 1.1, seed=3), ChainSpec(4))
     co.site_correlations(ts, transfer.SIGMA_Z, 6, [(1, 2)])
-    co.additive_variance_exact(ts, transfer.SIGMA_Z, 6)
+    co.collective_mean(ts, transfer.SIGMA_Z, 6)
     assert calls == []
+    co.additive_variance_exact(ts, transfer.SIGMA_Z, 6)
+    assert calls == [transfer.UNIT_EIG_TOL]
+    co.additive_variance_exact(ts, transfer.SIGMA_Z, 7)
+    co.additive_variance_exact(ts, transfer.SIGMA_X, 6)
+    assert calls == [transfer.UNIT_EIG_TOL]
     co.asymptotic_variance(ts, transfer.SIGMA_Z)
     co.asymptotic_variance(ts, transfer.SIGMA_X)
     assert calls == [transfer.UNIT_EIG_TOL]
