@@ -17,7 +17,7 @@ import numpy as np
 
 from . import correlators, macroscopicity, oracle, squeezing
 from .errors import ConvergenceError, InputError, ToleranceError
-from .gates import Gate, gate_from_family, load_gate
+from .gates import Gate, gate_from_family, load_gate, random_gate
 from .transfer import ChainSpec, LocalObservable, build_transfer
 
 OUT_DIR_ENV = "CHAINSWEEP_OUT_DIR"
@@ -200,11 +200,11 @@ def cmd_fig3(args) -> int:
     a_list = parse_angle_list(args.a_list)
     n_list = parse_n_range(args.n_range)
     obs = _resolve_bloch(args)
+    c0 = parse_complex(args.c0) if args.c0 is not None else 1 / np.sqrt(2)
+    c1 = parse_complex(args.c1) if args.c1 is not None else 1 / np.sqrt(2)
     rows = []
     for a in a_list:
         gate = gate_from_family("controlled_rotation", [a])
-        c0 = parse_complex(args.c0) if args.c0 is not None else 1 / np.sqrt(2)
-        c1 = parse_complex(args.c1) if args.c1 is not None else 1 / np.sqrt(2)
         sweep_rows = macroscopicity.variance_sweep(gate, (c0, c1), obs, n_list)
         for entry in sweep_rows:
             n = entry["n"]
@@ -263,10 +263,11 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    from .gates import random_gate
     if args.count < 1:
         raise InputError(f"--count must be positive, got {args.count}")
     gates = [random_gate(args.seed + k) for k in range(args.count)]
+    chain = _resolve_chain(args, args.n)
+    pairs = [(m, k2) for m in range(1, args.n + 1) for k2 in range(m + 1, args.n + 1)]
     rng = np.random.default_rng(args.seed)
     rows = []
     all_pass = True
@@ -274,10 +275,8 @@ def cmd_oracle_check(args) -> int:
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
         obs = LocalObservable.from_bloch(direction)
-        chain = _resolve_chain(args, args.n)
         ts = build_transfer(gate, chain)
         state = oracle.sweep(gate, chain)
-        pairs = [(m, k2) for m in range(1, args.n + 1) for k2 in range(m + 1, args.n + 1)]
         one, two = correlators.site_correlations(ts, obs, args.n, pairs)
         dev_one = max(abs(value - oracle.expect_local(state, obs, m))
                       for m, value in enumerate(one, start=1))

@@ -5,18 +5,19 @@ the squaring ladder of one transfer matrix (densemat.walk).  Single-site and
 pair correlators walk the row <v| of the rank-1 boundary |I><v| through the
 4x4 transfer matrix E, one entry per call or a whole chain's rows doubled from
 the same ladder (site_correlations), bitwise the same.  A collective sum is a
-finite-automaton MPO: sum_m A_m has bond dimension 2 and its square bond
-dimension 3, so the mean and the variance at any N walk <v, 0, ..., 0| through
-an 8x8 or 12x12 block upper-triangular lifted transfer matrix, O(log N)
-products.  Asymptotic coefficients use the spectral data of E.
+finite-automaton MPO: the square of sum_m A_m has bond dimension 3, so one
+row <v, 0, 0| walked through a 12x12 block upper-triangular lifted transfer
+matrix, O(log N) products, gives the mean and the second moment of the sum
+of A - mu, mu the chain average of A; the mean adds N mu back and the
+variance subtracts the square of the shifted mean.  Asymptotic coefficients
+use the spectral data of E.
 
 What depends on the observable alone is memoized per transfer set
 (TransferSet.memoized, at most MEMO_ENTRIES entries keyed by the matrix
-bytes): E_A for the site correlators, the 8x8 mean matrix, its closing
-column and its squaring ladder, and the 12x12 variance matrix of A shifted
-by its chain average, with its closing columns, ladder and guard floor, so
-a series over N squares each once.  Every stored array is read-only and
-each value is bitwise the cold call's.
+bytes): E_A for the site correlators, and for the collective mean and
+variance one entry, the 12x12 matrix with its closing columns, squaring
+ladder, shift mu and guard floor, so a series over N squares it once.
+Every stored array is read-only and each value is bitwise the cold call's.
 """
 
 from __future__ import annotations
@@ -117,7 +118,11 @@ def site_correlations(ts: TransferSet, obs: LocalObservable, n_sites: int,
     ``pairs``, each == its one_point and two_point call: the rows
     r_k = <v|E^k> (k < N) of one doubling table (densemat.walk_table) close
     at their site, <A_m> = r_{m-1} close(m), and each pair's head
-    r_{m-1} E_A walks on by its own separation n - m - 1 to close(n)."""
+    r_{m-1} E_A walks on by its own separation n - m - 1 to close(n).
+    The table has one chain's rows: a stacked ``ts`` or ``obs`` raises."""
+    if ts.e.ndim > 2 or obs.matrix.ndim > 2:
+        raise InputError("site_correlations takes one transfer matrix and one "
+                         "observable, not a stack")
     n_sites = chain_length(n_sites, 1)
     pairs = list(pairs)
     _check_pairs(pairs, n_sites)
@@ -130,50 +135,61 @@ def site_correlations(ts: TransferSet, obs: LocalObservable, n_sites: int,
     return one, _closed(ea, obs, ends, ns, n_sites).tolist()
 
 
-def _lift(ts: TransferSet, ops: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Lifted transfer matrix T and closing columns of a finite-automaton
-    MPO, whose chain sum ending in automaton state j is
-    <v, 0, ..., 0| T^{N-1} |cols[:, j-1]>; the last column closes the sum.
+def _lift(ts: TransferSet, a: np.ndarray) -> tuple:
+    """(T, closing columns, [T], mu, ||A'||^2) of the MPO [[I, A', A'^2],
+    [0, I, 2A'], [0, 0, I]] of A' = A - mu, read-only: independent of N, so a
+    transfer set memoizes them and the squaring ladder [T] grows in place.
 
-    The MPO is block upper triangular with identities on its diagonal and
-    the single-site operators ``ops[i, j]`` (i < j) above it (Crosswhite &
-    Bacon, PRA 78, 012356 (2008)); sum_m A_m is {(0, 1): A}.  Dressing each
-    entry gives T, with E on the diagonal blocks and E_{W_ij} above them;
-    site N closes state j by the blocks vec W_ij (i < j), |I> (i = j), 0.
+    The MPO is a finite automaton (Crosswhite & Bacon, PRA 78, 012356
+    (2008)); dressing each entry gives T, with E on the diagonal blocks and
+    E_{A'}, E_{A'^2}, E_{2A'} above them.  Site N closes automaton state 1
+    by (vec A', |I>, 0) into the mean M1 of sum_m A'_m and state 2 by
+    (vec A'^2, vec 2A', |I>) into its second moment M2.  The chain average
+    mu = Re <v|P E_A|I> (P from ts.spectrum) is independent of N and keeps
+    M1 bounded for unital E; any real shift leaves M2 - M1^2 exact.  A',
+    A'^2 and 2A' are dressed as one stack on a leading axis, so a stacked E
+    broadcasts with A.
     """
-    k = 1 + max(j for _, j in ops)
-    batch = ops[0, 1].shape[:-2]
-    t = np.zeros(batch + (4 * k, 4 * k), dtype=np.complex128)
-    cols = np.zeros(batch + (4 * k, k - 1), dtype=np.complex128)
-    cols[..., 4:, :] = np.kron(np.eye(k - 1), VEC_IDENTITY[:, None])
-    for i in range(k):
+    pi = ts.spectrum.projector
+    mu = _unit_moments(ts.vrow[None, :] @ pi, pi, ts.dressed(a))[0][..., 0].real
+    shifted = a - np.multiply.outer(mu, np.eye(2))
+    ops = np.stack((shifted, shifted @ shifted, 2.0 * shifted))
+    dressed = ts.dressed(ops)
+    t = np.zeros(dressed.shape[1:-2] + (12, 12), dtype=np.complex128)
+    cols = np.zeros(dressed.shape[1:-2] + (12, 2), dtype=np.complex128)
+    for i in range(3):
         t[..., 4 * i:4 * i + 4, 4 * i:4 * i + 4] = ts.e
-    dressed = ts.dressed(np.stack(list(ops.values()), axis=-3))
-    for m, ((i, j), op) in enumerate(ops.items()):
-        t[..., 4 * i:4 * i + 4, 4 * j:4 * j + 4] = dressed[..., m, :, :]
-        cols[..., 4 * i:4 * i + 4, j - 1] = op.reshape(batch + (4,))
-    return t, cols
+    t[..., :4, 4:8], t[..., :4, 8:], t[..., 4:8, 8:] = dressed
+    cols[..., 4:, :] = np.kron(np.eye(2), VEC_IDENTITY[:, None])
+    cols[..., :4, 0], cols[..., :4, 1], cols[..., 4:8, 1] = ops.reshape(ops.shape[:-2] + (4,))
+    floor = np.asarray(np.linalg.svd(shifted, compute_uv=False)[..., 0] ** 2)
+    _read_only(t, cols, mu, floor)
+    return t, cols, [t], mu, floor
 
 
-def _contract(ts: TransferSet, n, t: np.ndarray, cols: np.ndarray, ladder: list):
-    """<v, 0, ..., 0| T^{N-1} |cols> of _lift's T and closing columns, the
-    lifted row walked through T's squaring ``ladder`` (densemat.walk), shared
-    with earlier calls; one value per column along the last axis.
+def _moments(ts: TransferSet, obs: LocalObservable, n) -> tuple:
+    """(M1, M2, their error estimates, mu, ||A'||^2) of sum_m A'_m over N
+    sites (_lift), from <v, 0, 0| T^{N-1} walked through the memoized
+    squaring ladder (densemat.walk) and closed by both columns.
 
     The values are divided by the state norm <v|E^{N-1}|I>, read off the same
     row: mathematically it is 1, and the division cancels the common drift
     that repeated squaring gives the unit eigenvalue (about N eps relative).
-    Returns the values and, per column c, the error estimate
-    _ERR_SAFETY * N eps |row|.|c|, row = <v, 0, ...| T^{N-1} normalized.
-
-    An integer array ``n`` (T may carry batch axes too) gives arrays from
-    one batched walk, each bitwise its scalar call: rows stay 1 x 4k, so
-    every product takes the BLAS path of the scalar call.
+    The estimate of column c is _ERR_SAFETY N eps |row|.|c|, row the
+    normalized walked row.  An integer array ``n`` (T may carry batch axes
+    too) gives arrays from one batched walk, each bitwise its scalar call:
+    rows stay 1 x 12, so every product takes the BLAS path of the scalar call.
     """
-    row = dm.walk(np.pad(ts.vrow, (0, t.shape[-1] - 4))[None, :], t, n - 1, ladder)
+    t, cols, ladder, mu, floor = ts.memoized("variance", obs.matrix,
+                                             lambda a: _lift(ts, a))
+    start = np.zeros((1, 12), dtype=np.complex128)
+    start[0, :4] = ts.vrow
+    row = dm.walk(start, t, n - 1, ladder)
     row = row / (row[..., :4] @ VEC_IDENTITY)[..., None]
-    err = np.expand_dims(_ERR_SAFETY * n * _EPS, -1) * (np.abs(row) @ np.abs(cols))[..., 0, :]
-    return (row @ cols)[..., 0, :], err
+    m1, m2 = np.moveaxis((row @ cols)[..., 0, :], -1, 0)
+    sums = np.moveaxis((np.abs(row) @ np.abs(cols))[..., 0, :], -1, 0)
+    err1, err2 = _ERR_SAFETY * n * _EPS * sums
+    return m1, m2, err1, err2, mu, floor
 
 
 def _check_estimate(what: str, value, err, floor) -> None:
@@ -187,25 +203,17 @@ def _check_estimate(what: str, value, err, floor) -> None:
                              f"the chain is too long for double precision")
 
 
-def _lifted(ts: TransferSet, ops: dict) -> tuple:
-    """(T, closing columns, [T]) of _lift, read-only: independent of N, so a
-    transfer set memoizes them and the squaring ladder grows in place."""
-    t, cols = _read_only(*_lift(ts, ops))
-    return t, cols, [t]
-
-
 def collective_mean(ts: TransferSet, obs: LocalObservable, n_sites: int) -> float:
-    """sum_m <A_m> from the 8x8 lifted power [[E, E_A], [0, E]] closed by
-    (vec A, |I>) at site N, memoized per transfer set and observable.
+    """sum_m <A_m> = N mu + M1, read off the walk of the variance (_moments),
+    memoized per transfer set and observable.
 
-    Raises ToleranceError when the error estimate exceeds COLLECTIVE_REL_TOL
+    Raises ToleranceError when M1's error estimate exceeds COLLECTIVE_REL_TOL
     of max(|mean|, N ||A||).
     """
     n_sites = chain_length(n_sites, 1)
-    total, err = _contract(ts, n_sites, *ts.memoized(
-        "mean", obs.matrix, lambda a: _lifted(ts, {(0, 1): a})))
-    mean = _real(total[..., 0], scale=n_sites)
-    _check_estimate("collective mean", mean, err[..., 0], n_sites * obs.norm)
+    m1, _, err1, _, mu, _ = _moments(ts, obs, n_sites)
+    mean = _real(n_sites * mu + m1, scale=n_sites)
+    _check_estimate("collective mean", mean, err1, n_sites * obs.norm)
     return mean
 
 
@@ -248,28 +256,12 @@ def additive_variance_exact(ts: TransferSet, obs: LocalObservable,
     return VarianceBreakdown(total=total, error_estimate=err)
 
 
-def _variance_lift(ts: TransferSet, a: np.ndarray) -> tuple:
-    """(T, closing columns, [T], ||A'||^2) of the MPO [[I, A', A'^2],
-    [0, I, 2A'], [0, 0, I]], read-only; its columns close the mean M1 and
-    second moment M2 of sum_m A'_m.  A' = A - mu: any real shift leaves
-    M2 - M1^2 exact, and the chain average mu = Re <v|P E_A|I> (P from
-    ts.spectrum) is independent of N and keeps M1 bounded for unital E."""
-    pi = ts.spectrum.projector
-    mu = _unit_moments(ts.vrow @ pi, pi, ts.dressed(a))[0].real
-    shifted = a - np.multiply.outer(mu, np.eye(2))
-    floor = np.asarray(np.linalg.svd(shifted, compute_uv=False)[..., 0] ** 2)
-    return (*_lifted(ts, {(0, 1): shifted, (0, 2): shifted @ shifted,
-                          (1, 2): 2.0 * shifted}), *_read_only(floor))
-
-
 def _variance(ts: TransferSet, obs: LocalObservable, n) -> tuple:
     """Variance M2 - M1^2 and its error estimate (arrays for an array ``n``)
-    from one row walked through the memoized _variance_lift.  M1 is bounded,
-    so M1^2 stays small next to the variance; the estimate adds 2 |M1| times
-    M1's to M2's, and the guard's floor is N ||A - mu||^2."""
-    t, cols, ladder, floor = ts.memoized("variance", obs.matrix,
-                                         lambda a: _variance_lift(ts, a))
-    (m1, m2), (err1, err2) = (np.moveaxis(x, -1, 0) for x in _contract(ts, n, t, cols, ladder))
+    from one walk (_moments).  M1 is bounded, so M1^2 stays small next to
+    the variance; the estimate adds 2 |M1| times M1's to M2's, and the
+    guard's floor is N ||A - mu||^2."""
+    m1, m2, err1, err2, _, floor = _moments(ts, obs, n)
     total = _real(m2 - m1 * m1, scale=(1.0 * n) ** 2)
     err = err2 + 2.0 * np.abs(m1) * err1
     _check_estimate("collective variance", total, err, n * floor)

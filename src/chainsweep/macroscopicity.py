@@ -72,8 +72,7 @@ def _neff_form(ts: TransferSet) -> np.ndarray:
     m = heads @ VEC_IDENTITY
     kappa = heads @ pi @ cols
     form = 0.5 * (kappa + kappa.T) - np.outer(m, m)
-    return np.array([[correlators._real(complex(x), scale=4.0) for x in row]
-                     for row in form])
+    return correlators._real(form, scale=4.0)
 
 
 def neff(gate: Gate, chain: ChainSpec, direction) -> float:

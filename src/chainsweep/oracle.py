@@ -48,9 +48,6 @@ class StateVector:
             object.__setattr__(self, "_table", (key, table))
         return self._table[1]
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n, self.amplitudes)
-
 
 def _check_site(n: int, m: int) -> None:
     if not 1 <= m <= n:

@@ -20,9 +20,9 @@ from .gates import Gate, PAULI_X, PAULI_Y, PAULI_Z
 ISOMETRY_TOL = 1e-12
 UNIT_EIG_TOL = 1e-9
 _DENSITY_TOL = 1e-10  # trace and positivity of a site density matrix
-# Per-transfer-set memo size: a squeezing series alternates the mean of
-# sigma_z and the variance of A_theta, and the site correlators add one E_A
-# per observable.
+# Per-transfer-set memo size: a squeezing series alternates the walks of
+# sigma_z (its mean) and of A_theta (its variance), and the site correlators
+# add one E_A per observable.
 MEMO_ENTRIES = 4
 
 VEC_IDENTITY = np.array([1, 0, 0, 1], dtype=np.complex128)  # vec(I) = |00> + |11>
@@ -184,12 +184,13 @@ class TransferSet:
     ``spectrum`` (SpectralData of ``e`` at UNIT_EIG_TOL) is computed on first read.
 
     :meth:`memoized` keeps what the correlators derive from an observable
-    alone, independent of N: the E_A of the site correlators, the lifted
-    matrix, closing column and squaring ladder of a collective mean, and
-    those of a collective variance, whose shift by the chain average reads
-    ``spectrum``, with its guard floor.  It holds the MEMO_ENTRIES newest entries, keyed by the observable's
-    matrix bytes; every entry is read-only and is what the cold call builds,
-    so each value computed from it is bitwise the cold call's."""
+    alone, independent of N: the E_A of the site correlators, and the one
+    walk that serves both the collective mean and variance, its lifted
+    matrix, closing columns, squaring ladder, shift by the chain average
+    (read off ``spectrum``) and guard floor.  It holds the MEMO_ENTRIES
+    newest entries, keyed by the observable's matrix bytes; every entry is
+    read-only and is what the cold call builds, so each value computed from
+    it is bitwise the cold call's."""
 
     kraus: KrausPair
     e: np.ndarray

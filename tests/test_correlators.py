@@ -340,8 +340,23 @@ def test_collective_guard_rejects_absurd_chain_length():
     obs = LocalObservable.from_bloch([1.0, 1.0, 0.0])
     with pytest.raises(ToleranceError):
         co.additive_variance_exact(ts, obs, 10 ** 12)
+    # CNOT on |+>: a degenerate unit eigenvalue, whose N eps estimate the
+    # shifted walk keeps
+    cnot = build_transfer(gates.controlled_rotation(np.pi), ChainSpec.plus_state(2))
     with pytest.raises(ToleranceError):
-        co.collective_mean(ts, SIGMA_Z, 10 ** 12)
+        co.collective_mean(cnot, SIGMA_Z, 10 ** 12)
+
+
+def test_collective_mean_is_linear_at_huge_n():
+    # N mu + M1 keeps the mean's bounded part apart from its N-fold part, so
+    # the mean at N = 1e12 is N times the bulk coefficient plus the boundary
+    # constant read at N = 2000 (the unshifted 8x8 walk refused it)
+    ts = build_transfer(gates.squeezing_gate(0.5), ChainSpec(2))
+    coeff = sq.mean_z_asymptotic_coeff(0.5)
+    boundary = co.collective_mean(ts, SIGMA_Z, 2000) - 2000 * coeff
+    n = 10 ** 12
+    want = n * coeff + boundary
+    assert abs(co.collective_mean(ts, SIGMA_Z, n) - want) <= 1e-12 * abs(want)
 
 
 def test_collective_guard_admits_long_chain_sizes():
@@ -507,14 +522,17 @@ def test_memo_entries_are_read_only_and_keyed_by_observable():
         raise AssertionError("memo entry missing")
 
     for obs in (SIGMA_Z, obs_t):
-        t, b, ladder = ts.memoized("mean", obs.matrix, unbuilt)
-        want_t, want_b = co._lift(ts, {(0, 1): obs.matrix})
-        assert np.array_equal(t, want_t) and np.array_equal(b, want_b)
+        entry = ts.memoized("variance", obs.matrix, unbuilt)
+        t, cols, ladder, mu, floor = entry
+        want = co._lift(ts, obs.matrix)
+        for k in (0, 1, 3, 4):   # all but the ladder, which has grown
+            assert np.array_equal(entry[k], want[k])
         assert ladder[0] is t and len(ladder) == (20000 - 1).bit_length()
         ea = ts.memoized("dressed", obs.matrix, unbuilt)
         assert np.array_equal(ea, ts.dressed(obs.matrix))
-        for x in (t, b, ea, *ladder):
+        for x in (t, cols, mu, floor, ea, *ladder):
             assert not x.flags.writeable
+    assert {kind for kind, *_ in ts._memo} == {"variance", "dressed"}
 
 
 def test_variance_memo_holds_the_shifted_lift(monkeypatch):
@@ -526,18 +544,22 @@ def test_variance_memo_holds_the_shifted_lift(monkeypatch):
         raise AssertionError("memo entry missing")
 
     entry = ts.memoized("variance", obs.matrix, unbuilt)
-    t, cols, ladder, floor = entry
+    t, cols, ladder, mu, floor = entry
     pi = ts.spectrum.projector
-    mu = (ts.vrow @ pi @ ts.dressed(obs.matrix) @ transfer.VEC_IDENTITY).real
+    assert mu == (ts.vrow @ pi @ ts.dressed(obs.matrix) @ transfer.VEC_IDENTITY).real
     shifted = obs.matrix - mu * np.eye(2)
-    want_t, want_cols = co._lift(ts, {(0, 1): shifted, (0, 2): shifted @ shifted,
-                                      (1, 2): 2.0 * shifted})
-    assert np.array_equal(t, want_t) and np.array_equal(cols, want_cols)
+    e, ea = ts.e, ts.dressed
+    zero = np.zeros((4, 4))
+    assert np.array_equal(t, np.block([[e, ea(shifted), ea(shifted @ shifted)],
+                                       [zero, e, ea(2.0 * shifted)], [zero, zero, e]]))
     assert np.array_equal(cols[:, 0], np.concatenate([shifted.ravel(),
                                                       transfer.VEC_IDENTITY, np.zeros(4)]))
+    assert np.array_equal(cols[:, 1], np.concatenate([(shifted @ shifted).ravel(),
+                                                      2.0 * shifted.ravel(),
+                                                      transfer.VEC_IDENTITY]))
     assert floor == np.linalg.svd(shifted, compute_uv=False)[0] ** 2
     assert ladder[0] is t and len(ladder) == (20000 - 1).bit_length()
-    for x in (t, cols, floor, *ladder):
+    for x in (t, cols, mu, floor, *ladder):
         assert not x.flags.writeable
 
     # a second call on the same set and observable builds no lift, makes no
@@ -552,6 +574,49 @@ def test_variance_memo_holds_the_shifted_lift(monkeypatch):
     co.additive_variance_exact(ts, obs, 300)
     assert ts.memoized("variance", obs.matrix, unbuilt) is entry
     assert len(ladder) == len(rungs) and all(x is y for x, y in zip(ladder, rungs))
+
+
+def test_mean_and_variance_share_one_memo_entry(monkeypatch):
+    # the mean is N mu + M1 of the variance's walk: whichever comes first
+    # builds the entry, and the other reads it
+    ts = build_transfer(gates.random_gate(7), ChainSpec(2, 0.6, 0.8j))
+    obs = LocalObservable.from_bloch([1.0, -2.0, 0.5])
+    mean = co.collective_mean(ts, obs, 1000)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("second lift built")
+
+    monkeypatch.setattr(co, "_lift", forbidden)
+    var = co.additive_variance_exact(ts, obs, 1000)
+    assert co.collective_mean(ts, obs, 1000) == mean
+    assert len(ts._memo) == 1
+    fresh = build_transfer(gates.random_gate(7), ChainSpec(2, 0.6, 0.8j))
+    monkeypatch.undo()
+    assert co.additive_variance_exact(fresh, obs, 1000) == var
+
+
+def test_collective_moments_of_a_stacked_transfer_set():
+    # each element of a stacked set, or of a stacked observable on it, is
+    # bitwise its single-gate call; the shapes are the stack's
+    chi = np.linspace(0.1, 1.4, 9)
+    ts = build_transfer(gates.squeezing_gate(chi), ChainSpec(2))
+    singles = [build_transfer(gates.squeezing_gate(c), ChainSpec(2)) for c in chi]
+    obs = LocalObservable.from_bloch(np.stack([np.cos(chi), np.sin(chi), 0.5 + 0 * chi], -1))
+    for n in (2, 100, 20000):
+        for stacked, one in ((SIGMA_Z, lambda k: SIGMA_Z),
+                             (obs, lambda k: LocalObservable(obs.matrix[k]))):
+            mean = co.collective_mean(ts, stacked, n)
+            vb = co.additive_variance_exact(ts, stacked, n)
+            assert mean.shape == (9,) and vb.total.shape == (9,)
+            assert vb.error_estimate.shape == (9,)
+            for k, single in enumerate(singles):
+                assert mean[k] == co.collective_mean(single, one(k), n)
+                want = co.additive_variance_exact(single, one(k), n)
+                assert vb.total[k] == want.total
+                assert vb.error_estimate[k] == want.error_estimate
+    for stacked_ts, stacked_obs in ((ts, SIGMA_Z), (singles[0], obs)):
+        with pytest.raises(InputError, match="stack"):
+            co.site_correlations(stacked_ts, stacked_obs, 5, [(1, 2)])
 
 
 def test_variance_breakdown_fields():

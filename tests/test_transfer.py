@@ -489,10 +489,9 @@ def test_stacked_spectral_rejects_one_matrix_outside_unit_disk():
 
 
 def test_transfer_set_spectrum_is_lazy_and_cached(monkeypatch):
-    # the site correlators and the collective mean never compute the
-    # spectrum; the finite-N variance reads its mean shift from it, and it
-    # and every asymptotic reader share the one computed at UNIT_EIG_TOL on
-    # first read
+    # the site correlators never compute the spectrum; the collective mean
+    # and the finite-N variance read their shift from it, and they and every
+    # asymptotic reader share the one computed at UNIT_EIG_TOL on first read
     calls = []
 
     def counting(e, tol=transfer.UNIT_EIG_TOL):
@@ -502,10 +501,10 @@ def test_transfer_set_spectrum_is_lazy_and_cached(monkeypatch):
     monkeypatch.setattr(transfer, "spectral", counting)
     ts = build_transfer(gates.macroscopic_family(0.5, 0.3, 1.1, seed=3), ChainSpec(4))
     co.site_correlations(ts, transfer.SIGMA_Z, 6, [(1, 2)])
-    co.collective_mean(ts, transfer.SIGMA_Z, 6)
     assert calls == []
-    co.additive_variance_exact(ts, transfer.SIGMA_Z, 6)
+    co.collective_mean(ts, transfer.SIGMA_Z, 6)
     assert calls == [transfer.UNIT_EIG_TOL]
+    co.additive_variance_exact(ts, transfer.SIGMA_Z, 6)
     co.additive_variance_exact(ts, transfer.SIGMA_Z, 7)
     co.additive_variance_exact(ts, transfer.SIGMA_X, 6)
     assert calls == [transfer.UNIT_EIG_TOL]
