@@ -8,7 +8,9 @@ embeds the full configuration for provenance.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import os
 import re
 import sys
@@ -124,33 +126,18 @@ def parse_grid(text: str) -> list[float]:
     return parse_angle_list(text)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
-def _write_csv(args, header: list[str], rows: list[list], config: dict) -> None:
-    lines = ["# config: " + " ".join(f"{k}={v}" for k, v in sorted(config.items()))]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        path = args.out
-        out_dir = os.environ.get(OUT_DIR_ENV)
-        if out_dir and not os.path.isabs(path):
-            path = os.path.join(out_dir, path)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_csv(args, header: str, lines, config: dict) -> None:
+    """Write the config comment, the header and ``lines`` (rows ending in a
+    newline, streamed) to --out or stdout.  Every value is computed before
+    the call, so a run that fails writes nothing."""
+    head = "# config: " + " ".join(f"{k}={v}" for k, v in sorted(config.items()))
+    path, out_dir = args.out, os.environ.get(OUT_DIR_ENV)
+    if path and out_dir and not os.path.isabs(path):
+        path = os.path.join(out_dir, path)
+    with (open(path, "w", encoding="utf-8", newline="\n") if path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(f"{head}\n{header}\n")
+        fh.writelines(lines)
 
 
 def _resolve_gate(args, params: str | None) -> Gate:
@@ -186,13 +173,11 @@ def _config_of(args, **extra) -> dict:
 def cmd_spectrum(args) -> int:
     verdict = macroscopicity.classify_macroscopic(_resolve_gate(args, args.params),
                                                   tol=args.tol)
-    spec = verdict.spectrum
-    rows = []
-    for idx, lam in enumerate(spec.values):
-        rows.append([idx, lam.real, lam.imag, abs(lam), spec.unit_dim,
-                     verdict.is_macroscopic])
-    _write_csv(args, ["index", "eig_re", "eig_im", "modulus",
-                      "unit_dimension", "is_macroscopic"], rows, _config_of(args))
+    spec, flag = verdict.spectrum, int(verdict.is_macroscopic)
+    lines = (f"{idx},{lam.real:.17g},{lam.imag:.17g},{abs(lam):.17g},{spec.unit_dim},{flag}\n"
+             for idx, lam in enumerate(spec.values))
+    _write_csv(args, "index,eig_re,eig_im,modulus,unit_dimension,is_macroscopic",
+               lines, _config_of(args))
     return 0
 
 
@@ -202,28 +187,30 @@ def cmd_fig3(args) -> int:
     obs = _resolve_bloch(args)
     c0 = parse_complex(args.c0) if args.c0 is not None else 1 / np.sqrt(2)
     c1 = parse_complex(args.c1) if args.c1 is not None else 1 / np.sqrt(2)
-    rows = []
+    lines = []
     for a in a_list:
         gate = gate_from_family("controlled_rotation", [a])
-        sweep_rows = macroscopicity.variance_sweep(gate, (c0, c1), obs, n_list)
-        for entry in sweep_rows:
-            n = entry["n"]
-            oracle_var = None
+        for entry in macroscopicity.variance_sweep(gate, (c0, c1), obs, n_list):
+            n, slope = entry["n"], entry["slope"]
+            oracle_var = ""
             if n <= args.oracle_cap:
                 state = oracle.sweep(gate, ChainSpec(n, c0, c1))
-                oracle_var = oracle.collective_variance(state, obs)
-            rows.append([a, n, entry["variance"], entry["slope"], oracle_var])
-    _write_csv(args, ["a", "n", "variance", "slope", "oracle_variance"],
-               rows, _config_of(args))
+                oracle_var = f"{oracle.collective_variance(state, obs):.17g}"
+            slope = "" if slope is None else f"{slope:.17g}"
+            lines.append(f"{a:.17g},{n},{entry['variance']:.17g},{slope},{oracle_var}\n")
+    _write_csv(args, "a,n,variance,slope,oracle_variance", lines, _config_of(args))
     return 0
 
 
 def cmd_fig4(args) -> int:
     grid = parse_grid(args.chi_t)
     theta = parse_angle(args.theta) if args.theta is not None else None
-    header = ["chi_t", "m", "v", "f_half", "f_one", "below_separable", "below_pairwise"]
-    rows = [[entry[k] for k in header] for entry in squeezing.fig4_curve(grid, theta=theta)]
-    _write_csv(args, header, rows, _config_of(args))
+    lines = (f"{r['chi_t']:.17g},{r['m']:.17g},{r['v']:.17g},{r['f_half']:.17g},"
+             f"{'' if r['f_one'] is None else format(r['f_one'], '.17g')},"
+             f"{r['below_separable']:d},{r['below_pairwise']:d}\n"
+             for r in squeezing.fig4_curve(grid, theta=theta))
+    _write_csv(args, "chi_t,m,v,f_half,f_one,below_separable,below_pairwise",
+               lines, _config_of(args))
     return 0
 
 
@@ -232,15 +219,14 @@ def cmd_neff(args) -> int:
     specs = [("file" if args.gate_file else params.replace(",", ";"),
               _resolve_gate(args, params)) for params in param_sets]
     chain = _resolve_chain(args, 2)
-    rows = []
+    lines = []
     for label, gate in specs:
         report = macroscopicity.neff_optimize(gate, chain)
-        rows.append([gate.family, label, report.unit_dimension, report.neff_coeff,
-                     report.best_direction[0], report.best_direction[1],
-                     report.best_direction[2]])
-    _write_csv(args, ["family", "params", "unit_dimension", "neff_coeff",
-                      "nx", "ny", "nz"], rows, _config_of(args, params=";".join(
-                          label for label, _ in specs)))
+        nx, ny, nz = report.best_direction
+        lines.append(f"{gate.family},{label},{report.unit_dimension},"
+                     f"{report.neff_coeff:.17g},{nx:.17g},{ny:.17g},{nz:.17g}\n")
+    _write_csv(args, "family,params,unit_dimension,neff_coeff,nx,ny,nz", lines,
+               _config_of(args, params=";".join(label for label, _ in specs)))
     return 0
 
 
@@ -256,9 +242,10 @@ def cmd_correlate(args) -> int:
     else:
         pairs = [(m, m + 1) for m in range(1, args.n)]
     one, two = correlators.site_correlations(ts, obs, args.n, pairs)
-    rows = [["one", m, None, value] for m, value in enumerate(one, start=1)]
-    rows += [["two", m, k, value] for (m, k), value in zip(pairs, two)]
-    _write_csv(args, ["kind", "m", "n", "value"], rows, _config_of(args))
+    lines = itertools.chain(
+        (f"one,{m},,{value:.17g}\n" for m, value in enumerate(one, start=1)),
+        (f"two,{m},{k},{value:.17g}\n" for (m, k), value in zip(pairs, two)))
+    _write_csv(args, "kind,m,n,value", lines, _config_of(args))
     return 0
 
 
@@ -269,7 +256,7 @@ def cmd_oracle_check(args) -> int:
     chain = _resolve_chain(args, args.n)
     pairs = [(m, k2) for m in range(1, args.n + 1) for k2 in range(m + 1, args.n + 1)]
     rng = np.random.default_rng(args.seed)
-    rows = []
+    lines = []
     all_pass = True
     for seed, gate in enumerate(gates, start=args.seed):
         direction = rng.standard_normal(3)
@@ -288,10 +275,10 @@ def cmd_oracle_check(args) -> int:
                       - oracle.collective_variance(state, obs))
         ok = max(dev_one, dev_two, dev_mean, dev_var) <= args.tol
         all_pass = all_pass and ok
-        rows.append([seed, args.n, dev_one, dev_two, dev_mean, dev_var,
-                     "pass" if ok else "fail"])
-    _write_csv(args, ["seed", "n", "max_dev_one", "max_dev_two", "max_dev_mean",
-                      "max_dev_var", "status"], rows, _config_of(args))
+        lines.append(f"{seed},{args.n},{dev_one:.17g},{dev_two:.17g},{dev_mean:.17g},"
+                     f"{dev_var:.17g},{'pass' if ok else 'fail'}\n")
+    _write_csv(args, "seed,n,max_dev_one,max_dev_two,max_dev_mean,max_dev_var,status",
+               lines, _config_of(args))
     if not all_pass:
         raise ToleranceError(f"oracle check failed at tolerance {args.tol:g}")
     return 0
@@ -390,6 +377,13 @@ def main(argv=None) -> int:
     except (ToleranceError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does, and has every row
+        # it asked for; stdout goes to devnull so the flush at exit is quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

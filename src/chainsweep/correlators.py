@@ -192,7 +192,8 @@ def _moments(ts: TransferSet, obs: LocalObservable, n) -> tuple:
     return m1, m2, err1, err2, mu, floor
 
 
-def _check_estimate(what: str, value, err, floor) -> None:
+def _check_estimate(what: str, value, err, floor,
+                    cause: str = "the chain is too long for double precision") -> None:
     """Raise for the first element, in order, whose err exceeds its bound
     COLLECTIVE_REL_TOL max(|value|, floor), compared term by term."""
     over = (err > COLLECTIVE_REL_TOL * abs(value)) & (err > COLLECTIVE_REL_TOL * floor)
@@ -200,7 +201,7 @@ def _check_estimate(what: str, value, err, floor) -> None:
         i = np.argmax(np.ravel(over))
         err, bound = np.ravel(err), np.ravel(COLLECTIVE_REL_TOL * np.maximum(abs(value), floor))
         raise ToleranceError(f"{what}: estimated error {err[i]:.3e} exceeds {bound[i]:.3e}; "
-                             f"the chain is too long for double precision")
+                             f"{cause}")
 
 
 def collective_mean(ts: TransferSet, obs: LocalObservable, n_sites: int) -> float:
@@ -312,10 +313,7 @@ def asymptotic_variance(ts: TransferSet, obs: LocalObservable) -> AsymptoticVari
                  - 2.0 * mean_inf * c_mean)[..., 0], scale=10.0)
     err = (_ASYM_SAFETY * _EPS * np.linalg.norm(s_res, axis=(-2, -1))
            * np.linalg.norm(ea, axis=(-2, -1)) ** 2)
-    excess = np.max(err / (COLLECTIVE_REL_TOL * np.maximum(1.0, np.abs(lin))))
-    if excess > 1.0:
-        raise ToleranceError(
-            f"asymptotic variance: estimated error exceeds its bound {excess:.3g}-fold; "
-            f"the spectral gap of E is too small")
+    _check_estimate("asymptotic variance", lin, err, 1.0,
+                    "the spectral gap of E is too small")
     return AsymptoticVariance(quadratic_coeff=quad, linear_coeff=lin,
                               error_estimate=dm.unbatch(err))

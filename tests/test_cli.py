@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from chainsweep import cli, gates
+from chainsweep import cli, correlators, gates, macroscopicity, oracle
+from chainsweep.transfer import ChainSpec, LocalObservable, build_transfer
 from chainsweep.errors import InputError
 
 
@@ -185,6 +186,21 @@ def test_cli_determinism_across_processes():
     assert runs[0].stdout.strip()
 
 
+def test_reader_closing_stdout_early_exits_quietly():
+    # `chainsweep correlate ... | head -1`: the streamed rows outgrow the pipe
+    # buffer, so the writer meets a closed pipe
+    import subprocess
+    import sys
+    cmd = [sys.executable, "-m", "chainsweep.cli", "correlate", "--gate", "weyl",
+           "--params", "0.7,pi/2-0.1,pi/2", "--n", "20000"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"# config: ")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_fig3_cnot_squares(capsys):
     code, out = run_cli(["fig3", "--a-list", "pi", "--n-range", "4:64:4"], capsys)
     assert code == 0
@@ -282,6 +298,129 @@ def test_oracle_check_fails_at_absurd_tolerance(capsys):
     code, out = run_cli(["oracle-check", "--n", "5", "--count", "2",
                          "--tol", "1e-20"], capsys)
     assert code == 3
+
+
+# ---------------------------------------------------------------------------
+# CSV format: every row is the library values, formatted cell by cell
+# ---------------------------------------------------------------------------
+
+def _table(out):
+    lines = out.splitlines()
+    assert lines[0].startswith("# config: ")
+    return lines[1], lines[2:]
+
+
+def test_spectrum_csv_is_the_formatted_rows(capsys, csv_row):
+    code, out = run_cli(["spectrum", "--gate", "weyl", "--params", "0.7,pi/2,pi/2"], capsys)
+    verdict = macroscopicity.classify_macroscopic(
+        gates.weyl_gate(0.7, np.pi / 2, np.pi / 2), tol=1e-9)
+    spec = verdict.spectrum
+    assert code == 0
+    assert _table(out) == (
+        "index,eig_re,eig_im,modulus,unit_dimension,is_macroscopic",
+        [csv_row(idx, lam.real, lam.imag, abs(lam), spec.unit_dim, verdict.is_macroscopic)
+         for idx, lam in enumerate(spec.values)])
+
+
+def test_fig3_csv_is_the_formatted_rows(tmp_path, capsys, monkeypatch, csv_row):
+    argv = ["fig3", "--a-list", "pi-0.3,pi", "--n-range", "4:40:4", "--oracle-cap", "8"]
+    code, out = run_cli(argv, capsys)
+    obs = LocalObservable.from_bloch([0.0, 0.0, 1.0])
+    plus = (1 / np.sqrt(2), 1 / np.sqrt(2))
+    want = []
+    for a in (np.pi - 0.3, np.pi):
+        gate = gates.controlled_rotation(a)
+        for entry in macroscopicity.variance_sweep(gate, plus, obs, [4, 9, 19, 40]):
+            n = entry["n"]
+            oracle_var = None
+            if n <= 8:
+                oracle_var = oracle.collective_variance(
+                    oracle.sweep(gate, ChainSpec(n, *plus)), obs)
+            want.append(csv_row(a, n, entry["variance"], entry["slope"], oracle_var))
+    assert code == 0
+    assert _table(out) == ("a,n,variance,slope,oracle_variance", want)
+    # the first slope of each angle and the oracle column above the cap are empty
+    assert [line.split(",")[3] == "" for line in want] == [True, False, False, False] * 2
+    assert [line.endswith(",") for line in want] == [False, True, True, True] * 2
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+    assert run_cli(argv + ["--out", "fig3.csv"], capsys) == (0, "")
+    assert (tmp_path / "fig3.csv").read_bytes() == out.encode()
+
+
+def test_neff_csv_is_the_formatted_rows(capsys, csv_row):
+    code, out = run_cli(["neff", "--gate", "weyl", "--params", "0.3,pi/2,pi/2",
+                         "--params", "0.7,pi/2,pi/2", "--c1", "0.8j", "--c0", "0.6"], capsys)
+    want = []
+    for alpha, label in ((0.3, "0.3;pi/2;pi/2"), (0.7, "0.7;pi/2;pi/2")):
+        report = macroscopicity.neff_optimize(gates.weyl_gate(alpha, np.pi / 2, np.pi / 2),
+                                              ChainSpec(2, 0.6 + 0j, 0.8j))
+        want.append(csv_row("weyl", label, report.unit_dimension, report.neff_coeff,
+                            *report.best_direction))
+    assert code == 0
+    assert _table(out) == ("family,params,unit_dimension,neff_coeff,nx,ny,nz", want)
+
+
+@pytest.mark.parametrize("n", [5, 40])
+def test_correlate_csv_is_the_formatted_rows(n, tmp_path, capsys, monkeypatch, csv_row):
+    # every pair up to the pair cap, nearest neighbours above it
+    argv = ["correlate", "--gate", "weyl", "--params", "0.7,pi/2-0.1,pi/2", "--n", str(n),
+            "--bloch", "1,1,0", "--c0=0.6", "--c1=0.8j"]
+    code, out = run_cli(argv, capsys)
+    ts = build_transfer(gates.weyl_gate(0.7, np.pi / 2 - 0.1, np.pi / 2),
+                        ChainSpec(n, 0.6 + 0j, 0.8j))
+    pairs = [(m, k) for m in range(1, n + 1) for k in range(m + 1, n + 1)
+             if n <= cli.PAIR_CAP or k == m + 1]
+    one, two = correlators.site_correlations(
+        ts, LocalObservable.from_bloch([1.0, 1.0, 0.0]), n, pairs)
+    want = [csv_row("one", m, None, value) for m, value in enumerate(one, start=1)]
+    want += [csv_row("two", m, k, value) for (m, k), value in zip(pairs, two)]
+    assert code == 0
+    assert _table(out) == ("kind,m,n,value", want)
+    assert want[0].startswith("one,1,,")
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+    assert run_cli(argv + ["--out", "corr.csv"], capsys) == (0, "")
+    assert (tmp_path / "corr.csv").read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("tol,code", [(1e-8, 0), (1e-20, 3)])
+def test_oracle_check_csv_is_the_formatted_rows(tol, code, capsys, csv_row):
+    # a failed check still writes its whole table before exiting 3
+    n = 5
+    got, out = run_cli(["oracle-check", "--n", str(n), "--count", "2", "--seed", "3",
+                        "--tol", str(tol)], capsys)
+    chain = ChainSpec(n, 1 + 0j, 0j)
+    pairs = [(m, k) for m in range(1, n + 1) for k in range(m + 1, n + 1)]
+    rng = np.random.default_rng(3)
+    want = []
+    for seed in (3, 4):
+        gate = gates.random_gate(seed)
+        direction = rng.standard_normal(3)
+        obs = LocalObservable.from_bloch(direction / np.linalg.norm(direction))
+        ts, state = build_transfer(gate, chain), oracle.sweep(gate, chain)
+        one, two = correlators.site_correlations(ts, obs, n, pairs)
+        devs = [max(abs(v - oracle.expect_local(state, obs, m))
+                    for m, v in enumerate(one, start=1)),
+                max(abs(v - oracle.expect_pair(state, obs, m, k))
+                    for (m, k), v in zip(pairs, two)),
+                abs(correlators.collective_mean(ts, obs, n)
+                    - oracle.collective_mean(state, obs)),
+                abs(correlators.additive_variance_exact(ts, obs, n).total
+                    - oracle.collective_variance(state, obs))]
+        want.append(csv_row(seed, n, *devs, "pass" if max(devs) <= tol else "fail"))
+    assert got == code
+    assert _table(out) == (
+        "seed,n,max_dev_one,max_dev_two,max_dev_mean,max_dev_var,status", want)
+
+
+def test_asymptotic_refusal_exits_3_with_no_output(capsys, monkeypatch):
+    # no shipped gate reaches it: an inflated safety factor makes every
+    # asymptotic coefficient's estimate exceed its bound
+    monkeypatch.setattr(correlators, "_ASYM_SAFETY", 1e30)
+    code = cli.main(["fig4", "--chi-t", "0.2,0.5"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("numerical failure: asymptotic variance: ")
+    assert "spectral gap" in captured.err
 
 
 def test_gate_file_input(tmp_path, capsys):

@@ -262,7 +262,7 @@ def test_fig4_stacked_pass_bitwise_equals_per_point(grid):
 
 
 @pytest.mark.parametrize("theta", [None, "pi/4"])
-def test_fig4_cli_csv_is_the_formatted_rows(theta, capsys):
+def test_fig4_cli_csv_is_the_formatted_rows(theta, capsys, csv_row):
     grid = FIG4_GRIDS[1]
     argv = ["fig4", "--chi-t", ",".join(map(repr, grid))]
     argv += ["--theta", theta] if theta else []
@@ -270,7 +270,7 @@ def test_fig4_cli_csv_is_the_formatted_rows(theta, capsys):
     lines = capsys.readouterr().out.splitlines()
     header = lines[1].split(",")
     rows = sq.fig4_curve(grid, theta=None if theta is None else np.pi / 4)
-    assert lines[2:] == [",".join(cli._fmt(row[k]) for k in header) for row in rows]
+    assert lines[2:] == [csv_row(*(row[k] for k in header)) for row in rows]
 
 
 def test_xi_squared_coherent_limit():
