@@ -86,6 +86,8 @@ def _closed(ea: np.ndarray, obs: LocalObservable, ends: np.ndarray, sites, n_sit
 def one_point(ts: TransferSet, obs: LocalObservable, m: int, n_sites: int) -> float:
     """<A_m> = <v|E^{m-1} E_A|I> for m < N and <v|E^{N-1}|vec A> at m = N,
     walking <v| through O(log N) squarings of E."""
+    if not isinstance(m, (int, np.integer)):
+        raise InputError(f"site must be an integer, got {m!r}")
     if not 1 <= m <= n_sites:
         raise InputError(f"site {m} outside 1..{n_sites}")
     return _closed(_memo_dressed(ts, obs), obs,
@@ -97,19 +99,37 @@ def two_point(ts: TransferSet, obs: LocalObservable, m: int, n: int,
     """<A_m A_n> = <v|E^{m-1} E_A E^{n-m-1} E_A|I> for m < n < N and
     <v|E^{m-1} E_A E^{N-m-1}|vec A> at n = N: <v| walks to the head
     <v|E^{m-1} E_A, and the head walks on by the separation n - m - 1."""
-    _check_pairs([(m, n)], n_sites)
+    _pair_sites([(m, n)], n_sites)
     ea = _memo_dressed(ts, obs)
     ladder = [ts.e]
     head = dm.walk(ts.vrow[None, :], ts.e, m - 1, ladder) @ ea
     return _closed(ea, obs, dm.walk(head, ts.e, n - m - 1, ladder), n, n_sites)
 
 
-def _check_pairs(pairs, n_sites: int) -> None:
-    for m, n in pairs:
-        if not 1 <= m <= n_sites or not 1 <= n <= n_sites:
+def _pair_sites(pairs: list, n_sites: int) -> np.ndarray:
+    """``pairs`` as a (P, 2) integer array, checked at once; the first entry
+    that is not two integer sites m < n in 1..N raises InputError naming it."""
+    try:
+        sites = np.array(pairs or np.empty((0, 2), dtype=int))
+    except ValueError:   # entries of different lengths
+        sites = np.empty(0)
+    if sites.shape != (len(pairs), 2) or sites.dtype.kind not in "iu":
+        bad = next((p for p in pairs if not isinstance(p, (tuple, list, np.ndarray))
+                    or len(p) != 2 or not all(isinstance(s, (int, np.integer)) for s in p)),
+                   None)
+        if bad is not None:
+            raise InputError(f"a pair needs two integer sites, got {bad}")
+        sites = np.array(pairs, dtype=object)   # ints past int64 or bools: refused below
+    ms, ns = sites.T
+    outside = (ms < 1) | (ms > n_sites) | (ns < 1) | (ns > n_sites)
+    bad = outside | (ms >= ns)
+    if bad.any():
+        i = int(np.argmax(bad))
+        m, n = sites[i].tolist()
+        if outside[i]:
             raise InputError(f"sites ({m},{n}) outside 1..{n_sites}")
-        if m >= n:
-            raise InputError(f"two-point sites need m < n, got ({m},{n})")
+        raise InputError(f"two-point sites need m < n, got ({m},{n})")
+    return sites
 
 
 def site_correlations(ts: TransferSet, obs: LocalObservable, n_sites: int,
@@ -124,13 +144,11 @@ def site_correlations(ts: TransferSet, obs: LocalObservable, n_sites: int,
         raise InputError("site_correlations takes one transfer matrix and one "
                          "observable, not a stack")
     n_sites = chain_length(n_sites, 1)
-    pairs = list(pairs)
-    _check_pairs(pairs, n_sites)
+    ms, ns = _pair_sites(list(pairs), n_sites).T
     ea = _memo_dressed(ts, obs)
     ladder = [ts.e]
     rows = dm.walk_table(ts.vrow[None, :], n_sites, ladder)
     one = _closed(ea, obs, rows, np.arange(1, n_sites + 1), n_sites).tolist()
-    ms, ns = np.array(pairs, dtype=int).reshape(-1, 2).T
     ends = dm.walk(rows[ms - 1] @ ea, ts.e, ns - ms - 1, ladder)
     return one, _closed(ea, obs, ends, ns, n_sites).tolist()
 

@@ -89,14 +89,13 @@ def walk_table(start: np.ndarray, count: int, ladder: list) -> np.ndarray:
     return table
 
 
-def matpow(m: np.ndarray, k, ladder: list | None = None) -> np.ndarray:
-    """m**k, the identity walked through m's squaring ladder; ``m``, ``k``
-    and ``ladder`` may be stacked and shared as in :func:`walk`."""
+def matpow(m: np.ndarray, k) -> np.ndarray:
+    """m**k, the identity walked through a fresh squaring ladder [m]; ``m``
+    and ``k`` may be stacked as in :func:`walk`, which shares ladders."""
     m = as_matrix(m, stacked=True)
     if m.shape[-2] != m.shape[-1]:
         raise InputError("matpow needs a square matrix")
-    return walk(np.eye(m.shape[-1], dtype=np.complex128), m, k,
-                [m] if ladder is None else ladder)
+    return walk(np.eye(m.shape[-1], dtype=np.complex128), m, k, [m])
 
 
 def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,7 @@ class StateVector:
         if amps.shape != (2 ** self.n,):
             raise InputError(f"expected {2 ** self.n} amplitudes, got {amps.shape}")
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise InputError(f"state not normalized: sum |amp|^2 = {norm}")
         amps.setflags(write=False)   # so the site table never goes stale
         object.__setattr__(self, "amplitudes", amps)
@@ -74,19 +74,18 @@ def _apply_pair(amps: np.ndarray, n: int, gate_matrix: np.ndarray, m: int) -> np
     return np.einsum("ij,ajb->aib", gate_matrix, psi).reshape(-1)
 
 
-def sweep(gate: Gate, chain: ChainSpec, cap: int = DEFAULT_CAP,
-          upto: int | None = None) -> StateVector:
+def sweep(gate: Gate, chain: ChainSpec, upto: int | None = None) -> StateVector:
     """One left-to-right sweep of the gate over the nearest-neighbor pairs
     (1,2), (2,3), ..., (N-1,N), in that order.
 
     ``upto`` truncates the sweep after that many bond gates (the prefix
     state); default applies all N-1.  The bonds act on one amplitude array,
-    and only the final state is built and checked.
+    and only the final state is built and checked.  N is at most DEFAULT_CAP.
     """
-    if chain.n > cap:
+    if chain.n > DEFAULT_CAP:
         mem = 2 ** chain.n * 16 / 1e6
         raise InputError(
-            f"N = {chain.n} exceeds the state-vector cap {cap} "
+            f"N = {chain.n} exceeds the state-vector cap {DEFAULT_CAP} "
             f"(would need ~{mem:.0f} MB of amplitudes)")
     last = chain.n - 1 if upto is None else upto
     if not 0 <= last <= chain.n - 1:

@@ -63,27 +63,18 @@ def _scalar_transverse_obs(theta: float) -> LocalObservable:
     return LocalObservable.from_bloch([np.cos(theta), np.sin(theta), 0.0])
 
 
-def mean_z(chi_t: float, n_sites: int, mode: str = "exact") -> float:
-    """Collective <A_z> after the sweep from |0...0>."""
-    if mode == "asymptotic":
-        return chain_length(n_sites, 1) * mean_z_asymptotic_coeff(chi_t)
-    if mode != "exact":
-        raise InputError(f"unknown mode {mode!r}")
-    ts = _transfer_for(chi_t)
-    return correlators.collective_mean(ts, SIGMA_Z, chain_length(n_sites, 2))
+def mean_z(chi_t: float, n_sites: int) -> float:
+    """Collective <A_z> after the sweep from |0...0>; its large-N form is
+    N mean_z_asymptotic_coeff(chi_t)."""
+    return correlators.collective_mean(_transfer_for(chi_t), SIGMA_Z, chain_length(n_sites, 2))
 
 
-def transverse_variance(chi_t: float, theta: float, n_sites: int,
-                        mode: str = "exact") -> float:
+def transverse_variance(chi_t: float, theta: float, n_sites: int) -> float:
     """(Delta A_theta)^2 for A_theta = sum (cos t sigma_x + sin t sigma_y);
-    an array theta gives an array."""
-    if mode == "asymptotic":
-        return chain_length(n_sites, 1) * variance_asymptotic_coeff(chi_t, theta)
-    if mode != "exact":
-        raise InputError(f"unknown mode {mode!r}")
-    ts = _transfer_for(chi_t)
+    an array theta gives an array.  Its large-N form is
+    N variance_asymptotic_coeff(chi_t, theta)."""
     return correlators.additive_variance_exact(
-        ts, _transverse_obs(theta), n_sites).total
+        _transfer_for(chi_t), _transverse_obs(theta), n_sites).total
 
 
 def _theta_optimum(ts) -> tuple[float, float, bool]:
@@ -128,27 +119,19 @@ def optimal_theta(chi_t: float) -> tuple[float, bool]:
     return float(theta), bool(degenerate)
 
 
-def xi_squared(chi_t: float, n_sites: int | None = None,
-               mode: str = "exact") -> float:
+def xi_squared(chi_t: float, n_sites: int | None = None) -> float:
     """Squeezing parameter N (Delta A_theta*)^2 / <A_z>^2 at the optimal
-    transverse angle; < 1 witnesses entanglement."""
-    if mode == "exact":
-        if n_sites is None:
-            raise InputError("exact mode needs a chain length")
+    transverse angle over ``n_sites`` sites, or its N -> infinity limit
+    l(theta*) / m^2 for None; < 1 witnesses entanglement."""
+    if n_sites is not None:
         n_sites = chain_length(n_sites, 2)
     theta, var_coeff, _ = _theta_optimum(_transfer_for(chi_t))
-    if mode == "asymptotic":
-        mean_coeff = mean_z_asymptotic_coeff(chi_t)
-        if abs(mean_coeff) < 1e-9:
-            raise InputError("squeezing parameter undefined: <A_z> vanishes")
-        return var_coeff / mean_coeff ** 2
-    if mode != "exact":
-        raise InputError(f"unknown mode {mode!r}")
-    mean = mean_z(chi_t, n_sites, mode="exact")
-    if abs(mean) < 1e-9 * n_sites:
+    limit = n_sites is None
+    mean = mean_z_asymptotic_coeff(chi_t) if limit else mean_z(chi_t, n_sites)
+    if abs(mean) < 1e-9 * (1 if limit else n_sites):
         raise InputError("squeezing parameter undefined: <A_z> vanishes")
-    var = transverse_variance(chi_t, theta, n_sites, mode="exact")
-    return n_sites * var / mean ** 2
+    var = var_coeff if limit else n_sites * transverse_variance(chi_t, theta, n_sites)
+    return var / mean ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +161,11 @@ def sm_bound(j: float, m_grid) -> BoundCurve:
     entangled): the closed form 1 - sqrt(1 - m^2).
     """
     m_grid = sorted(float(m) for m in m_grid)
-    if any(m < 0.0 or m > 1.0 for m in m_grid):
+    if any(not 0.0 <= m <= 1.0 for m in m_grid):
         raise InputError("m grid must lie in [0, 1]")
     if abs(j - 0.5) < 1e-12:
         return BoundCurve(j=0.5, samples=[(m, m * m) for m in m_grid])
-    if abs(j - 1.0) > 1e-12:
+    if not abs(j - 1.0) <= 1e-12:   # NaN fails too
         raise InputError("only j = 1/2 and j = 1 are supported")
     return BoundCurve(j=1.0, samples=[(m, _pairwise_bound(m)) for m in m_grid])
 

@@ -70,7 +70,7 @@ class ChainSpec:
         object.__setattr__(self, "n", chain_length(self.n, 2))
         c0, c1 = complex(self.c0), complex(self.c1)
         norm = abs(c0) ** 2 + abs(c1) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:   # NaN fails too
             raise InputError(f"first-site amplitudes not normalized: |c0|^2+|c1|^2 = {norm}")
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "c1", c1)

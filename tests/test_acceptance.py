@@ -195,9 +195,8 @@ def test_criterion_6_linear_coefficient_fits():
         design = np.vstack([np.ones(4), ns]).T
         bracket = 1 - 2 * np.sin(2 * chi_t) * np.cos(chi_t) / ((1 + s ** 2) * (1 + s))
         mean_coeff = (1 - 3 * s ** 2) / (1 + s ** 2)
-        var_vals = np.array([sq.transverse_variance(chi_t, np.pi / 4, int(n),
-                                                    mode="exact") for n in ns])
-        mean_vals = np.array([sq.mean_z(chi_t, int(n), mode="exact") for n in ns])
+        var_vals = np.array([sq.transverse_variance(chi_t, np.pi / 4, int(n)) for n in ns])
+        mean_vals = np.array([sq.mean_z(chi_t, int(n)) for n in ns])
         b_var = np.linalg.lstsq(design, var_vals, rcond=None)[0][1]
         b_mean = np.linalg.lstsq(design, mean_vals, rcond=None)[0][1]
         dev = max(abs(b_var - bracket), abs(b_mean - mean_coeff))
@@ -218,7 +217,7 @@ def test_criterion_6_linear_coefficient_fits():
 
 def test_criterion_7_squeezing_exists():
     """xi^2 < 1 at chi_t = 0.2; optimal angle is pi/4 across the grid."""
-    xi2 = sq.xi_squared(0.2, mode="asymptotic")
+    xi2 = sq.xi_squared(0.2)
     worst_theta = 0.0
     for k in range(1, 16):
         theta, degenerate = sq.optimal_theta(0.1 * k)

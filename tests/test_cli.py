@@ -482,6 +482,9 @@ def test_missing_gate_exit_code(capsys):
     ["correlate", "--gate", "squeezing", "--params", "0.5", "--n", "4", "--tol=-inf"],
     ["correlate", "--gate", "squeezing", "--params", "0.5", "--n", "10000000000"],
     ["fig3", "--a-list", "-".join(["1x"] * 40)],
+    ["correlate", "--gate", "weyl", "--params", "0.7,pi/2,pi/2", "--n", "3", "--c0=nan"],
+    ["fig3", "--a-list", "pi", "--n-range", "4:8:2", "--c1=nanj"],
+    ["neff", "--gate", "weyl", "--params", "0.7,pi/2,pi/2", "--c0=nan"],
 ])
 def test_malformed_arguments_exit_code(argv, capsys):
     # rejected with one error line: no traceback, and no 4-vector read as

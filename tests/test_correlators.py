@@ -67,6 +67,10 @@ def test_one_point_rejects_bad_site():
     ts = build_transfer(gates.identity_gate(), ChainSpec(4))
     with pytest.raises(InputError):
         co.one_point(ts, SIGMA_Z, 5, 4)
+    # a non-integer site is named, not walked as a fractional power
+    for m in (2.5, 2.0, np.float64(2.0)):
+        with pytest.raises(InputError, match="site must be an integer"):
+            co.one_point(ts, SIGMA_Z, m, 4)
 
 
 def test_two_point_identity_and_ghz():
@@ -79,8 +83,11 @@ def test_two_point_identity_and_ghz():
 
 def test_two_point_rejects_bad_order():
     ts = build_transfer(gates.identity_gate(), ChainSpec(4))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"need m < n, got \(3,3\)"):
         co.two_point(ts, SIGMA_Z, 3, 3, 4)
+    for m, n in ((1.5, 3), (1, 3.0)):
+        with pytest.raises(InputError, match="two integer sites"):
+            co.two_point(ts, SIGMA_Z, m, n, 4)
 
 
 def test_points_match_oracle_random():
@@ -237,6 +244,18 @@ def test_site_correlations_rejects_bad_pairs():
             co.site_correlations(ts, SIGMA_Z, 4, pairs)
     with pytest.raises(InputError):
         co.site_correlations(ts, SIGMA_Z, 0, [])
+    # the first bad entry is named; range and order keep their messages
+    for pairs, named in (([(1, 2), (0, 2), (3, 3)], r"sites \(0,2\) outside 1\.\.4"),
+                         ([(1, 2), (4, 2)], r"need m < n, got \(4,2\)"),
+                         ([(1, 2 ** 70)], r"sites \(1,\d+\) outside 1\.\.4"),  # past int64
+                         ([(2.9, 4)], r"\(2\.9, 4\)"),      # was truncated to (2, 4)
+                         ([(1, 2), (2.9, 4)], r"\(2\.9, 4\)"),
+                         ([(1, 2, 3)], r"\(1, 2, 3\)"),      # was numpy's bare ValueError
+                         ([(1, 2), (3,)], r"\(3,\)"),
+                         (np.array([[2.0, 4.0]]), r"\[2\. 4\.\]"),
+                         ([(1, "2")], "two integer sites")):
+        with pytest.raises(InputError, match=named):
+            co.site_correlations(ts, SIGMA_Z, 4, pairs)
 
 
 # ---------------------------------------------------------------------------

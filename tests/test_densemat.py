@@ -73,10 +73,12 @@ def test_matpow_stack_with_power_array():
     ((3, 4, 4), [0, 20100, np.array([[3], [10 ** 12]]), 7, 0]),   # stacked m
 ])
 def test_matpow_reused_ladder_equals_fresh_calls(shape, ks):
+    # the ladder is shared through walk; matpow starts its own each call
     m = _contraction(np.random.default_rng(4), shape)
+    eye = np.eye(4, dtype=np.complex128)
     ladder = [m]
     for k in ks:
-        assert np.array_equal(dm.matpow(m, k, ladder), dm.matpow(m, k))
+        assert np.array_equal(dm.walk(eye, m, k, ladder), dm.matpow(m, k))
     assert len(ladder) == 40   # m^(2^j) up to the top bit of 10**12
     for j, square in enumerate(ladder[1:], 1):
         assert not square.flags.writeable

@@ -53,12 +53,7 @@ def test_sweep_equals_bond_by_bond_states(n):
 
 def test_sweep_cap_rejection_mentions_memory():
     with pytest.raises(InputError, match="MB"):
-        oracle.sweep(gates.identity_gate(), ChainSpec(18), cap=16)
-
-
-def test_sweep_cap_override():
-    state = oracle.sweep(gates.identity_gate(), ChainSpec(17), cap=17)
-    assert state.n == 17
+        oracle.sweep(gates.identity_gate(), ChainSpec(18))
 
 
 def test_ghz_expectations():
@@ -100,6 +95,8 @@ def test_plus_state_transverse_mean():
 def test_state_vector_validates_norm():
     with pytest.raises(InputError):
         oracle.StateVector(2, np.array([1.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(InputError, match="not normalized"):
+        oracle.StateVector(2, np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
 FAMILY_GATES = [gates.identity_gate(), gates.controlled_rotation(np.pi),

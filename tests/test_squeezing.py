@@ -18,27 +18,27 @@ def _mean_coeff(chi_t):
 
 
 def test_mean_z_trivial_limits():
-    assert sq.mean_z(0.0, 10, mode="exact") == 10.0
-    assert sq.mean_z(0.0, 10, mode="asymptotic") == 10.0
-    assert abs(sq.mean_z(np.pi / 2, 12, mode="asymptotic") + 12.0) < 1e-12
+    assert sq.mean_z(0.0, 10) == 10.0
+    assert 10 * sq.mean_z_asymptotic_coeff(0.0) == 10.0
+    assert abs(12 * sq.mean_z_asymptotic_coeff(np.pi / 2) + 12.0) < 1e-12
 
 
 def test_mean_z_exact_vs_oracle_and_asymptote():
     chi_t, n = 0.4, 10
     state = oracle.sweep(gates.squeezing_gate(chi_t), ChainSpec(n))
-    exact = sq.mean_z(chi_t, n, mode="exact")
+    exact = sq.mean_z(chi_t, n)
     assert abs(exact - oracle.collective_mean(state, SIGMA_Z)) < 1e-10
-    assert abs(exact - sq.mean_z(chi_t, n, mode="asymptotic")) < 2.0  # O(1) boundary
+    assert abs(exact - n * sq.mean_z_asymptotic_coeff(chi_t)) < 2.0  # O(1) boundary
 
 
 def test_transverse_variance_uncorrelated_limit():
     for theta in (0.0, 0.7, 2.5):
-        assert abs(sq.transverse_variance(0.0, theta, 9, mode="exact") - 9.0) < 1e-12
+        assert abs(sq.transverse_variance(0.0, theta, 9) - 9.0) < 1e-12
 
 
 def test_transverse_variance_asymptotic_bracket():
     for chi_t in (0.15, 0.6, 1.1):
-        coeff = sq.transverse_variance(chi_t, np.pi / 4, 1000, mode="asymptotic") / 1000
+        coeff = sq.variance_asymptotic_coeff(chi_t, np.pi / 4)
         assert abs(coeff - _bracket(chi_t)) < 1e-10
 
 
@@ -47,7 +47,7 @@ def test_transverse_variance_exact_vs_oracle():
     state = oracle.sweep(gates.squeezing_gate(chi_t), ChainSpec(n))
     for theta in np.linspace(0, np.pi, 7):
         obs = LocalObservable.from_bloch([np.cos(theta), np.sin(theta), 0.0])
-        assert abs(sq.transverse_variance(chi_t, theta, n, mode="exact")
+        assert abs(sq.transverse_variance(chi_t, theta, n)
                    - oracle.collective_variance(state, obs)) < 1e-8
 
 
@@ -58,9 +58,9 @@ def test_mean_and_variance_vs_oracle_full_grid():
     for k in range(1, 16):
         chi_t = 0.1 * k
         state = oracle.sweep(gates.squeezing_gate(chi_t), ChainSpec(n))
-        assert abs(sq.mean_z(chi_t, n, mode="exact")
+        assert abs(sq.mean_z(chi_t, n)
                    - oracle.collective_mean(state, SIGMA_Z)) < 1e-8
-        assert abs(sq.transverse_variance(chi_t, np.pi / 4, n, mode="exact")
+        assert abs(sq.transverse_variance(chi_t, np.pi / 4, n)
                    - oracle.collective_variance(state, obs)) < 1e-8
 
 
@@ -124,9 +124,7 @@ def test_memo_stays_bounded_over_a_theta_sweep():
 @pytest.mark.parametrize("n_sites", [2.5, 10.0, np.float64(10.0), "10"])
 def test_chain_length_checked_at_entry(n_sites):
     for call in (lambda: sq.mean_z(0.5, n_sites),
-                 lambda: sq.mean_z(0.5, n_sites, mode="asymptotic"),
                  lambda: sq.transverse_variance(0.5, 0.3, n_sites),
-                 lambda: sq.transverse_variance(0.5, 0.3, n_sites, mode="asymptotic"),
                  lambda: sq.xi_squared(0.5, n_sites)):
         with pytest.raises(InputError, match="chain length must be an integer"):
             call()
@@ -274,13 +272,13 @@ def test_fig4_cli_csv_is_the_formatted_rows(theta, capsys, csv_row):
 
 
 def test_xi_squared_coherent_limit():
-    assert abs(sq.xi_squared(1e-10, n_sites=8, mode="exact") - 1.0) < 1e-6
+    assert abs(sq.xi_squared(1e-10, n_sites=8) - 1.0) < 1e-6
 
 
 def test_xi_squared_squeezed():
-    val = sq.xi_squared(0.2, mode="asymptotic")
+    val = sq.xi_squared(0.2)
     assert val < 1.0
-    exact = sq.xi_squared(0.2, n_sites=10, mode="exact")
+    exact = sq.xi_squared(0.2, n_sites=10)
     assert abs(exact - val) < 10.0 / 10  # O(1/N)
 
 
@@ -288,29 +286,37 @@ def test_xi_squared_convention_invariance():
     # J = A/2 rescaling leaves xi^2 unchanged: N (Var/4) / (mean/2)^2
     chi_t, n = 0.25, 12
     theta, _ = sq.optimal_theta(chi_t)
-    var = sq.transverse_variance(chi_t, theta, n, mode="exact")
-    mean = sq.mean_z(chi_t, n, mode="exact")
+    var = sq.transverse_variance(chi_t, theta, n)
+    mean = sq.mean_z(chi_t, n)
     a_convention = n * var / mean ** 2
     j_convention = n * (var / 4) / (mean / 2) ** 2
     assert abs(a_convention - j_convention) < 1e-12
-    assert abs(sq.xi_squared(chi_t, n_sites=n, mode="exact") - a_convention) < 1e-12
+    assert abs(sq.xi_squared(chi_t, n_sites=n) - a_convention) < 1e-12
+
+
+def test_xi_squared_limit_is_coefficient_ratio():
+    # no chain length gives the N -> infinity limit l(theta*) / m^2
+    for chi_t in (0.05, 0.2, 0.7, 1.3):
+        theta, _ = sq.optimal_theta(chi_t)
+        assert sq.xi_squared(chi_t) == (sq.variance_asymptotic_coeff(chi_t, theta)
+                                        / sq.mean_z_asymptotic_coeff(chi_t) ** 2)
 
 
 def test_xi_squared_rejects_vanishing_mean():
     # mean coefficient vanishes at sin^2 = 1/3
     chi_t = np.arcsin(np.sqrt(1 / 3))
     with pytest.raises(InputError):
-        sq.xi_squared(chi_t, mode="asymptotic")
+        sq.xi_squared(chi_t)
 
 
 def test_xi_squared_finite_size_convergence():
     # exact values approach the asymptote at the O(1/N) rate
     chi_t = 0.25
-    limit = sq.xi_squared(chi_t, mode="asymptotic")
-    scaled = [n * abs(sq.xi_squared(chi_t, n_sites=n, mode="exact") - limit)
+    limit = sq.xi_squared(chi_t)
+    scaled = [n * abs(sq.xi_squared(chi_t, n_sites=n) - limit)
               for n in (50, 100, 200)]
     assert max(scaled) / min(scaled) < 1.5
-    assert abs(sq.xi_squared(chi_t, n_sites=400, mode="exact") - limit) < 0.01
+    assert abs(sq.xi_squared(chi_t, n_sites=400) - limit) < 0.01
 
 
 def test_sm_bound_half_is_parabola():
@@ -368,6 +374,10 @@ def test_sm_bound_rejects_unsupported():
         sq.sm_bound(1.5, [0.5])
     with pytest.raises(InputError):
         sq.sm_bound(1.0, [1.5])
+    with pytest.raises(InputError, match="only j = 1/2 and j = 1"):
+        sq.sm_bound(float("nan"), [0.5])
+    with pytest.raises(InputError, match=r"m grid must lie in \[0, 1\]"):
+        sq.sm_bound(0.5, [float("nan"), 0.3])
 
 
 def test_fig4_trajectory_limits_and_flags():
@@ -400,10 +410,10 @@ def test_variance_fit_recovers_bracket_moderate_chi():
     ns = np.array([100, 200, 400, 800])
     design = np.vstack([np.ones(4), ns]).T
     for chi_t in (0.1, 0.5, 1.0):
-        vals = np.array([sq.transverse_variance(chi_t, np.pi / 4, int(n), mode="exact")
+        vals = np.array([sq.transverse_variance(chi_t, np.pi / 4, int(n))
                          for n in ns])
         slope = np.linalg.lstsq(design, vals, rcond=None)[0][1]
         assert abs(slope - _bracket(chi_t)) < 1e-4
-        means = np.array([sq.mean_z(chi_t, int(n), mode="exact") for n in ns])
+        means = np.array([sq.mean_z(chi_t, int(n)) for n in ns])
         mean_slope = np.linalg.lstsq(design, means, rcond=None)[0][1]
         assert abs(mean_slope - _mean_coeff(chi_t)) < 1e-4

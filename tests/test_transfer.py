@@ -177,6 +177,10 @@ def test_chain_spec_rejects_unnormalized():
         ChainSpec(3, 1.0, 0.5)
     with pytest.raises(InputError):
         ChainSpec(1, 1.0, 0.0)
+    # NaN compares False both ways, so the check must fail it explicitly
+    for c0, c1 in ((float("nan"), 0.0), (1.0, complex("nanj"))):
+        with pytest.raises(InputError, match="not normalized"):
+            ChainSpec(4, c0, c1)
 
 
 @pytest.mark.parametrize("n", [4.5, 10.0, "10", None])
