@@ -122,7 +122,8 @@ def parse_grid(text: str) -> list[float]:
             raise InputError(f"bad grid count {parts[2]!r}") from exc
         if not 1 <= count <= 10 ** 5:   # one stacked fig4 pass holds every point
             raise InputError(f"grid count must lie in 1..100000, got {count}")
-        return [float(x) for x in np.linspace(start, stop, count)]
+        with np.errstate(over="ignore", invalid="ignore"):   # fig4 refuses non-finite points
+            return [float(x) for x in np.linspace(start, stop, count)]
     return parse_angle_list(text)
 
 
@@ -237,14 +238,13 @@ def cmd_correlate(args) -> int:
     chain = _resolve_chain(args, args.n)
     ts = build_transfer(gate, chain)
     obs = _resolve_bloch(args)
-    if args.n <= PAIR_CAP:
-        pairs = [(m, k) for m in range(1, args.n + 1) for k in range(m + 1, args.n + 1)]
-    else:
-        pairs = [(m, m + 1) for m in range(1, args.n)]
+    pairs = (np.argwhere(np.arange(args.n)[:, None] < np.arange(args.n)) + 1   # every m < k
+             if args.n <= PAIR_CAP else np.arange(1, args.n)[:, None] + (0, 1))   # (m, m + 1)
     one, two = correlators.site_correlations(ts, obs, args.n, pairs)
+    ms, ks = pairs.T.tolist()
     lines = itertools.chain(
         (f"one,{m},,{value:.17g}\n" for m, value in enumerate(one, start=1)),
-        (f"two,{m},{k},{value:.17g}\n" for (m, k), value in zip(pairs, two)))
+        (f"two,{m},{k},{value:.17g}\n" for m, k, value in zip(ms, ks, two)))
     _write_csv(args, "kind,m,n,value", lines, _config_of(args))
     return 0
 
@@ -252,9 +252,11 @@ def cmd_correlate(args) -> int:
 def cmd_oracle_check(args) -> int:
     if args.count < 1:
         raise InputError(f"--count must be positive, got {args.count}")
+    if args.n > oracle.DEFAULT_CAP:
+        raise InputError(f"--n must be at most {oracle.DEFAULT_CAP}, got {args.n}")
     gates = [random_gate(args.seed + k) for k in range(args.count)]
     chain = _resolve_chain(args, args.n)
-    pairs = [(m, k2) for m in range(1, args.n + 1) for k2 in range(m + 1, args.n + 1)]
+    pairs = np.argwhere(np.arange(args.n)[:, None] < np.arange(args.n)) + 1   # every m < k
     rng = np.random.default_rng(args.seed)
     lines = []
     all_pass = True
@@ -268,7 +270,7 @@ def cmd_oracle_check(args) -> int:
         dev_one = max(abs(value - oracle.expect_local(state, obs, m))
                       for m, value in enumerate(one, start=1))
         dev_two = max(abs(value - oracle.expect_pair(state, obs, m, k2))
-                      for (m, k2), value in zip(pairs, two))
+                      for (m, k2), value in zip(pairs.tolist(), two))
         dev_mean = abs(correlators.collective_mean(ts, obs, args.n)
                        - oracle.collective_mean(state, obs))
         dev_var = abs(correlators.additive_variance_exact(ts, obs, args.n).total

@@ -15,8 +15,8 @@ use the spectral data of E.
 What depends on the observable alone is memoized per transfer set
 (TransferSet.memoized, at most MEMO_ENTRIES entries keyed by the matrix
 bytes): E_A for the site correlators, and for the collective mean and
-variance one entry, the 12x12 matrix with its closing columns, squaring
-ladder, shift mu and guard floor, so a series over N squares it once.
+variance one entry (_lift): the 12x12 matrix, its closing columns, squaring
+ladder, shift mu, ||A|| and ||A - mu||^2, so a series over N squares it once.
 Every stored array is read-only and each value is bitwise the cold call's.
 """
 
@@ -106,11 +106,12 @@ def two_point(ts: TransferSet, obs: LocalObservable, m: int, n: int,
     return _closed(ea, obs, dm.walk(head, ts.e, n - m - 1, ladder), n, n_sites)
 
 
-def _pair_sites(pairs: list, n_sites: int) -> np.ndarray:
-    """``pairs`` as a (P, 2) integer array, checked at once; the first entry
-    that is not two integer sites m < n in 1..N raises InputError naming it."""
+def _pair_sites(pairs, n_sites: int) -> np.ndarray:
+    """``pairs`` as a (P, 2) integer array (one passed in is used as it is),
+    checked at once; the first entry that is not two integer sites m < n in
+    1..N raises InputError naming it."""
     try:
-        sites = np.array(pairs or np.empty((0, 2), dtype=int))
+        sites = np.asarray(pairs) if len(pairs) else np.empty((0, 2), dtype=int)
     except ValueError:   # entries of different lengths
         sites = np.empty(0)
     if sites.shape != (len(pairs), 2) or sites.dtype.kind not in "iu":
@@ -135,16 +136,16 @@ def _pair_sites(pairs: list, n_sites: int) -> np.ndarray:
 def site_correlations(ts: TransferSet, obs: LocalObservable, n_sites: int,
                       pairs) -> tuple[list[float], list[float]]:
     """All N one-point values <A_m> and <A_m A_n> for each (m, n) in
-    ``pairs``, each == its one_point and two_point call: the rows
-    r_k = <v|E^k> (k < N) of one doubling table (densemat.walk_table) close
-    at their site, <A_m> = r_{m-1} close(m), and each pair's head
-    r_{m-1} E_A walks on by its own separation n - m - 1 to close(n).
-    The table has one chain's rows: a stacked ``ts`` or ``obs`` raises."""
+    ``pairs`` (a (P, 2) integer array, or pairs), each == its one_point and
+    two_point call: the rows r_k = <v|E^k> (k < N) of one doubling table
+    (densemat.walk_table) close at their site, <A_m> = r_{m-1} close(m), and
+    each pair's head r_{m-1} E_A walks on by its own separation n - m - 1 to
+    close(n).  The table has one chain's rows: a stacked ``ts`` or ``obs`` raises."""
     if ts.e.ndim > 2 or obs.matrix.ndim > 2:
         raise InputError("site_correlations takes one transfer matrix and one "
                          "observable, not a stack")
     n_sites = chain_length(n_sites, 1)
-    ms, ns = _pair_sites(list(pairs), n_sites).T
+    ms, ns = _pair_sites(pairs, n_sites).T
     ea = _memo_dressed(ts, obs)
     ladder = [ts.e]
     rows = dm.walk_table(ts.vrow[None, :], n_sites, ladder)
@@ -154,7 +155,7 @@ def site_correlations(ts: TransferSet, obs: LocalObservable, n_sites: int,
 
 
 def _lift(ts: TransferSet, a: np.ndarray) -> tuple:
-    """(T, closing columns, [T], mu, ||A'||^2) of the MPO [[I, A', A'^2],
+    """(T, closing columns, [T], mu, ||A||, ||A'||^2) of the MPO [[I, A', A'^2],
     [0, I, 2A'], [0, 0, I]] of A' = A - mu, read-only: independent of N, so a
     transfer set memoizes them and the squaring ladder [T] grows in place.
 
@@ -166,7 +167,7 @@ def _lift(ts: TransferSet, a: np.ndarray) -> tuple:
     mu = Re <v|P E_A|I> (P from ts.spectrum) is independent of N and keeps
     M1 bounded for unital E; any real shift leaves M2 - M1^2 exact.  A',
     A'^2 and 2A' are dressed as one stack on a leading axis, so a stacked E
-    broadcasts with A.
+    broadcasts with A; one SVD of the stack (A, A') gives the guard scales.
     """
     pi = ts.spectrum.projector
     mu = _unit_moments(ts.vrow[None, :] @ pi, pi, ts.dressed(a))[0][..., 0].real
@@ -180,14 +181,17 @@ def _lift(ts: TransferSet, a: np.ndarray) -> tuple:
     t[..., :4, 4:8], t[..., :4, 8:], t[..., 4:8, 8:] = dressed
     cols[..., 4:, :] = np.kron(np.eye(2), VEC_IDENTITY[:, None])
     cols[..., :4, 0], cols[..., :4, 1], cols[..., 4:8, 1] = ops.reshape(ops.shape[:-2] + (4,))
-    floor = np.asarray(np.linalg.svd(shifted, compute_uv=False)[..., 0] ** 2)
-    _read_only(t, cols, mu, floor)
-    return t, cols, [t], mu, floor
+    pair = np.empty((2,) + shifted.shape, dtype=np.complex128)   # A broadcast next to A'
+    pair[0], pair[1] = a, shifted
+    tops = np.linalg.svd(pair, compute_uv=False)[..., 0]
+    tops[1] **= 2
+    _read_only(t, cols, mu, tops)
+    return t, cols, [t], mu, *tops   # float64s for one matrix keep the guards cheap
 
 
 def _moments(ts: TransferSet, obs: LocalObservable, n) -> tuple:
-    """(M1, M2, their error estimates, mu, ||A'||^2) of sum_m A'_m over N
-    sites (_lift), from <v, 0, 0| T^{N-1} walked through the memoized
+    """(M1, M2, their error estimates, mu, ||A||, ||A'||^2) of sum_m A'_m
+    over N sites (_lift), from <v, 0, 0| T^{N-1} walked through the memoized
     squaring ladder (densemat.walk) and closed by both columns.
 
     The values are divided by the state norm <v|E^{N-1}|I>, read off the same
@@ -198,8 +202,8 @@ def _moments(ts: TransferSet, obs: LocalObservable, n) -> tuple:
     too) gives arrays from one batched walk, each bitwise its scalar call:
     rows stay 1 x 12, so every product takes the BLAS path of the scalar call.
     """
-    t, cols, ladder, mu, floor = ts.memoized("variance", obs.matrix,
-                                             lambda a: _lift(ts, a))
+    t, cols, ladder, mu, norm, floor = ts.memoized("variance", obs.matrix,
+                                                   lambda a: _lift(ts, a))
     start = np.zeros((1, 12), dtype=np.complex128)
     start[0, :4] = ts.vrow
     row = dm.walk(start, t, n - 1, ladder)
@@ -207,7 +211,7 @@ def _moments(ts: TransferSet, obs: LocalObservable, n) -> tuple:
     m1, m2 = np.moveaxis((row @ cols)[..., 0, :], -1, 0)
     sums = np.moveaxis((np.abs(row) @ np.abs(cols))[..., 0, :], -1, 0)
     err1, err2 = _ERR_SAFETY * n * _EPS * sums
-    return m1, m2, err1, err2, mu, floor
+    return m1, m2, err1, err2, mu, norm, floor
 
 
 def _check_estimate(what: str, value, err, floor,
@@ -230,9 +234,9 @@ def collective_mean(ts: TransferSet, obs: LocalObservable, n_sites: int) -> floa
     of max(|mean|, N ||A||).
     """
     n_sites = chain_length(n_sites, 1)
-    m1, _, err1, _, mu, _ = _moments(ts, obs, n_sites)
+    m1, _, err1, _, mu, norm, _ = _moments(ts, obs, n_sites)
     mean = _real(n_sites * mu + m1, scale=n_sites)
-    _check_estimate("collective mean", mean, err1, n_sites * obs.norm)
+    _check_estimate("collective mean", mean, err1, n_sites * norm)
     return mean
 
 
@@ -280,7 +284,7 @@ def _variance(ts: TransferSet, obs: LocalObservable, n) -> tuple:
     from one walk (_moments).  M1 is bounded, so M1^2 stays small next to
     the variance; the estimate adds 2 |M1| times M1's to M2's, and the
     guard's floor is N ||A - mu||^2."""
-    m1, m2, err1, err2, _, floor = _moments(ts, obs, n)
+    m1, m2, err1, err2, _, _, floor = _moments(ts, obs, n)
     total = _real(m2 - m1 * m1, scale=(1.0 * n) ** 2)
     err = err2 + 2.0 * np.abs(m1) * err1
     _check_estimate("collective variance", total, err, n * floor)

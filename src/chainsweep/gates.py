@@ -78,7 +78,8 @@ def weyl_params(alpha, beta, gamma) -> tuple:
 
 
 def _weyl_matrix(alpha, beta, gamma) -> np.ndarray:
-    x, y, z, w = weyl_params(alpha, beta, gamma)
+    with np.errstate(over="ignore", invalid="ignore"):   # Gate refuses non-finite entries
+        x, y, z, w = weyl_params(alpha, beta, gamma)
     m = np.zeros(np.shape(x) + (4, 4), dtype=np.complex128)
     m[..., 0, 0] = m[..., 3, 3] = x
     m[..., 1, 1] = m[..., 2, 2] = z
@@ -94,7 +95,8 @@ def weyl_gate(alpha: float, beta: float, gamma: float) -> Gate:
 
 def controlled_rotation(a: float) -> Gate:
     """|0><0| x I + |1><1| x R(a) with R a real rotation by angle a/2."""
-    c, s = np.cos(0.5 * a), np.sin(0.5 * a)
+    with np.errstate(invalid="ignore"):   # Gate refuses non-finite entries
+        c, s = np.cos(0.5 * a), np.sin(0.5 * a)
     m = np.array([
         [1, 0, 0, 0],
         [0, 1, 0, 0],
@@ -115,7 +117,8 @@ def squeezing_gate(chi_t) -> Gate:
 
 def x_rotation(theta: float) -> np.ndarray:
     """exp(i theta X) = [[cos, i sin], [i sin, cos]]."""
-    c, s = np.cos(theta), np.sin(theta)
+    with np.errstate(invalid="ignore"):   # as_matrix refuses non-finite entries downstream
+        c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, 1j * s], [1j * s, c]], dtype=np.complex128)
 
 

@@ -66,12 +66,7 @@ def apply_two_site(state: StateVector, gate_matrix: np.ndarray, m: int) -> State
     reshape so the pair forms one axis and contract."""
     _check_site(state.n, m)
     _check_site(state.n, m + 1)
-    return StateVector(state.n, _apply_pair(state.amplitudes, state.n, gate_matrix, m))
-
-
-def _apply_pair(amps: np.ndarray, n: int, gate_matrix: np.ndarray, m: int) -> np.ndarray:
-    psi = amps.reshape(2 ** (m - 1), 4, 2 ** (n - m - 1))
-    return np.einsum("ij,ajb->aib", gate_matrix, psi).reshape(-1)
+    return StateVector(state.n, _apply_local(state.amplitudes, state.n, gate_matrix, m))
 
 
 def sweep(gate: Gate, chain: ChainSpec, upto: int | None = None) -> StateVector:
@@ -83,23 +78,22 @@ def sweep(gate: Gate, chain: ChainSpec, upto: int | None = None) -> StateVector:
     and only the final state is built and checked.  N is at most DEFAULT_CAP.
     """
     if chain.n > DEFAULT_CAP:
-        mem = 2 ** chain.n * 16 / 1e6
+        mem = chain.n * np.log10(2) - np.log10(62500)   # log10 of 2^N x 16 B in MB
         raise InputError(
             f"N = {chain.n} exceeds the state-vector cap {DEFAULT_CAP} "
-            f"(would need ~{mem:.0f} MB of amplitudes)")
+            f"(would need ~{10 ** (mem % 1):.1f}e{mem // 1:.0f} MB of amplitudes)")
     last = chain.n - 1 if upto is None else upto
     if not 0 <= last <= chain.n - 1:
         raise InputError(f"prefix length {last} outside 0..{chain.n - 1}")
     amps, u = initial_state(chain).amplitudes, single_gate(gate).matrix
     for m in range(1, last + 1):
-        amps = _apply_pair(amps, chain.n, u, m)
+        amps = _apply_local(amps, chain.n, u, m)
     return StateVector(chain.n, amps)
 
 
 def _apply_local(amps: np.ndarray, n: int, op: np.ndarray, m: int) -> np.ndarray:
-    left = 2 ** (m - 1)
-    right = 2 ** (n - m)
-    psi = amps.reshape(left, 2, right)
+    """A 2x2 ``op`` on site m, or a 4x4 one on sites (m, m+1), as one einsum."""
+    psi = amps.reshape(2 ** (m - 1), len(op), 2 ** (n - m + 1) // len(op))
     return np.einsum("ij,ajb->aib", op, psi).reshape(-1)
 
 

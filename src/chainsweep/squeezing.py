@@ -51,8 +51,9 @@ def _transverse_obs(theta) -> LocalObservable:
     if np.ndim(theta) == 0:
         return _scalar_transverse_obs(float(theta))
     theta = np.asarray(theta, dtype=float)
-    return LocalObservable.from_bloch(
-        np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=-1))
+    with np.errstate(invalid="ignore"):   # from_bloch refuses a non-finite theta
+        bloch = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=-1)
+    return LocalObservable.from_bloch(bloch)
 
 
 @lru_cache(maxsize=8)
@@ -60,7 +61,8 @@ def _scalar_transverse_obs(theta: float) -> LocalObservable:
     # -0.0 == 0.0 shares an entry: both give the same matrix bytes.  Building
     # and validating A_theta (about 40 us) costs more per N than the
     # memoized variance walk of a series does.
-    return LocalObservable.from_bloch([np.cos(theta), np.sin(theta), 0.0])
+    with np.errstate(invalid="ignore"):   # from_bloch refuses a non-finite theta
+        return LocalObservable.from_bloch([np.cos(theta), np.sin(theta), 0.0])
 
 
 def mean_z(chi_t: float, n_sites: int) -> float:

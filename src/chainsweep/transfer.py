@@ -102,11 +102,14 @@ class LocalObservable:
 
     @classmethod
     def from_bloch(cls, n) -> "LocalObservable":
-        """n . sigma for the 3-vector n (last axis), normalized to unit length."""
+        """n . sigma for a finite 3-vector n (last axis), normalized to unit length."""
         n = np.asarray(n, dtype=float)
         if n.shape[-1:] != (3,):
             raise InputError(f"bloch vector needs 3 components, got shape {n.shape}")
-        nrm = np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0]   # np.linalg.norm's dot
+        with np.errstate(over="ignore", invalid="ignore"):   # refused just below
+            nrm = np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0]   # np.linalg.norm's dot
+        if not np.isfinite(nrm).all():
+            raise InputError("bloch vector components and their sum of squares must be finite")
         if (nrm == 0).any():
             raise InputError("bloch vector must be nonzero")
         n = (n / nrm)[..., None, None]
@@ -115,15 +118,6 @@ class LocalObservable:
 
     def squared(self) -> np.ndarray:
         return self.matrix @ self.matrix
-
-    @cached_property
-    def norm(self):
-        """||A||_2, the top singular value (a read-only array of them for a
-        stack), computed on first read; the matrix is read-only, so it never
-        goes stale."""
-        top = np.linalg.svd(self.matrix, compute_uv=False)[..., 0]
-        top.setflags(write=False)
-        return dm.unbatch(top)
 
 
 SIGMA_X = LocalObservable.from_bloch([1.0, 0.0, 0.0])
@@ -185,12 +179,12 @@ class TransferSet:
 
     :meth:`memoized` keeps what the correlators derive from an observable
     alone, independent of N: the E_A of the site correlators, and the one
-    walk that serves both the collective mean and variance, its lifted
-    matrix, closing columns, squaring ladder, shift by the chain average
-    (read off ``spectrum``) and guard floor.  It holds the MEMO_ENTRIES
-    newest entries, keyed by the observable's matrix bytes; every entry is
-    read-only and is what the cold call builds, so each value computed from
-    it is bitwise the cold call's."""
+    walk that serves both the collective mean and variance: its lifted
+    matrix T, closing columns, squaring ladder, shift mu by the chain average
+    (read off ``spectrum``), and guard scales ||A|| and ||A - mu||^2.  It
+    holds the MEMO_ENTRIES newest entries, keyed by the observable's matrix
+    bytes; every entry is read-only and is what the cold call builds, so each
+    value computed from it is bitwise the cold call's."""
 
     kraus: KrausPair
     e: np.ndarray

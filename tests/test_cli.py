@@ -485,6 +485,21 @@ def test_missing_gate_exit_code(capsys):
     ["correlate", "--gate", "weyl", "--params", "0.7,pi/2,pi/2", "--n", "3", "--c0=nan"],
     ["fig3", "--a-list", "pi", "--n-range", "4:8:2", "--c1=nanj"],
     ["neff", "--gate", "weyl", "--params", "0.7,pi/2,pi/2", "--c0=nan"],
+    # non-finite or overflowing angles and Bloch vectors: no RuntimeWarning
+    # before the error line (the suite turns warnings into errors)
+    ["neff", "--gate", "squeezing", "--params", "inf"],
+    ["fig3", "--a-list", "inf", "--n-range", "4:8:2"],
+    ["correlate", "--gate", "weyl", "--params", "0.7,inf,0", "--n", "4"],
+    ["fig4", "--chi-t", "0.5", "--theta", "inf"],
+    ["neff", "--gate", "weyl", "--params", "1e308,1e308,0"],
+    ["fig3", "--a-list", "pi", "--n-range", "4:8:2", "--bloch", "inf,0,0"],
+    ["fig4", "--chi-t=-1e308:1e308:3"],
+    ["fig4", "--chi-t", "0.1:inf:3"],
+    ["correlate", "--gate", "weyl", "--params", "0.7,0.1,0.2", "--n", "3",
+     "--bloch", "1e308,1e308,0"],
+    # past the state-vector cap, where 2^N x 16 B overflows a float
+    ["oracle-check", "--n", "1500", "--count", "1"],
+    ["fig3", "--a-list", "pi", "--n-range", "1100:1100:1", "--oracle-cap", "2000"],
 ])
 def test_malformed_arguments_exit_code(argv, capsys):
     # rejected with one error line: no traceback, and no 4-vector read as

@@ -224,6 +224,20 @@ def test_site_correlations_match_per_site(n):
         _assert_table_matches(ts, obs, n, near, sites, near)
 
 
+@pytest.mark.parametrize("n", [2, 10, 33, 1000])
+def test_site_correlations_take_an_integer_pair_array(n):
+    # the (P, 2) int64 array is used as it is and gives the values of the
+    # same pairs as a list of tuples
+    rng = np.random.default_rng(40 + n)
+    ts, obs = build_transfer(gates.random_gate(n), _random_chain(rng, n)), _random_bloch(rng)
+    full = [(m, k) for m in range(1, n + 1) for k in range(m + 1, n + 1)]
+    near = [(m, m + 1) for m in range(1, n)]
+    for pairs in ((full, near) if n <= 33 else (near,)):
+        sites = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        assert co._pair_sites(sites, n) is sites
+        assert co.site_correlations(ts, obs, n, sites) == co.site_correlations(ts, obs, n, pairs)
+
+
 def test_site_correlations_long_chain_drift():
     # 2000 sites, eleven table blocks; the per-entry reference covers every
     # tenth site and the last two
@@ -542,14 +556,15 @@ def test_memo_entries_are_read_only_and_keyed_by_observable():
 
     for obs in (SIGMA_Z, obs_t):
         entry = ts.memoized("variance", obs.matrix, unbuilt)
-        t, cols, ladder, mu, floor = entry
+        t, cols, ladder, mu, norm, floor = entry
         want = co._lift(ts, obs.matrix)
-        for k in (0, 1, 3, 4):   # all but the ladder, which has grown
+        for k in (0, 1, 3, 4, 5):   # all but the ladder, which has grown
             assert np.array_equal(entry[k], want[k])
+        assert norm == np.linalg.svd(obs.matrix, compute_uv=False)[0]
         assert ladder[0] is t and len(ladder) == (20000 - 1).bit_length()
         ea = ts.memoized("dressed", obs.matrix, unbuilt)
         assert np.array_equal(ea, ts.dressed(obs.matrix))
-        for x in (t, cols, mu, floor, ea, *ladder):
+        for x in (t, cols, mu, norm, floor, ea, *ladder):
             assert not x.flags.writeable
     assert {kind for kind, *_ in ts._memo} == {"variance", "dressed"}
 
@@ -563,7 +578,7 @@ def test_variance_memo_holds_the_shifted_lift(monkeypatch):
         raise AssertionError("memo entry missing")
 
     entry = ts.memoized("variance", obs.matrix, unbuilt)
-    t, cols, ladder, mu, floor = entry
+    t, cols, ladder, mu, norm, floor = entry
     pi = ts.spectrum.projector
     assert mu == (ts.vrow @ pi @ ts.dressed(obs.matrix) @ transfer.VEC_IDENTITY).real
     shifted = obs.matrix - mu * np.eye(2)
@@ -577,8 +592,9 @@ def test_variance_memo_holds_the_shifted_lift(monkeypatch):
                                                       2.0 * shifted.ravel(),
                                                       transfer.VEC_IDENTITY]))
     assert floor == np.linalg.svd(shifted, compute_uv=False)[0] ** 2
+    assert norm == np.linalg.svd(obs.matrix, compute_uv=False)[0]
     assert ladder[0] is t and len(ladder) == (20000 - 1).bit_length()
-    for x in (t, cols, mu, floor, *ladder):
+    for x in (t, cols, mu, norm, floor, *ladder):
         assert not x.flags.writeable
 
     # a second call on the same set and observable builds no lift, makes no

@@ -107,6 +107,21 @@ def test_all_constructors_unitary():
         assert gates.unitarity_deviation(g.matrix) < 1e-12
 
 
+@pytest.mark.parametrize("build", [
+    lambda: gates.weyl_gate(0.7, np.inf, 0.0),
+    lambda: gates.weyl_gate(1e308, 1e308, 0.0),   # finite angles, overflowing sum
+    lambda: gates.weyl_gate(0.7, 0.1, np.nan),
+    lambda: gates.squeezing_gate(np.inf),
+    lambda: gates.squeezing_gate(np.array([0.5, 1e308])),
+    lambda: gates.controlled_rotation(np.inf),
+    lambda: gates.macroscopic_family(0.3, np.inf, 2.0),
+])
+def test_non_finite_angles_are_refused_without_warnings(build):
+    # the suite turns a RuntimeWarning into an error
+    with pytest.raises(InputError, match="non-finite"):
+        build()
+
+
 def test_macroscopic_family_rejects_bad_probability():
     with pytest.raises(InputError):
         gates.macroscopic_family(1.5, 0.1, 0.2, seed=0)

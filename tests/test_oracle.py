@@ -56,6 +56,24 @@ def test_sweep_cap_rejection_mentions_memory():
         oracle.sweep(gates.identity_gate(), ChainSpec(18))
 
 
+@pytest.mark.parametrize("n", [17, 1030, 1500, 10 ** 6])
+def test_sweep_cap_rejection_never_overflows(n):
+    # 2^N x 16 B leaves the float range from N = 1030 on
+    with pytest.raises(InputError, match=rf"N = {n} exceeds .* MB"):
+        oracle.sweep(gates.identity_gate(), ChainSpec(n))
+
+
+def test_local_kernel_is_the_bond_einsum_for_a_gate():
+    # a 4x4 gate on sites (m, m+1) is the einsum over the (2^(m-1), 4,
+    # 2^(N-m-1)) view of the amplitudes that sweep used for bonds
+    n, u = 6, gates.random_gate(3).matrix
+    amps = oracle.sweep(gates.random_gate(4), ChainSpec(n, 0.6, 0.8j)).amplitudes
+    for m in range(1, n):
+        psi = amps.reshape(2 ** (m - 1), 4, 2 ** (n - m - 1))
+        want = np.einsum("ij,ajb->aib", u, psi).reshape(-1)
+        assert np.array_equal(oracle._apply_local(amps, n, u, m), want)
+
+
 def test_ghz_expectations():
     state = oracle.sweep(gates.controlled_rotation(np.pi), ChainSpec.plus_state(3))
     assert abs(oracle.expect_local(state, SIGMA_Z, 2)) < 1e-12

@@ -36,6 +36,13 @@ def test_transverse_variance_uncorrelated_limit():
         assert abs(sq.transverse_variance(0.0, theta, 9) - 9.0) < 1e-12
 
 
+@pytest.mark.parametrize("theta", [np.inf, np.nan, np.array([0.3, np.inf])])
+def test_transverse_observable_refuses_a_non_finite_theta(theta):
+    # one InputError, and no RuntimeWarning, which the suite makes an error
+    with pytest.raises(InputError, match="finite"):
+        sq.transverse_variance(0.5, theta, 10)
+
+
 def test_transverse_variance_asymptotic_bracket():
     for chi_t in (0.15, 0.6, 1.1):
         coeff = sq.variance_asymptotic_coeff(chi_t, np.pi / 4)

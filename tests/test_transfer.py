@@ -413,6 +413,26 @@ def test_local_observable_rejects_non_hermitian():
     assert LocalObservable(z + 5e-13 * raising).matrix.shape == (2, 2)
 
 
+@pytest.mark.parametrize("bad", [[np.inf, 0.0, 0.0], [0.0, np.nan, 1.0],
+                                 [1e308, 1e308, 0.0], [1e200, 0.0, 0.0],
+                                 [[0.0, 0.0, 1.0], [0.0, -np.inf, 0.0]]])
+def test_from_bloch_refuses_non_finite_vectors(bad):
+    # once its components or their sum of squares are not finite; the suite
+    # turns a RuntimeWarning into an error, so none may be printed
+    with pytest.raises(InputError, match="finite"):
+        LocalObservable.from_bloch(bad)
+
+
+def test_from_bloch_keeps_finite_vectors_bitwise():
+    # the literal n . sigma of n / sqrt(n . n), as the refusal found it
+    rng = np.random.default_rng(11)
+    for v in [*rng.standard_normal((50, 3)), [1e150, -3e150, 2e149], [1e-150, 0.0, 2e-150]]:
+        n = np.asarray(v, dtype=float)
+        u = n / np.sqrt(n[None, :] @ n[:, None])[0]
+        want = u[0] * gates.PAULI_X + u[1] * gates.PAULI_Y + u[2] * gates.PAULI_Z
+        assert np.array_equal(LocalObservable.from_bloch(v).matrix, want)
+
+
 def test_density_recursion_matches_oracle_chain():
     # The recursion iterate rho_m is the site-m reduced density right after
     # U_{m-1,m}: compare against the prefix-swept oracle state.  For the
