@@ -36,38 +36,35 @@ _TERM_SIGN = re.compile(r"(?<=[^eE+-])([+-])")
 
 
 def _angle_term(token: str, text: str) -> float | None:
-    """A decimal or a pi token ('pi', '-pi/4', '3pi/4') in radians, else None."""
-    match = _PI_TOKEN.match(token)
-    if match:
-        value = np.pi
-        if match.group("coeff"):
-            value *= float(match.group("coeff"))
-        if match.group("den"):
-            den = float(match.group("den"))
-            if den == 0.0:
-                raise InputError(f"zero denominator in angle {text!r}")
-            value /= den
-        if match.group("sign") == "-":
-            value = -value
-        return float(value)
+    """A decimal or a pi token ('pi', '-pi/4', '3pi/4') in radians, else None.
+    No token is both (float() reads no 'pi'), so the cheap decimal goes first."""
     try:
         return float(token)
     except ValueError:
+        match = _PI_TOKEN.match(token)
+    if not match:
         return None
+    value = np.pi
+    if match.group("coeff"):
+        value *= float(match.group("coeff"))
+    if match.group("den"):
+        den = float(match.group("den"))
+        if den == 0.0:
+            raise InputError(f"zero denominator in angle {text!r}")
+        value /= den
+    if match.group("sign") == "-":
+        value = -value
+    return float(value)
 
 
 def parse_angle(text: str) -> float:
     """Radians as one decimal or pi token, or a sum of them: 'pi', '-pi/4',
-    '3pi/4', 'pi-0.1', '0.7+pi/2-0.1'.  A token that is not one term splits
-    once at each + or - that is not its first character and does not follow
-    e, E, + or -; the terms add left to right."""
-    token = text.strip().replace(" ", "")
-    value = _angle_term(token, text)
-    if value is not None:
-        return value
-    parts = _TERM_SIGN.split(token)
+    '3pi/4', 'pi-0.1', '0.7+pi/2-0.1'.  The token splits once at each + or -
+    that is not its first character and does not follow e, E, + or -; each
+    term is parsed once, and the terms add left to right."""
+    parts = _TERM_SIGN.split(text.strip().replace(" ", ""))
     terms = [_angle_term(part, text) for part in parts[::2]]
-    if len(terms) == 1 or None in terms:
+    if None in terms:
         raise InputError(f"cannot parse angle {text!r}")
     value = terms[0]
     for sign, term in zip(parts[1::2], terms[1:]):
@@ -92,7 +89,8 @@ def parse_complex(text: str) -> complex:
 
 def parse_n_range(text: str) -> list[int]:
     """'start:stop:count' -> geometrically spaced integers, deduplicated,
-    endpoints included; count is at most the stop - start + 1 integers."""
+    endpoints included; count is at most the stop - start + 1 integers, and
+    every point is below 2**63, as the walk takes them as int64 powers."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError("--n-range wants start:stop:count")
@@ -102,10 +100,10 @@ def parse_n_range(text: str) -> list[int]:
         raise InputError(f"bad --n-range {text!r}") from exc
     if start < 2 or stop < start or not 1 <= count <= stop - start + 1:
         raise InputError(f"bad --n-range {text!r}")
-    if count == 1:
-        return [start]
-    raw = np.geomspace(start, stop, count)
-    out = sorted({int(round(x)) for x in raw} | {start, stop})
+    out = [start] if count == 1 else sorted(
+        {int(round(x)) for x in np.geomspace(start, min(stop, 2 ** 63), count)} | {start, stop})
+    if out[-1] >= 2 ** 63:   # the stop, or a float point rounded up to 2**63
+        raise InputError(f"--n-range points must stay below 2**63, got {text!r}")
     return out
 
 

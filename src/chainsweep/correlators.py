@@ -15,7 +15,7 @@ use the spectral data of E.
 What depends on the observable alone is memoized per transfer set
 (TransferSet.memoized, at most MEMO_ENTRIES entries keyed by the matrix
 bytes): E_A for the site correlators, and for the collective mean and
-variance one entry (_lift): the 12x12 matrix, its closing columns, squaring
+variance one entry (_lift): the 12x12 matrix's closing columns and squaring
 ladder, shift mu, ||A|| and ||A - mu||^2, so a series over N squares it once.
 Every stored array is read-only and each value is bitwise the cold call's.
 """
@@ -86,12 +86,13 @@ def _closed(ea: np.ndarray, obs: LocalObservable, ends: np.ndarray, sites, n_sit
 def one_point(ts: TransferSet, obs: LocalObservable, m: int, n_sites: int) -> float:
     """<A_m> = <v|E^{m-1} E_A|I> for m < N and <v|E^{N-1}|vec A> at m = N,
     walking <v| through O(log N) squarings of E."""
+    n_sites = chain_length(n_sites, 1)
     if not isinstance(m, (int, np.integer)):
         raise InputError(f"site must be an integer, got {m!r}")
     if not 1 <= m <= n_sites:
         raise InputError(f"site {m} outside 1..{n_sites}")
     return _closed(_memo_dressed(ts, obs), obs,
-                   dm.walk(ts.vrow[None, :], ts.e, m - 1, [ts.e]), m, n_sites)
+                   dm.walk(ts.vrow[None, :], m - 1, [ts.e]), m, n_sites)
 
 
 def two_point(ts: TransferSet, obs: LocalObservable, m: int, n: int,
@@ -99,11 +100,12 @@ def two_point(ts: TransferSet, obs: LocalObservable, m: int, n: int,
     """<A_m A_n> = <v|E^{m-1} E_A E^{n-m-1} E_A|I> for m < n < N and
     <v|E^{m-1} E_A E^{N-m-1}|vec A> at n = N: <v| walks to the head
     <v|E^{m-1} E_A, and the head walks on by the separation n - m - 1."""
+    n_sites = chain_length(n_sites, 1)
     _pair_sites([(m, n)], n_sites)
     ea = _memo_dressed(ts, obs)
     ladder = [ts.e]
-    head = dm.walk(ts.vrow[None, :], ts.e, m - 1, ladder) @ ea
-    return _closed(ea, obs, dm.walk(head, ts.e, n - m - 1, ladder), n, n_sites)
+    head = dm.walk(ts.vrow[None, :], m - 1, ladder) @ ea
+    return _closed(ea, obs, dm.walk(head, n - m - 1, ladder), n, n_sites)
 
 
 def _pair_sites(pairs, n_sites: int) -> np.ndarray:
@@ -150,12 +152,12 @@ def site_correlations(ts: TransferSet, obs: LocalObservable, n_sites: int,
     ladder = [ts.e]
     rows = dm.walk_table(ts.vrow[None, :], n_sites, ladder)
     one = _closed(ea, obs, rows, np.arange(1, n_sites + 1), n_sites).tolist()
-    ends = dm.walk(rows[ms - 1] @ ea, ts.e, ns - ms - 1, ladder)
+    ends = dm.walk(rows[ms - 1] @ ea, ns - ms - 1, ladder)
     return one, _closed(ea, obs, ends, ns, n_sites).tolist()
 
 
 def _lift(ts: TransferSet, a: np.ndarray) -> tuple:
-    """(T, closing columns, [T], mu, ||A||, ||A'||^2) of the MPO [[I, A', A'^2],
+    """(closing columns, [T], mu, ||A||, ||A'||^2) of the MPO [[I, A', A'^2],
     [0, I, 2A'], [0, 0, I]] of A' = A - mu, read-only: independent of N, so a
     transfer set memoizes them and the squaring ladder [T] grows in place.
 
@@ -186,13 +188,13 @@ def _lift(ts: TransferSet, a: np.ndarray) -> tuple:
     tops = np.linalg.svd(pair, compute_uv=False)[..., 0]
     tops[1] **= 2
     _read_only(t, cols, mu, tops)
-    return t, cols, [t], mu, *tops   # float64s for one matrix keep the guards cheap
+    return cols, [t], mu, *tops   # float64s for one matrix keep the guards cheap
 
 
 def _moments(ts: TransferSet, obs: LocalObservable, n) -> tuple:
     """(M1, M2, their error estimates, mu, ||A||, ||A'||^2) of sum_m A'_m
     over N sites (_lift), from <v, 0, 0| T^{N-1} walked through the memoized
-    squaring ladder (densemat.walk) and closed by both columns.
+    squaring ladder [T, ...] (densemat.walk) and closed by both columns.
 
     The values are divided by the state norm <v|E^{N-1}|I>, read off the same
     row: mathematically it is 1, and the division cancels the common drift
@@ -202,11 +204,10 @@ def _moments(ts: TransferSet, obs: LocalObservable, n) -> tuple:
     too) gives arrays from one batched walk, each bitwise its scalar call:
     rows stay 1 x 12, so every product takes the BLAS path of the scalar call.
     """
-    t, cols, ladder, mu, norm, floor = ts.memoized("variance", obs.matrix,
-                                                   lambda a: _lift(ts, a))
+    cols, ladder, mu, norm, floor = ts.memoized("variance", obs.matrix, lambda a: _lift(ts, a))
     start = np.zeros((1, 12), dtype=np.complex128)
     start[0, :4] = ts.vrow
-    row = dm.walk(start, t, n - 1, ladder)
+    row = dm.walk(start, n - 1, ladder)
     row = row / (row[..., :4] @ VEC_IDENTITY)[..., None]
     m1, m2 = np.moveaxis((row @ cols)[..., 0, :], -1, 0)
     sums = np.moveaxis((np.abs(row) @ np.abs(cols))[..., 0, :], -1, 0)
@@ -316,7 +317,7 @@ def asymptotic_variance(ts: TransferSet, obs: LocalObservable) -> AsymptoticVari
     product takes the BLAS path of the one-matrix call.
     """
     ea = ts.dressed(obs.matrix)
-    ea2_i = (ts.dressed(obs.squared()) @ VEC_IDENTITY)[..., None]
+    ea2_i = (ts.dressed(obs.matrix @ obs.matrix) @ VEC_IDENTITY)[..., None]
     a = _vec(obs)[..., None]
     v = ts.vrow[None, :]
     pi, s_res = ts.spectrum.projector, ts.spectrum.resolvent

@@ -55,14 +55,14 @@ def _rung(ladder: list, j: int) -> np.ndarray:
     return ladder[j]
 
 
-def walk(start: np.ndarray, m: np.ndarray, k, ladder: list) -> np.ndarray:
+def walk(start: np.ndarray, k, ladder: list) -> np.ndarray:
     """start @ m**k for a row stack ``start`` (..., r, d), multiplied by the
-    squaring ladder [m, m^2, m^4, ...] bit by ascending bit of k.  ``m`` may
-    be a stack (..., d, d) and ``k`` an integer array, all broadcasting; only
-    the rows whose own bit j is set take ``row @ m^(2^j)``, so each element
-    is bitwise its scalar call.  ``ladder`` starts as [m]; callers walking
-    one m many times share it, so each square is formed once, and every value
-    stays bitwise its cold call."""
+    squaring ladder [m, m^2, m^4, ...] bit by ascending bit of k.  ``m`` =
+    ladder[0] may be a stack (..., d, d) and ``k`` an integer array, all
+    broadcasting; only the rows whose own bit j is set take ``row @ m^(2^j)``,
+    so each element is bitwise its scalar call.  ``ladder`` starts as [m];
+    callers walking one m many times share it, so each square is formed once,
+    and every value stays bitwise its cold call."""
     if isinstance(k, (int, np.integer)) and k > 0:
         out = start
         for j in range(int(k).bit_length()):
@@ -71,7 +71,7 @@ def walk(start: np.ndarray, m: np.ndarray, k, ladder: list) -> np.ndarray:
     k = np.asarray(k)
     if k.dtype.kind not in "iu" or (k < 0).any():
         raise InputError(f"powers must be nonnegative integers, got {k}")
-    batch = np.broadcast_shapes(start.shape[:-2], m.shape[:-2], k.shape)
+    batch = np.broadcast_shapes(start.shape[:-2], ladder[0].shape[:-2], k.shape)
     out = np.broadcast_to(start, batch + start.shape[-2:]).astype(np.complex128, order="C")
     for j in range(int(k.max(initial=0)).bit_length()):
         out = np.where((k >> j & 1)[..., None, None] != 0, out @ _rung(ladder, j), out)
@@ -81,7 +81,7 @@ def walk(start: np.ndarray, m: np.ndarray, k, ladder: list) -> np.ndarray:
 def walk_table(start: np.ndarray, count: int, ladder: list) -> np.ndarray:
     """start @ m**k for k = 0..count-1 along a new leading axis, doubled from
     the squaring ladder [m, ...]: block [2^j, 2^(j+1)) is block [0, 2^j) @
-    m^(2^j), the top bit of its k, so each row is bitwise walk(start, m, k)."""
+    m^(2^j), the top bit of its k, so each row is bitwise walk(start, k, ladder)."""
     table = np.empty((count,) + start.shape, dtype=np.complex128)
     table[:1] = start
     for j in range((count - 1).bit_length()):
@@ -95,7 +95,7 @@ def matpow(m: np.ndarray, k) -> np.ndarray:
     m = as_matrix(m, stacked=True)
     if m.shape[-2] != m.shape[-1]:
         raise InputError("matpow needs a square matrix")
-    return walk(np.eye(m.shape[-1], dtype=np.complex128), m, k, [m])
+    return walk(np.eye(m.shape[-1], dtype=np.complex128), k, [m])
 
 
 def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -132,6 +132,9 @@ def macroscopic_family(p: float, theta: float, theta_p: float, seed: int = 0) ->
     """
     if not 0.0 <= p <= 1.0:
         raise InputError(f"probability p must lie in [0, 1], got {p}")
+    if not float(seed).is_integer():   # NaN and inf too
+        raise InputError(f"seed must be an integer, got {seed}")
+    seed = int(seed)
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
     v0 = np.sqrt(1.0 - p) * x_rotation(theta)
@@ -180,7 +183,7 @@ _FAMILY_BUILDERS = {
     "weyl": (3, lambda p: weyl_gate(*p)),
     "controlled_rotation": (1, lambda p: controlled_rotation(*p)),
     "squeezing": (1, lambda p: squeezing_gate(*p)),
-    "macroscopic_family": (4, lambda p: macroscopic_family(p[0], p[1], p[2], int(p[3]))),
+    "macroscopic_family": (4, lambda p: macroscopic_family(*p)),
 }
 
 

@@ -61,14 +61,6 @@ def initial_state(chain: ChainSpec) -> StateVector:
     return StateVector(chain.n, amps)
 
 
-def apply_two_site(state: StateVector, gate_matrix: np.ndarray, m: int) -> StateVector:
-    """Apply a 4x4 gate to sites (m, m+1) in place of dense 2^N operators:
-    reshape so the pair forms one axis and contract."""
-    _check_site(state.n, m)
-    _check_site(state.n, m + 1)
-    return StateVector(state.n, _apply_local(state.amplitudes, state.n, gate_matrix, m))
-
-
 def sweep(gate: Gate, chain: ChainSpec, upto: int | None = None) -> StateVector:
     """One left-to-right sweep of the gate over the nearest-neighbor pairs
     (1,2), (2,3), ..., (N-1,N), in that order.

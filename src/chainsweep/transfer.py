@@ -8,6 +8,7 @@ tests pin this because everything downstream breaks under a silent flip.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,7 +70,7 @@ class ChainSpec:
     def __post_init__(self):
         object.__setattr__(self, "n", chain_length(self.n, 2))
         c0, c1 = complex(self.c0), complex(self.c1)
-        norm = abs(c0) ** 2 + abs(c1) ** 2
+        norm = abs(c0) * abs(c0) + abs(c1) * abs(c1)   # float ** would raise past 1e154
         if not abs(norm - 1.0) <= 1e-12:   # NaN fails too
             raise InputError(f"first-site amplitudes not normalized: |c0|^2+|c1|^2 = {norm}")
         object.__setattr__(self, "c0", c0)
@@ -107,7 +108,12 @@ class LocalObservable:
         if n.shape[-1:] != (3,):
             raise InputError(f"bloch vector needs 3 components, got shape {n.shape}")
         with np.errstate(over="ignore", invalid="ignore"):   # refused just below
-            nrm = np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0]   # np.linalg.norm's dot
+            dot = (n[..., None, :] @ n[..., :, None])[..., 0]   # np.linalg.norm's dot
+            if (dot < sys.float_info.min).any():   # subnormal: scale by max|n_i| first
+                big = np.abs(n).max(axis=-1, keepdims=True)
+                n = n / np.where((dot < sys.float_info.min) & (big > 0), big, 1.0)
+                dot = (n[..., None, :] @ n[..., :, None])[..., 0]
+            nrm = np.sqrt(dot)
         if not np.isfinite(nrm).all():
             raise InputError("bloch vector components and their sum of squares must be finite")
         if (nrm == 0).any():
@@ -115,9 +121,6 @@ class LocalObservable:
         n = (n / nrm)[..., None, None]
         return cls(n[..., 0, :, :] * PAULI_X + n[..., 1, :, :] * PAULI_Y
                    + n[..., 2, :, :] * PAULI_Z)
-
-    def squared(self) -> np.ndarray:
-        return self.matrix @ self.matrix
 
 
 SIGMA_X = LocalObservable.from_bloch([1.0, 0.0, 0.0])
@@ -179,12 +182,12 @@ class TransferSet:
 
     :meth:`memoized` keeps what the correlators derive from an observable
     alone, independent of N: the E_A of the site correlators, and the one
-    walk that serves both the collective mean and variance: its lifted
-    matrix T, closing columns, squaring ladder, shift mu by the chain average
-    (read off ``spectrum``), and guard scales ||A|| and ||A - mu||^2.  It
-    holds the MEMO_ENTRIES newest entries, keyed by the observable's matrix
-    bytes; every entry is read-only and is what the cold call builds, so each
-    value computed from it is bitwise the cold call's."""
+    walk that serves both the collective mean and variance: the closing
+    columns and squaring ladder [T, T^2, ...] of its lifted matrix T, shift mu
+    by the chain average (read off ``spectrum``), and guard scales ||A|| and
+    ||A - mu||^2.  It holds the MEMO_ENTRIES newest entries, keyed by the
+    observable's matrix bytes; every entry is read-only and is what the cold
+    call builds, so each value computed from it is bitwise the cold call's."""
 
     kraus: KrausPair
     e: np.ndarray
@@ -265,7 +268,10 @@ class SpectralData:
 def _resolvent_pair(e: np.ndarray, right: np.ndarray, left: np.ndarray):
     """P = right left and S = (1 - E + P)^{-1} - P."""
     pi = right @ left
-    return pi, np.linalg.inv(np.eye(4, dtype=np.complex128) - e + pi) - pi
+    try:
+        return pi, np.linalg.inv(np.eye(4, dtype=np.complex128) - e + pi) - pi
+    except np.linalg.LinAlgError:
+        raise ConvergenceError("resolvent is singular: tol misses a unit eigenvalue") from None
 
 
 def _unit_space(e: np.ndarray, u: np.ndarray, vh: np.ndarray, k: int):

@@ -102,14 +102,14 @@ def test_parse_angle_matches_recursive_parser():
 
 
 def test_parse_angle_parses_each_term_once(monkeypatch):
-    # the whole token once, then each of its 20 terms once: linear, where
-    # the recursive parser made about 2**20 term parses
+    # each of its 20 terms once: linear, where the recursive parser made
+    # about 2**20 term parses
     calls = []
     term = cli._angle_term
     monkeypatch.setattr(cli, "_angle_term", lambda *a: calls.append(a) or term(*a))
     with pytest.raises(InputError):
         cli.parse_angle("-".join(["1x"] * 20))
-    assert len(calls) <= 2 * 20
+    assert len(calls) == 20
 
 
 def test_parse_n_range():
@@ -118,6 +118,16 @@ def test_parse_n_range():
     assert out == sorted(set(out))
     with pytest.raises(InputError):
         cli.parse_n_range("10:2:3")
+
+
+def test_parse_n_range_keeps_points_in_int64():
+    # a stop of at most 2**62 always fits; past int64 the walk refused its
+    # powers with an internal message, or np.geomspace raised TypeError
+    assert cli.parse_n_range(f"4:{2 ** 62}:3")[-1] == 2 ** 62
+    assert cli.parse_n_range(f"{2 ** 63 - 1024}:{2 ** 63 - 1024}:1") == [2 ** 63 - 1024]
+    for text in (f"4:{2 ** 63 - 1}:3", f"4:{10 ** 20}:3", f"{2 ** 63}:{2 ** 63}:1"):
+        with pytest.raises(InputError, match=r"below 2\*\*63"):
+            cli.parse_n_range(text)
 
 
 def test_parser_built_once():
@@ -500,6 +510,16 @@ def test_missing_gate_exit_code(capsys):
     # past the state-vector cap, where 2^N x 16 B overflows a float
     ["oracle-check", "--n", "1500", "--count", "1"],
     ["fig3", "--a-list", "pi", "--n-range", "1100:1100:1", "--oracle-cap", "2000"],
+    # amplitudes whose squares overflow a float: |c0|^2 + |c1|^2 reads inf
+    ["neff", "--gate", "controlled_rotation", "--params", "3pi/4", "--c1=1e200"],
+    # chain lengths past int64, as a stop or as a float point rounded up to 2**63
+    ["fig3", "--n-range", "10:100000000000000000000:3"],
+    ["fig3", "--a-list", "pi", "--n-range", "4:9223372036854775807:3"],
+    ["fig3", "--a-list", "pi", "--n-range", "9223372036854775808:9223372036854775808:1"],
+    # a completion seed that is not an integral value, never truncated
+    ["neff", "--gate", "macroscopic_family", "--params", "0.3,1,2,nan"],
+    ["neff", "--gate", "macroscopic_family", "--params", "0.3,1,2,inf"],
+    ["neff", "--gate", "macroscopic_family", "--params", "0.3,1,2,2.7"],
 ])
 def test_malformed_arguments_exit_code(argv, capsys):
     # rejected with one error line: no traceback, and no 4-vector read as
@@ -508,6 +528,16 @@ def test_malformed_arguments_exit_code(argv, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_singular_resolvent_exit_code(capsys):
+    # E - I has singular values [1, 1, 3.7e-33, 0]: tol 1e-200 counts one unit
+    # eigenvalue, so 1 - E + P is singular (numpy's LinAlgError escaped)
+    code = cli.main(["spectrum", "--gate", "controlled_rotation", "--params", "pi",
+                     "--tol", "1e-200"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -546,6 +576,7 @@ def test_unitarity_tol_loosens_only_unread_columns(command, tmp_path, capsys):
     {"family": "controlled_rotation", "params": ["pi"]},
     {"family": "controlled_rotation", "params": [True]},
     {"family": "controlled_rotation", "params": [float("nan")]},
+    {"family": "macroscopic_family", "params": [0.3, 1, 2, 2.7]},
 ])
 def test_gate_file_family_params_exit_code(payload, tmp_path, capsys):
     path = tmp_path / "gate.json"

@@ -22,7 +22,7 @@ def _naive_variance(ts, obs, n):
     """Reference: the O(N^2) literal double sum of connected correlators."""
     pairs = [(m, k) for m in range(1, n + 1) for k in range(m + 1, n + 1)]
     means, two = co.site_correlations(ts, obs, n, pairs)
-    squares, _ = co.site_correlations(ts, LocalObservable(obs.squared()), n, [])
+    squares, _ = co.site_correlations(ts, LocalObservable(obs.matrix @ obs.matrix), n, [])
     pair_value = dict(zip(pairs, two))
     total = 0.0
     for m in range(1, n + 1):
@@ -513,6 +513,19 @@ def test_collective_sums_reject_non_integer_chain_length(n_sites):
             call(ts, SIGMA_Z, n_sites)
 
 
+@pytest.mark.parametrize("n_sites", [4.5, 4.0, np.float64(4.0), "4", None])
+def test_site_correlators_reject_non_integer_chain_length(n_sites):
+    # site N closes by vec A only when m == N: one_point(ts, SIGMA_Z, 4, 4.5)
+    # closed by the bulk E_A|I> and returned 0.4832, against 0.3947 at N = 4
+    ts = build_transfer(gates.random_gate(3), ChainSpec(2, 0.6, 0.8j))
+    with pytest.raises(InputError, match="chain length must be an integer"):
+        co.one_point(ts, SIGMA_Z, 4, n_sites)
+    with pytest.raises(InputError, match="chain length must be an integer"):
+        co.two_point(ts, SIGMA_Z, 1, 4, n_sites)
+    assert co.one_point(ts, SIGMA_Z, 4, np.int64(4)) == co.one_point(ts, SIGMA_Z, 4, 4)
+    assert co.two_point(ts, SIGMA_Z, 1, 4, np.int64(4)) == co.two_point(ts, SIGMA_Z, 1, 4, 4)
+
+
 def test_collective_sums_take_numpy_integer_chain_length():
     ts = build_transfer(gates.random_gate(5), ChainSpec(4))
     assert co.collective_mean(ts, SIGMA_Z, np.int64(10)) == co.collective_mean(ts, SIGMA_Z, 10)
@@ -556,15 +569,16 @@ def test_memo_entries_are_read_only_and_keyed_by_observable():
 
     for obs in (SIGMA_Z, obs_t):
         entry = ts.memoized("variance", obs.matrix, unbuilt)
-        t, cols, ladder, mu, norm, floor = entry
+        cols, ladder, mu, norm, floor = entry
         want = co._lift(ts, obs.matrix)
-        for k in (0, 1, 3, 4, 5):   # all but the ladder, which has grown
+        for k in (0, 2, 3, 4):   # all but the ladder, which has grown
             assert np.array_equal(entry[k], want[k])
+        assert np.array_equal(ladder[0], want[1][0]) and len(want[1]) == 1
         assert norm == np.linalg.svd(obs.matrix, compute_uv=False)[0]
-        assert ladder[0] is t and len(ladder) == (20000 - 1).bit_length()
+        assert len(ladder) == (20000 - 1).bit_length()
         ea = ts.memoized("dressed", obs.matrix, unbuilt)
         assert np.array_equal(ea, ts.dressed(obs.matrix))
-        for x in (t, cols, mu, norm, floor, ea, *ladder):
+        for x in (cols, mu, norm, floor, ea, *ladder):
             assert not x.flags.writeable
     assert {kind for kind, *_ in ts._memo} == {"variance", "dressed"}
 
@@ -578,7 +592,8 @@ def test_variance_memo_holds_the_shifted_lift(monkeypatch):
         raise AssertionError("memo entry missing")
 
     entry = ts.memoized("variance", obs.matrix, unbuilt)
-    t, cols, ladder, mu, norm, floor = entry
+    cols, ladder, mu, norm, floor = entry
+    t = ladder[0]
     pi = ts.spectrum.projector
     assert mu == (ts.vrow @ pi @ ts.dressed(obs.matrix) @ transfer.VEC_IDENTITY).real
     shifted = obs.matrix - mu * np.eye(2)
@@ -593,8 +608,10 @@ def test_variance_memo_holds_the_shifted_lift(monkeypatch):
                                                       transfer.VEC_IDENTITY]))
     assert floor == np.linalg.svd(shifted, compute_uv=False)[0] ** 2
     assert norm == np.linalg.svd(obs.matrix, compute_uv=False)[0]
-    assert ladder[0] is t and len(ladder) == (20000 - 1).bit_length()
-    for x in (t, cols, mu, norm, floor, *ladder):
+    assert len(ladder) == (20000 - 1).bit_length()
+    for j, square in enumerate(ladder[1:], 1):   # each rung the square of the one before
+        assert np.array_equal(square, ladder[j - 1] @ ladder[j - 1])
+    for x in (cols, mu, norm, floor, *ladder):
         assert not x.flags.writeable
 
     # a second call on the same set and observable builds no lift, makes no

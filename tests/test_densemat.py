@@ -78,7 +78,7 @@ def test_matpow_reused_ladder_equals_fresh_calls(shape, ks):
     eye = np.eye(4, dtype=np.complex128)
     ladder = [m]
     for k in ks:
-        assert np.array_equal(dm.walk(eye, m, k, ladder), dm.matpow(m, k))
+        assert np.array_equal(dm.walk(eye, k, ladder), dm.matpow(m, k))
     assert len(ladder) == 40   # m^(2^j) up to the top bit of 10**12
     for j, square in enumerate(ladder[1:], 1):
         assert not square.flags.writeable
@@ -105,10 +105,10 @@ def test_walk_table_is_bitwise_the_walk(count, rows):
     ladder = [m]
     table = dm.walk_table(start, count, ladder)
     assert table.shape == (count, rows, 4)
-    assert np.array_equal(table, dm.walk(start, m, np.arange(count), ladder))
+    assert np.array_equal(table, dm.walk(start, np.arange(count), ladder))
     for k in range(count):
         assert np.array_equal(table[k], _ascending_walk(start, m, k))
-        assert np.array_equal(table[k], dm.walk(start, m, k, [m]))
+        assert np.array_equal(table[k], dm.walk(start, k, [m]))
 
 
 def test_walk_stack_takes_only_its_own_bits():
@@ -117,7 +117,7 @@ def test_walk_stack_takes_only_its_own_bits():
     stack = _contraction(rng, (3, 4, 4))
     start = rng.standard_normal((3, 1, 4)) + 0j
     ks = np.array([[0], [5], [20100]])
-    got = dm.walk(start, stack, ks, [stack])
+    got = dm.walk(start, ks, [stack])
     assert got.shape == (3, 3, 1, 4)
     for i, j in np.ndindex(3, 3):
         assert np.array_equal(got[i, j], _ascending_walk(start[j], stack[j], int(ks[i, 0])))

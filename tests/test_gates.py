@@ -127,6 +127,25 @@ def test_macroscopic_family_rejects_bad_probability():
         gates.macroscopic_family(1.5, 0.1, 0.2, seed=0)
 
 
+@pytest.mark.parametrize("seed", [2.7, float("nan"), float("inf"), -1])
+def test_macroscopic_family_rejects_bad_seed(seed):
+    # the CLI and gate files pass the seed as a float: 2.7 used to run as
+    # seed 2, and NaN or inf escaped as a ValueError or OverflowError
+    with pytest.raises(InputError, match="seed must be"):
+        gates.macroscopic_family(0.3, 1.0, 2.0, seed=seed)
+    with pytest.raises(InputError, match="seed must be"):
+        gates.gate_from_family("macroscopic_family", [0.3, 1.0, 2.0, seed])
+
+
+def test_macroscopic_family_takes_an_integral_float_seed():
+    want = gates.macroscopic_family(0.3, 1.0, 2.0, seed=2)
+    for seed in (2.0, np.float64(2.0), np.int64(2)):
+        got = gates.macroscopic_family(0.3, 1.0, 2.0, seed=seed)
+        assert np.array_equal(got.matrix, want.matrix) and got.params == want.params
+    got = gates.gate_from_family("macroscopic_family", [0.3, 1.0, 2.0, 2.0])
+    assert np.array_equal(got.matrix, want.matrix)
+
+
 def test_macroscopic_family_fixed_columns_orthonormal():
     g = gates.macroscopic_family(0.37, 0.6, 1.4, seed=9)
     cols = g.matrix[:, [0, 2]]

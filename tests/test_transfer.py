@@ -183,6 +183,13 @@ def test_chain_spec_rejects_unnormalized():
             ChainSpec(4, c0, c1)
 
 
+@pytest.mark.parametrize("c0, c1", [(0.0, 1e200), (1e200j, 0.0), (1e300, 1e300j)])
+def test_chain_spec_refuses_overflowing_amplitudes(c0, c1):
+    # |c|^2 past the float range reads inf, where float ** raised OverflowError
+    with pytest.raises(InputError, match="= inf"):
+        ChainSpec(4, c0, c1)
+
+
 @pytest.mark.parametrize("n", [4.5, 10.0, "10", None])
 def test_chain_spec_rejects_non_integer_length(n):
     # ChainSpec(4.5) used to construct and fail later inside numpy
@@ -431,6 +438,24 @@ def test_from_bloch_keeps_finite_vectors_bitwise():
         u = n / np.sqrt(n[None, :] @ n[:, None])[0]
         want = u[0] * gates.PAULI_X + u[1] * gates.PAULI_Y + u[2] * gates.PAULI_Z
         assert np.array_equal(LocalObservable.from_bloch(v).matrix, want)
+
+
+@pytest.mark.parametrize("v, want", [
+    ([1e-160, 0.0, 0.0], [gates.PAULI_X]),   # n . n = 1e-320, subnormal
+    ([1e-200, 0.0, 0.0], [gates.PAULI_X]),   # n . n underflows to 0
+    ([0.0, -5e-324, 0.0], [-gates.PAULI_Y]),
+    ([[1e-200, 0.0, 0.0], [0.0, 0.0, 3.0]], [gates.PAULI_X, gates.PAULI_Z]),
+])
+def test_from_bloch_scales_a_subnormal_sum_of_squares(v, want):
+    # its square root had lost digits: 1e-160 gave 1.0000055664551362 sigma_x,
+    # and 1e-200 was refused as a zero vector
+    assert np.array_equal(LocalObservable.from_bloch(v).matrix, np.squeeze(want))
+
+
+def test_from_bloch_refuses_zero_vectors():
+    for zero in ([0.0, 0.0, 0.0], [[1e-200, 0.0, 0.0], [0.0, -0.0, 0.0]]):
+        with pytest.raises(InputError, match="nonzero"):
+            LocalObservable.from_bloch(zero)
 
 
 def test_density_recursion_matches_oracle_chain():
