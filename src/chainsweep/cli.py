@@ -19,7 +19,7 @@ import numpy as np
 
 from . import correlators, macroscopicity, oracle, squeezing
 from .errors import ConvergenceError, InputError, ToleranceError
-from .gates import Gate, gate_from_family, load_gate, random_gate
+from .gates import Gate, controlled_rotation, gate_from_family, load_gate, random_gate
 from .transfer import ChainSpec, LocalObservable, build_transfer
 
 OUT_DIR_ENV = "CHAINSWEEP_OUT_DIR"
@@ -89,8 +89,9 @@ def parse_complex(text: str) -> complex:
 
 def parse_n_range(text: str) -> list[int]:
     """'start:stop:count' -> geometrically spaced integers, deduplicated,
-    endpoints included; count is at most the stop - start + 1 integers, and
-    every point is below 2**63, as the walk takes them as int64 powers."""
+    endpoints included; count lies in 1..100000 and is at most the
+    stop - start + 1 integers, checked before any allocation, and every
+    point is below 2**63, as the walk takes them as int64 powers."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError("--n-range wants start:stop:count")
@@ -100,6 +101,8 @@ def parse_n_range(text: str) -> list[int]:
         raise InputError(f"bad --n-range {text!r}") from exc
     if start < 2 or stop < start or not 1 <= count <= stop - start + 1:
         raise InputError(f"bad --n-range {text!r}")
+    if count > 10 ** 5:
+        raise InputError(f"--n-range count must lie in 1..100000, got {count}")
     out = [start] if count == 1 else sorted(
         {int(round(x)) for x in np.geomspace(start, min(stop, 2 ** 63), count)} | {start, stop})
     if out[-1] >= 2 ** 63:   # the stop, or a float point rounded up to 2**63
@@ -186,10 +189,20 @@ def cmd_fig3(args) -> int:
     obs = _resolve_bloch(args)
     c0 = parse_complex(args.c0) if args.c0 is not None else 1 / np.sqrt(2)
     c1 = parse_complex(args.c1) if args.c1 is not None else 1 / np.sqrt(2)
+    oracle_ns = [n for n in n_list if n <= args.oracle_cap]
+    # Refusals keep the order of a loop over the angles (gate, variances,
+    # oracle column): a non-finite angle refuses at its gate, and an oracle
+    # column past the state-vector cap at the first angle, so only the angles
+    # before either are walked, as one stack.
+    walked = next((i for i, a in enumerate(a_list) if not np.isfinite(a)), len(a_list))
+    if oracle_ns and oracle_ns[-1] > oracle.DEFAULT_CAP:
+        walked = min(walked, 1)
+    sweeps = macroscopicity.variance_sweep(controlled_rotation(np.array(a_list[:walked])),
+                                           (c0, c1), obs, n_list)
     lines = []
-    for a in a_list:
-        gate = gate_from_family("controlled_rotation", [a])
-        for entry in macroscopicity.variance_sweep(gate, (c0, c1), obs, n_list):
+    for a in a_list[:walked]:
+        gate = controlled_rotation(a) if oracle_ns else None
+        for entry in next(sweeps):   # the rows of one angle, released after its loop
             n, slope = entry["n"], entry["slope"]
             oracle_var = ""
             if n <= args.oracle_cap:
@@ -197,6 +210,8 @@ def cmd_fig3(args) -> int:
                 oracle_var = f"{oracle.collective_variance(state, obs):.17g}"
             slope = "" if slope is None else f"{slope:.17g}"
             lines.append(f"{a:.17g},{n},{entry['variance']:.17g},{slope},{oracle_var}\n")
+    if walked < len(a_list):
+        controlled_rotation(a_list[walked])   # the non-finite angle refuses here
     _write_csv(args, "a,n,variance,slope,oracle_variance", lines, _config_of(args))
     return 0
 

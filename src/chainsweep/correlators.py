@@ -209,10 +209,11 @@ def _moments(ts: TransferSet, obs: LocalObservable, n) -> tuple:
     start[0, :4] = ts.vrow
     row = dm.walk(start, n - 1, ladder)
     row = row / (row[..., :4] @ VEC_IDENTITY)[..., None]
-    m1, m2 = np.moveaxis((row @ cols)[..., 0, :], -1, 0)
-    sums = np.moveaxis((np.abs(row) @ np.abs(cols))[..., 0, :], -1, 0)
-    err1, err2 = _ERR_SAFETY * n * _EPS * sums
-    return m1, m2, err1, err2, mu, norm, floor
+    closed = (row @ cols)[..., 0, :]
+    sums = (np.abs(row) @ np.abs(cols))[..., 0, :]
+    scale = _ERR_SAFETY * n * _EPS
+    return (closed[..., 0], closed[..., 1], scale * sums[..., 0], scale * sums[..., 1],
+            mu, norm, floor)
 
 
 def _check_estimate(what: str, value, err, floor,

@@ -93,17 +93,16 @@ def weyl_gate(alpha: float, beta: float, gamma: float) -> Gate:
     return Gate(_weyl_matrix(alpha, beta, gamma), family="weyl", params=(alpha, beta, gamma))
 
 
-def controlled_rotation(a: float) -> Gate:
-    """|0><0| x I + |1><1| x R(a) with R a real rotation by angle a/2."""
+def controlled_rotation(a) -> Gate:
+    """|0><0| x I + |1><1| x R(a) with R a real rotation by angle a/2; an
+    array of a gives one stacked Gate, each element bitwise its scalar call."""
     with np.errstate(invalid="ignore"):   # Gate refuses non-finite entries
         c, s = np.cos(0.5 * a), np.sin(0.5 * a)
-    m = np.array([
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, c, -s],
-        [0, 0, s, c],
-    ], dtype=np.complex128)
-    return Gate(m, family="controlled_rotation", params=(a,))
+    m = np.zeros(np.shape(c) + (4, 4), dtype=np.complex128)
+    m[..., 0, 0] = m[..., 1, 1] = 1.0
+    m[..., 2, 2] = m[..., 3, 3] = c
+    m[..., 2, 3], m[..., 3, 2] = -s, s
+    return Gate(m, family="controlled_rotation", params=(a,) if np.ndim(a) == 0 else ())
 
 
 def squeezing_gate(chi_t) -> Gate:

@@ -28,6 +28,11 @@ _FORM_NOISE = 256.0
 
 _EPS = float(np.finfo(float).eps)
 
+# Rows (gate, N) that variance_sweep walks and holds at once: a stack goes in
+# blocks of at most max(1, ROWS // len(n_list)) gates, so one gate, or a long
+# N list, holds the rows of a one-gate walk.
+ROWS = 4096
+
 
 @dataclass
 class MacroReport:
@@ -167,24 +172,55 @@ def classify_macroscopic(gate: Gate, tol: float = UNIT_EIG_TOL) -> MacroClassifi
 
 
 def variance_sweep(gate: Gate, chain_amplitudes: tuple[complex, complex],
-                   obs: LocalObservable, n_list) -> list[dict]:
+                   obs: LocalObservable, n_list):
     """Exact collective variance over a list of chain lengths, with the
-    empirical log-log slope between consecutive entries.  One batched walk
-    through the memoized 12x12 ladder serves the whole list, each variance
-    bitwise that of additive_variance_exact at its N; the first N over its
-    error bound raises."""
+    empirical log-log slope between consecutive entries: one gate's list of
+    rows, or for a stack with one batch axis an iterator of them, in order.
+
+    A stack walks in blocks (_sweeps) as the iterator is consumed, so only
+    one block's rows are held.  Every variance and slope is bitwise its
+    one-gate call, each variance that of additive_variance_exact at its N,
+    and the first (gate, N) over its error bound raises.
+    """
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InputError("N list must be strictly ascending")
-    rows: list[dict] = []
+    if gate.matrix.ndim > 3:
+        raise InputError(f"expected one gate or a stack with one batch axis, got "
+                         f"a stack of shape {gate.matrix.shape[:-2]}")
     if not n_list:
-        return rows
+        return [] if gate.matrix.ndim == 2 else ([] for _ in gate.matrix)
+    sweeps = _sweeps(gate, chain_amplitudes, obs, n_list)
+    return sweeps if gate.matrix.ndim == 3 else next(sweeps)
+
+
+def _sweeps(gate: Gate, chain_amplitudes, obs: LocalObservable, n_list: list):
+    """The row lists of variance_sweep, gate by gate, walked as (gates, 1)
+    against the N list in blocks of max(1, ROWS // len(n_list)) gates, each
+    one transfer set, spectrum, 12x12 lift and batched walk."""
+    stack = gate.matrix.reshape(-1, 1, 4, 4)   # (gates, 1) against the N list
+    step = max(1, ROWS // len(n_list))
+    for i in range(0, len(stack), step):
+        yield from _block(Gate(stack[i:i + step], gate.family, tol=gate.tol),
+                          chain_amplitudes, obs, n_list)
+
+
+def _block(gate: Gate, chain_amplitudes, obs: LocalObservable, n_list: list) -> list:
+    """The row lists of a (gates, 1) stack from one batched walk; only the
+    rows outlive the call, so a block's arrays are freed before the next."""
     # The correlators take N as an argument and read only E, <v| and the
     # Kraus pair, so one transfer set serves every chain length.
-    ts = build_transfer(single_gate(gate), ChainSpec(n_list[0], *chain_amplitudes))
+    ts = build_transfer(gate, ChainSpec(n_list[0], *chain_amplitudes))
     variances, _ = correlators._variance(ts, obs, np.array(n_list))
+    return [_with_slopes(n_list, row) for row in variances.tolist()]
+
+
+def _with_slopes(n_list: list, variances: list) -> list[dict]:
+    """One gate's rows, each slope log-log from the entry before it, where
+    both variances are positive."""
+    rows: list[dict] = []
     prev = None
-    for n, var in zip(n_list, variances.tolist()):
+    for n, var in zip(n_list, variances):
         slope = None
         if prev is not None and prev[1] > 0 and var > 0:
             slope = (np.log(var) - np.log(prev[1])) / (np.log(n) - np.log(prev[0]))

@@ -257,6 +257,34 @@ def test_fig3_mixed_chain_lengths_exit_code(capsys):
     assert code == 3 and out == ""
 
 
+def test_fig3_refuses_a_mixed_list_at_its_first_failure(capsys):
+    # pi - 0.4 runs to 1e18; pi refuses at 1e12, and no row of either is written
+    code = cli.main(["fig3", "--a-list", "pi-0.4,pi", "--n-range", "1000:1000000000000:3"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("numerical failure: collective variance: estimated error "
+                            "7.105e+21 exceeds 1.000e+19; the chain is too long for "
+                            "double precision\n")
+
+
+@pytest.mark.parametrize("a_list,n_range,extra,code,err", [
+    ("pi,nan", "1000000000000:1000000000000:1", [], 3, "numerical failure: collective"),
+    ("pi-0.4,nan", "1000000000000:1000000000000:1", [], 2, "error: matrix has non-finite"),
+    ("nan,pi", "1000000000000:1000000000000:1", ["--c0=nan"], 2,
+     "error: matrix has non-finite"),
+    ("pi-0.4,pi", "20:1000000000000:3", ["--oracle-cap", "2000"], 2, "error: N = 20 exceeds"),
+    ("pi,pi-0.4", "20:1000000000000:3", ["--oracle-cap", "2000"], 3,
+     "numerical failure: collective"),
+])
+def test_fig3_refusals_keep_the_angle_order(a_list, n_range, extra, code, err, capsys):
+    # as a loop over the angles would refuse: each angle's gate, then its
+    # variances, then its oracle column, which refuses past the cap at every angle
+    assert cli.main(["fig3", "--a-list", a_list, "--n-range", n_range] + extra) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(err)
+
+
 def test_fig3_oracle_column(capsys):
     code, out = run_cli(["fig3", "--a-list", "pi-0.3", "--n-range", "4:10:3"], capsys)
     header, rows = _rows(out)
@@ -520,6 +548,8 @@ def test_missing_gate_exit_code(capsys):
     ["neff", "--gate", "macroscopic_family", "--params", "0.3,1,2,nan"],
     ["neff", "--gate", "macroscopic_family", "--params", "0.3,1,2,inf"],
     ["neff", "--gate", "macroscopic_family", "--params", "0.3,1,2,2.7"],
+    # an --n-range count past 100000, refused before any point is allocated
+    ["fig3", "--a-list", "pi", "--n-range", "4:100000000000000:1000000000000"],
 ])
 def test_malformed_arguments_exit_code(argv, capsys):
     # rejected with one error line: no traceback, and no 4-vector read as

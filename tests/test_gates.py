@@ -63,6 +63,16 @@ def test_controlled_rotation_cases():
     assert np.allclose(half[2:, 2:], [[c, -c], [c, c]], atol=1e-15)
 
 
+def test_controlled_rotation_stack_is_bitwise_its_scalar_calls():
+    angles = np.array([[np.pi, np.pi - 0.1, np.pi - 0.4], [0.0, -2.2, 7.5]])
+    stack = gates.controlled_rotation(angles)
+    assert stack.matrix.shape == (2, 3, 4, 4) and stack.params == ()
+    assert stack.family == "controlled_rotation" and not stack.matrix.flags.writeable
+    for a, m in zip(angles.ravel(), stack.matrix.reshape(-1, 4, 4)):
+        one = gates.controlled_rotation(float(a))
+        assert np.array_equal(m, one.matrix) and one.params == (float(a),)
+
+
 def test_squeezing_gate_equals_weyl():
     for chi_t in (0.0, 0.3, 1.2):
         a = gates.squeezing_gate(chi_t).matrix
@@ -114,6 +124,7 @@ def test_all_constructors_unitary():
     lambda: gates.squeezing_gate(np.inf),
     lambda: gates.squeezing_gate(np.array([0.5, 1e308])),
     lambda: gates.controlled_rotation(np.inf),
+    lambda: gates.controlled_rotation(np.array([np.pi, np.nan])),
     lambda: gates.macroscopic_family(0.3, np.inf, 2.0),
 ])
 def test_non_finite_angles_are_refused_without_warnings(build):
@@ -236,7 +247,6 @@ def test_functions_of_one_gate_reject_a_stack():
     calls = [lambda: macroscopicity.neff(stack, ChainSpec(4), [0.0, 0.0, 1.0]),
              lambda: macroscopicity.neff_optimize(stack, ChainSpec(4)),
              lambda: macroscopicity.classify_macroscopic(stack),
-             lambda: macroscopicity.variance_sweep(stack, (1.0, 0.0), SIGMA_Z, [4, 8]),
              lambda: oracle.sweep(stack, ChainSpec(4))]
     for call in calls:
         with pytest.raises(InputError, match="stack"):

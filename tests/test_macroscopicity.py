@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chainsweep import correlators as co, gates, macroscopicity as mac, oracle, transfer
-from chainsweep.errors import ToleranceError
+from chainsweep.errors import InputError, ToleranceError
 from chainsweep.transfer import ChainSpec, LocalObservable, SIGMA_Z, build_transfer
 
 
@@ -286,6 +286,76 @@ def test_variance_sweep_refuses_a_mixed_list():
         mac.variance_sweep(gates.controlled_rotation(np.pi), PLUS, SIGMA_Z,
                            [10 ** 12, 10 ** 13])
     assert str(swept.value) == str(first.value)
+
+
+STACK_ANGLES = np.array([np.pi, np.pi - 0.1, np.pi - 0.4])   # unit dimensions 2, 1, 1
+
+
+def _each_gate(angles, amplitudes, obs, n_list):
+    """Each angle's own rows, or the message of the first angle that refuses."""
+    sweeps = []
+    for a in angles:
+        try:
+            sweeps.append(mac.variance_sweep(gates.controlled_rotation(a), amplitudes, obs,
+                                             n_list))
+        except ToleranceError as exc:
+            return str(exc)
+    return sweeps
+
+
+@pytest.mark.parametrize("n_list", [[2, 4, 9, 1000, 10 ** 9],
+                                    [4, 10 ** 6, 10 ** 12, 10 ** 18],
+                                    [10 ** 18]])
+@pytest.mark.parametrize("obs", [SIGMA_Z, LocalObservable.from_bloch([1, 1, 0])],
+                         ids=["z", "xy"])
+@pytest.mark.parametrize("amplitudes", [PLUS, (0.6, 0.8j)], ids=["plus", "complex"])
+@pytest.mark.parametrize("angles", [STACK_ANGLES, STACK_ANGLES[1:]], ids=["pi", "below-pi"])
+def test_variance_sweep_stack_is_each_gate(angles, amplitudes, obs, n_list):
+    # every row == the gate's own call, or the first refusal in (a, N) order;
+    # without pi, sigma_z runs to N = 1e18
+    want = _each_gate(angles, amplitudes, obs, n_list)
+    stack = gates.controlled_rotation(angles)
+    if isinstance(want, str):
+        with pytest.raises(ToleranceError) as refused:
+            list(mac.variance_sweep(stack, amplitudes, obs, n_list))
+        assert str(refused.value) == want
+    else:
+        assert list(mac.variance_sweep(stack, amplitudes, obs, n_list)) == want
+
+
+def test_variance_sweep_blocks_give_the_same_rows(monkeypatch):
+    # blocks of 2, 2 and 1 gates (9 // 4 N = 2), then of one gate each
+    angles = np.pi - np.array([0.0, 0.05, 0.1, 0.4, 0.7])
+    n_list = [3, 40, 500, 7000]
+    want = _each_gate(angles, PLUS, SIGMA_Z, n_list)
+    whole = list(mac.variance_sweep(gates.controlled_rotation(angles), PLUS, SIGMA_Z, n_list))
+    for rows in (9, 4):
+        monkeypatch.setattr(mac, "ROWS", rows)
+        assert list(mac.variance_sweep(gates.controlled_rotation(angles), PLUS, SIGMA_Z,
+                                       n_list)) == whole == want
+    # a refusal in a later block is the first in (a, N) order, as one gate's
+    n_list = [4, 10 ** 12]
+    monkeypatch.setattr(mac, "ROWS", 2)
+    sweeps = mac.variance_sweep(gates.controlled_rotation(angles[::-1]), PLUS, SIGMA_Z, n_list)
+    assert next(sweeps) == _each_gate(angles[::-1][:1], PLUS, SIGMA_Z, n_list)[0]
+    with pytest.raises(ToleranceError) as refused:
+        list(sweeps)
+    assert str(refused.value) == _each_gate(angles[::-1], PLUS, SIGMA_Z, n_list)
+
+
+def test_variance_sweep_of_a_stack_without_lengths_or_gates():
+    stack = gates.controlled_rotation(STACK_ANGLES)
+    assert list(mac.variance_sweep(stack, PLUS, SIGMA_Z, [])) == [[], [], []]
+    assert mac.variance_sweep(gates.controlled_rotation(np.pi), PLUS, SIGMA_Z, []) == []
+    # an empty stack builds no chain, so unnormalized amplitudes pass unread
+    assert list(mac.variance_sweep(gates.controlled_rotation(np.array([])), (2, 0),
+                                   SIGMA_Z, [4])) == []
+
+
+def test_variance_sweep_rejects_a_stack_with_two_batch_axes():
+    stack = gates.controlled_rotation(STACK_ANGLES.reshape(3, 1))
+    with pytest.raises(InputError, match="one batch axis"):
+        mac.variance_sweep(stack, PLUS, SIGMA_Z, [4, 8])
 
 
 def test_variance_sweep_rejects_unsorted():
