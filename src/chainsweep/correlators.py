@@ -172,7 +172,7 @@ def _lift(ts: TransferSet, a: np.ndarray) -> tuple:
     broadcasts with A; one SVD of the stack (A, A') gives the guard scales.
     """
     pi = ts.spectrum.projector
-    mu = _unit_moments(ts.vrow[None, :] @ pi, pi, ts.dressed(a))[0][..., 0].real
+    mu = (ts.vrow[None, :] @ pi @ ts.dressed(a) @ VEC_IDENTITY)[..., 0].real
     shifted = a - np.multiply.outer(mu, np.eye(2))
     ops = np.stack((shifted, shifted @ shifted, 2.0 * shifted))
     dressed = ts.dressed(ops)
@@ -315,7 +315,9 @@ def asymptotic_variance(ts: TransferSet, obs: LocalObservable) -> AsymptoticVari
     from ``ts.spectrum``, computed once per transfer set, so the call itself
     makes no linear solve.  A stacked ``ts`` or ``obs`` gives stacked
     coefficients, bitwise those of one matrix: rows stay 1x4, so every
-    product takes the BLAS path of the one-matrix call.
+    product takes the BLAS path of the one-matrix call.  The row products
+    <v|P E_A, <v|P E_A P and <v|S E_A are formed once each and shared; every
+    chain keeps its left-to-right association.
     """
     ea = ts.dressed(obs.matrix)
     ea2_i = (ts.dressed(obs.matrix @ obs.matrix) @ VEC_IDENTITY)[..., None]
@@ -324,15 +326,18 @@ def asymptotic_variance(ts: TransferSet, obs: LocalObservable) -> AsymptoticVari
     pi, s_res = ts.spectrum.projector, ts.spectrum.resolvent
 
     v_pi = v @ pi
-    mean_inf, kappa = _unit_moments(v_pi, pi, ea)
+    head = v_pi @ ea
+    head_pi = head @ pi
+    v_s_ea = v @ s_res @ ea
+    mean_inf, kappa = head @ VEC_IDENTITY, head_pi @ ea @ VEC_IDENTITY
     quad = _real((kappa - mean_inf ** 2)[..., 0])
 
     s_inf = (v_pi @ ea2_i)[..., 0]
-    cross = v_pi @ ea @ s_res @ ea @ VEC_IDENTITY
-    cross = cross + v @ s_res @ ea @ pi @ ea @ VEC_IDENTITY
-    boundary = (v_pi @ ea @ pi @ a)[..., 0]
+    cross = head @ s_res @ ea @ VEC_IDENTITY
+    cross = cross + v_s_ea @ pi @ ea @ VEC_IDENTITY
+    boundary = (head_pi @ a)[..., 0]
     nu_inf = (v_pi @ a)[..., 0]
-    c_mean = -mean_inf + v @ s_res @ ea @ VEC_IDENTITY + nu_inf
+    c_mean = -mean_inf + v_s_ea @ VEC_IDENTITY + nu_inf
     lin = _real((s_inf - 3.0 * kappa + 2.0 * cross + 2.0 * boundary
                  - 2.0 * mean_inf * c_mean)[..., 0], scale=10.0)
     err = (_ASYM_SAFETY * _EPS * np.linalg.norm(s_res, axis=(-2, -1))

@@ -179,11 +179,19 @@ def eigenvalue_order(scale: float):
     return cmp_to_key(compare)
 
 
+def sort_eigenvalues(lam: np.ndarray, scale) -> np.ndarray:
+    """Each row of ``lam`` (..., n) in the order of :func:`eigenvalue_order`
+    at its own ``scale`` (one float per row, broadcast), as complex128."""
+    scales = np.broadcast_to(scale, lam.shape[:-1]).ravel()
+    rows = zip(lam.reshape(scales.size, lam.shape[-1]).tolist(), scales.tolist())
+    return np.array([sorted(row, key=eigenvalue_order(s)) for row, s in rows],
+                    dtype=np.complex128).reshape(lam.shape)
+
+
 def eig_general(m: np.ndarray) -> EigenResult:
     """Eigenvalues of a square matrix from LAPACK in the order of
-    :func:`eigenvalue_order`, bitwise the ``values`` of transfer.spectral."""
+    :func:`eigenvalue_order` (:func:`sort_eigenvalues`, as transfer.spectral)."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise InputError("eig_general needs a square matrix")
-    values = sorted(np.linalg.eigvals(m).tolist(), key=eigenvalue_order(max_abs(m)))
-    return EigenResult(values=np.array(values, dtype=np.complex128))
+    return EigenResult(values=sort_eigenvalues(np.linalg.eigvals(m), max_abs(m)))

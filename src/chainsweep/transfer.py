@@ -107,15 +107,19 @@ class LocalObservable:
         n = np.asarray(n, dtype=float)
         if n.shape[-1:] != (3,):
             raise InputError(f"bloch vector needs 3 components, got shape {n.shape}")
-        with np.errstate(over="ignore", invalid="ignore"):   # refused just below
+        with np.errstate(over="ignore", invalid="ignore"):   # scaled or refused below
             dot = (n[..., None, :] @ n[..., :, None])[..., 0]   # np.linalg.norm's dot
             if (dot < sys.float_info.min).any():   # subnormal: scale by max|n_i| first
                 big = np.abs(n).max(axis=-1, keepdims=True)
                 n = n / np.where((dot < sys.float_info.min) & (big > 0), big, 1.0)
                 dot = (n[..., None, :] @ n[..., :, None])[..., 0]
             nrm = np.sqrt(dot)
-        if not np.isfinite(nrm).all():
-            raise InputError("bloch vector components and their sum of squares must be finite")
+        if not np.isfinite(nrm).all():   # n . n overflowed: scale by max|n_i| first
+            big = np.abs(n).max(axis=-1, keepdims=True)
+            if not np.isfinite(big).all():
+                raise InputError("bloch vector components and their sum of squares must be finite")
+            n = n / np.where(np.isfinite(dot), 1.0, big)
+            nrm = np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0]
         if (nrm == 0).any():
             raise InputError("bloch vector must be nonzero")
         n = (n / nrm)[..., None, None]
@@ -142,22 +146,30 @@ def check_isometry(kraus: KrausPair) -> float:
     return dm.max_abs(acc - np.eye(2))
 
 
-def dressed_E(kraus: KrausPair, a: np.ndarray) -> np.ndarray:
-    """E_A = sum_ij a_ij V_i* x V_j for any 2x2 operator ``a``, Hermitian or
-    not, E itself being a = I; entry (2p + r, 2q + s) of a term is
-    a_ij (V_i*)_pq (V_j)_rs.
-
-    ``kraus`` and ``a`` may carry batch axes, which broadcast.  The terms are
-    added to zero in the order (0,0), (0,1), (1,0), (1,1) (a zero a_ij adds
-    exactly nothing, as if skipped), and each Kronecker entry is the one
-    complex product numpy's Kronecker routine forms, so E and every E_A are
-    bit-identical to that literal sum (tests/test_transfer.py pins this).
-    """
-    a = dm.as_matrix(a, stacked=True)
+def _kraus_terms(kraus: KrausPair) -> np.ndarray:
+    """The Kronecker terms V_i* x V_j (..., 2, 2, 4, 4), indexed [..., i, j];
+    entry (2p + r, 2q + s) of a term is (V_i*)_pq (V_j)_rs, the one complex
+    product numpy's Kronecker routine forms."""
     v = np.stack((kraus.v0, kraus.v1), axis=-3)
     terms = v.conj()[..., :, None, :, None, :, None] * v[..., None, :, None, :, None, :]
-    t = a[..., :, :, None, None] * terms.reshape(v.shape[:-3] + (2, 2, 4, 4))
+    return terms.reshape(v.shape[:-3] + (2, 2, 4, 4))
+
+
+def _dress_terms(terms: np.ndarray, a) -> np.ndarray:
+    """sum_ij a_ij terms_ij, added to zero in the order (0,0), (0,1), (1,0),
+    (1,1); a zero a_ij adds exactly nothing, as if skipped."""
+    a = dm.as_matrix(a, stacked=True)
+    t = a[..., :, :, None, None] * terms
     return 0.0 + t[..., 0, 0, :, :] + t[..., 0, 1, :, :] + t[..., 1, 0, :, :] + t[..., 1, 1, :, :]
+
+
+def dressed_E(kraus: KrausPair, a: np.ndarray) -> np.ndarray:
+    """E_A = sum_ij a_ij V_i* x V_j for any 2x2 operator ``a``, Hermitian or
+    not, E itself being a = I; ``kraus`` and ``a`` may carry batch axes, which
+    broadcast.  Bit-identical to the literal sum of a_ij kron(V_i*, V_j) in the
+    order of _dress_terms (tests/test_transfer.py pins this); a TransferSet
+    keeps its _kraus_terms and only weighs them."""
+    return _dress_terms(_kraus_terms(kraus), a)
 
 
 def transfer_E(kraus: KrausPair) -> np.ndarray:
@@ -178,6 +190,7 @@ def boundary_row(chain: ChainSpec) -> np.ndarray:
 class TransferSet:
     """Everything the correlator formulas need for one (gate, chain) pair, or
     a stack of gates on one chain; read-only, so it serves every chain length.
+    ``terms`` (_kraus_terms) are what ``e`` and every :meth:`dressed` weigh.
     ``spectrum`` (SpectralData of ``e`` at UNIT_EIG_TOL) is computed on first read.
 
     :meth:`memoized` keeps what the correlators derive from an observable
@@ -192,10 +205,11 @@ class TransferSet:
     kraus: KrausPair
     e: np.ndarray
     vrow: np.ndarray
+    terms: np.ndarray
 
     def dressed(self, a: np.ndarray) -> np.ndarray:
-        """E_A for the 2x2 single-site operator ``a``."""
-        return dressed_E(self.kraus, a)
+        """E_A for the 2x2 single-site operator ``a``, bitwise dressed_E."""
+        return _dress_terms(self.terms, a)
 
     @cached_property
     def spectrum(self) -> "SpectralData":
@@ -224,16 +238,17 @@ def build_transfer(gate: Gate, chain: ChainSpec) -> TransferSet:
     dev = check_isometry(kraus)
     if dev > ISOMETRY_TOL:
         raise InputError(f"Kraus pair violates the isometry constraint by {dev:.3e}")
-    e = transfer_E(kraus)
+    terms = _kraus_terms(kraus)
+    e = _dress_terms(terms, np.eye(2))
     # With the boundary |I><v|, E|I> = |I> and <v|I> = |c0|^2 + |c1|^2 = 1
     # (checked by ChainSpec) imply E|I><v| = |I><v| and |I><v|I> = |I>.
     err = dm.max_abs(e @ VEC_IDENTITY - VEC_IDENTITY)
     if err > ISOMETRY_TOL:
         raise InputError(f"transfer invariant E|I> = |I> violated by {err:.3e}")
     vrow = boundary_row(chain)
-    e.setflags(write=False)
-    vrow.setflags(write=False)
-    return TransferSet(kraus=kraus, e=e, vrow=vrow)
+    for x in (e, vrow, terms):
+        x.setflags(write=False)
+    return TransferSet(kraus=kraus, e=e, vrow=vrow, terms=terms)
 
 
 @dataclass(frozen=True)
@@ -243,7 +258,8 @@ class SpectralData:
     shape b gives b-stacked fields; for one E, ``unit_dim`` is an int.
 
     ``values`` are all four eigenvalues from LAPACK in the order of
-    :func:`chainsweep.densemat.eigenvalue_order`.  ``unit_dim`` is the number
+    :func:`chainsweep.densemat.eigenvalue_order`, sorted on first read;
+    :func:`spectral` runs ``eigvals`` and the unit-disk check.  ``unit_dim`` is the number
     of singular values of E - I at or below the unit tolerance.  E is a
     unital CP map, so its unit eigenvalue is semisimple and that null space
     is its whole eigenspace.  ``projector`` is P = sum_i |r_i><l_i| over
@@ -254,15 +270,22 @@ class SpectralData:
     the witness certificate reads it from here.  Every array is read-only.
     """
 
-    values: np.ndarray
     unit_dim: int | np.ndarray
     projector: np.ndarray
     resolvent: np.ndarray
     tol: float
+    _eigvals: np.ndarray
+    _scale: np.ndarray
 
     def __post_init__(self):
-        for name in ("values", "projector", "resolvent"):
+        for name in ("projector", "resolvent"):
             getattr(self, name).setflags(write=False)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        values = dm.sort_eigenvalues(self._eigvals, self._scale)
+        values.setflags(write=False)
+        return values
 
 
 def _resolvent_pair(e: np.ndarray, right: np.ndarray, left: np.ndarray):
@@ -310,8 +333,7 @@ def spectral(e: np.ndarray, tol: float = UNIT_EIG_TOL) -> SpectralData:
     if e.shape[-2:] != (4, 4):
         raise InputError("transfer matrix must be 4x4")
     batch, e = e.shape[:-2], e.reshape(-1, 4, 4)
-    values = np.array([sorted(lam, key=dm.eigenvalue_order(scale)) for lam, scale
-                       in zip(np.linalg.eigvals(e).tolist(), np.abs(e).max(axis=(1, 2)))])
+    values = np.linalg.eigvals(e)
     moduli = np.abs(values)
     if (moduli > 1.0 + 1e-10).any():
         raise InputError(f"transfer spectrum leaves the unit disk: max |lambda| = {moduli.max()}")
@@ -328,10 +350,11 @@ def spectral(e: np.ndarray, tol: float = UNIT_EIG_TOL) -> SpectralData:
     for dim in set(k.tolist()):
         at = k == dim
         pi[at], s_res[at] = _unit_space(e[at], u[at], vh[at], dim)
-    return SpectralData(values=values.reshape(batch + (4,)),
-                        unit_dim=dm.unbatch(k.reshape(batch)),
+    return SpectralData(unit_dim=dm.unbatch(k.reshape(batch)),
                         projector=pi.reshape(batch + (4, 4)),
-                        resolvent=s_res.reshape(batch + (4, 4)), tol=tol)
+                        resolvent=s_res.reshape(batch + (4, 4)), tol=tol,
+                        _eigvals=values.reshape(batch + (4,)),
+                        _scale=np.abs(e).max(axis=(1, 2)).reshape(batch))
 
 
 def site_density_recursion(kraus: KrausPair, rho_prev: np.ndarray) -> np.ndarray:

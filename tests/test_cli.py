@@ -534,7 +534,7 @@ def test_missing_gate_exit_code(capsys):
     ["fig4", "--chi-t=-1e308:1e308:3"],
     ["fig4", "--chi-t", "0.1:inf:3"],
     ["correlate", "--gate", "weyl", "--params", "0.7,0.1,0.2", "--n", "3",
-     "--bloch", "1e308,1e308,0"],
+     "--bloch", "1e309,0,0"],
     # past the state-vector cap, where 2^N x 16 B overflows a float
     ["oracle-check", "--n", "1500", "--count", "1"],
     ["fig3", "--a-list", "pi", "--n-range", "1100:1100:1", "--oracle-cap", "2000"],

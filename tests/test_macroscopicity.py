@@ -118,15 +118,16 @@ def test_neff_optimize_rejects_non_quadratic_form(monkeypatch):
     gates.macroscopic_family(0.5, 0.3, 1.1, seed=1),
 ], ids=["weyl-degenerate", "macroscopic-family"])
 def test_neff_optimize_dresses_at_most_five_times(monkeypatch, gate):
-    # E, the three Pauli dressings of the form, and one check at n*
+    # E, the three Pauli dressings of the form, and one check at n*, each
+    # one weighted sum of the transfer set's Kronecker terms
     calls = []
 
-    def counting(kraus, a):
+    def counting(terms, a):
         calls.append(a)
-        return dress(kraus, a)
+        return dress(terms, a)
 
-    dress = transfer.dressed_E
-    monkeypatch.setattr(transfer, "dressed_E", counting)
+    dress = transfer._dress_terms
+    monkeypatch.setattr(transfer, "_dress_terms", counting)
     report = mac.neff_optimize(gate, ChainSpec(2))
     assert report.neff_coeff > 0.0
     assert len(calls) <= 5

@@ -95,6 +95,24 @@ def test_hot_paths_do_not_call_general_eigensolver(monkeypatch, tmp_path, capsys
     assert len(sq.fig4_curve([0.3, 0.9])) == 2
 
 
+def test_fig4_and_asymptotic_variance_never_sort_eigenvalues(monkeypatch, capsys):
+    # spectral runs eigvals at once but sorts only when ``values`` is read,
+    # and neither the fig4 pass nor the asymptotic coefficients read it
+    def forbidden(*args, **kwargs):
+        raise AssertionError("densemat.eigenvalue_order called")
+
+    monkeypatch.setattr(densemat, "eigenvalue_order", forbidden)
+    assert len(sq.fig4_curve(np.linspace(0.1, 1.4, 9))) == 9
+    assert len(sq.fig4_curve([0.5], theta=0.3)) == 1
+    assert cli.main(["fig4"]) == 0
+    capsys.readouterr()
+    for g in _hot_path_gates():
+        ts = build_transfer(g, ChainSpec.plus_state(4))
+        co.asymptotic_variance(ts, LocalObservable.from_bloch([0.36, 0.48, 0.8]))
+        with pytest.raises(AssertionError, match="eigenvalue_order"):
+            ts.spectrum.values
+
+
 def test_neff_optimize_reports_z_when_form_is_rounding_noise():
     # on |0...0> these gates build no collective superposition: the form
     # n^T M n vanishes identically and its top eigenvector is noise

@@ -421,13 +421,29 @@ def test_local_observable_rejects_non_hermitian():
 
 
 @pytest.mark.parametrize("bad", [[np.inf, 0.0, 0.0], [0.0, np.nan, 1.0],
-                                 [1e308, 1e308, 0.0], [1e200, 0.0, 0.0],
+                                 [1e308, 1e308, np.nan], [[1e200, 0.0, 0.0], [np.inf, 0.0, 0.0]],
                                  [[0.0, 0.0, 1.0], [0.0, -np.inf, 0.0]]])
 def test_from_bloch_refuses_non_finite_vectors(bad):
-    # once its components or their sum of squares are not finite; the suite
-    # turns a RuntimeWarning into an error, so none may be printed
+    # once a component is not finite, also where n . n overflows beside it;
+    # the suite turns a RuntimeWarning into an error, so none may be printed
     with pytest.raises(InputError, match="finite"):
         LocalObservable.from_bloch(bad)
+
+
+_DIAGONAL = (1.0 / np.sqrt(2.0) * gates.PAULI_X + 1.0 / np.sqrt(2.0) * gates.PAULI_Y
+             + 0.0 * gates.PAULI_Z)   # (1, 1, 0)/sqrt 2, literally
+
+
+@pytest.mark.parametrize("v, want", [
+    ([1e308, 1e308, 0.0], [_DIAGONAL]),   # n . n overflows to inf
+    ([1e200, 0.0, 0.0], [gates.PAULI_X]),
+    ([[1e200, 0.0, 0.0], [0.0, 0.0, 3.0]], [gates.PAULI_X, gates.PAULI_Z]),
+])
+def test_from_bloch_scales_an_overflowing_sum_of_squares(v, want):
+    # finite directions, once refused because n . n overflowed; the scaling
+    # by max|n_i| leaves the other elements of a stack as they were
+    assert np.array_equal(LocalObservable.from_bloch(v).matrix, np.squeeze(want))
+    assert np.array_equal(_DIAGONAL, LocalObservable.from_bloch([1.0, 1.0, 0.0]).matrix)
 
 
 def test_from_bloch_keeps_finite_vectors_bitwise():
@@ -527,6 +543,74 @@ def test_stacked_transfer_equals_per_gate():
     gs, e = _mixed_stack()
     for g, m in zip(gs, e):
         assert np.array_equal(m, build_transfer(g, ChainSpec(2)).e)
+
+
+def test_spectral_values_are_sorted_on_first_read():
+    # one sort helper for both: each row is bitwise eig_general's values,
+    # read-only, and a second read returns the stored array
+    _, e = _mixed_stack()
+    spec = spectral(e)
+    values = spec.values
+    assert not values.flags.writeable and spec.values is values
+    for row, m in zip(values, e):
+        assert np.array_equal(row, dm.eig_general(m).values)
+
+
+def test_transfer_set_dresses_its_kept_terms_bitwise():
+    # the Kronecker terms are formed once per transfer set; E and every E_A
+    # weighed from them are bitwise dressed_E and transfer_E of its Kraus pair
+    gs, _ = _mixed_stack()
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+    for g in (gs[0], gates.Gate(np.stack([g.matrix for g in gs]))):
+        ts = build_transfer(g, ChainSpec(2))
+        assert not ts.terms.flags.writeable
+        assert np.array_equal(ts.e, transfer_E(ts.kraus))
+        for x in (transfer.SIGMA_Y.matrix, a[0], a):   # Hermitian, not, stacked
+            assert np.array_equal(ts.dressed(x), dressed_E(ts.kraus, x))
+
+
+def _chained_asymptotic(ts, obs):
+    # asymptotic_variance with every chain of products written out in full
+    # and associated left to right: the shared row products must equal it
+    ea = dressed_E(ts.kraus, obs.matrix)
+    ea2_i = (dressed_E(ts.kraus, obs.matrix @ obs.matrix) @ VEC_IDENTITY)[..., None]
+    a = obs.matrix.reshape(obs.matrix.shape[:-2] + (4,))[..., None]
+    v = ts.vrow[None, :]
+    pi, s_res = ts.spectrum.projector, ts.spectrum.resolvent
+    v_pi = v @ pi
+    head = v_pi @ ea
+    mean_inf, kappa = head @ VEC_IDENTITY, head @ pi @ ea @ VEC_IDENTITY
+    quad = (kappa - mean_inf ** 2)[..., 0].real
+    s_inf = (v_pi @ ea2_i)[..., 0]
+    cross = v_pi @ ea @ s_res @ ea @ VEC_IDENTITY
+    cross = cross + v @ s_res @ ea @ pi @ ea @ VEC_IDENTITY
+    boundary = (v_pi @ ea @ pi @ a)[..., 0]
+    nu_inf = (v_pi @ a)[..., 0]
+    c_mean = -mean_inf + v @ s_res @ ea @ VEC_IDENTITY + nu_inf
+    lin = (s_inf - 3.0 * kappa + 2.0 * cross + 2.0 * boundary
+           - 2.0 * mean_inf * c_mean)[..., 0].real
+    err = (8.0 * np.finfo(float).eps * np.linalg.norm(s_res, axis=(-2, -1))
+           * np.linalg.norm(ea, axis=(-2, -1)) ** 2)
+    return quad, lin, err
+
+
+def test_asymptotic_variance_equals_its_chained_products():
+    gs, _ = _mixed_stack()
+    chain = ChainSpec(2, 0.6, 0.8j)
+    stack = build_transfer(gates.Gate(np.stack([g.matrix for g in gs])), chain)
+    dirs = LocalObservable.from_bloch([[0.36, 0.48, 0.8], [1.0, -2.0, 0.5],
+                                       [0.0, 0.0, 1.0], [-0.3, 0.1, 0.9]])
+    for obs in (transfer.SIGMA_X, dirs):
+        got = co.asymptotic_variance(stack, obs)
+        want = _chained_asymptotic(stack, obs)
+        for name, w in zip(("quadratic_coeff", "linear_coeff", "error_estimate"), want):
+            assert np.array_equal(getattr(got, name), w), name
+    for i, g in enumerate(gs):
+        ts, obs = build_transfer(g, chain), LocalObservable(dirs.matrix[i])
+        got = co.asymptotic_variance(ts, obs)
+        quad, lin, err = _chained_asymptotic(ts, obs)
+        assert (got.quadratic_coeff, got.linear_coeff, got.error_estimate) == (quad, lin, err)
 
 
 def test_stacked_spectral_rejects_one_matrix_outside_unit_disk():
