@@ -136,8 +136,12 @@ def _write_csv(args, header: str, lines, config: dict) -> None:
     path, out_dir = args.out, os.environ.get(OUT_DIR_ENV)
     if path and out_dir and not os.path.isabs(path):
         path = os.path.join(out_dir, path)
-    with (open(path, "w", encoding="utf-8", newline="\n") if path
-          else contextlib.nullcontext(sys.stdout)) as fh:
+    try:
+        out = (open(path, "w", encoding="utf-8", newline="\n") if path
+               else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:   # only the open: a BrokenPipeError while writing is an OSError too
+        raise InputError(f"cannot write --out {path}: {exc.strerror}") from None
+    with out as fh:
         fh.write(f"{head}\n{header}\n")
         fh.writelines(lines)
 

@@ -171,8 +171,7 @@ def _lift(ts: TransferSet, a: np.ndarray) -> tuple:
     A'^2 and 2A' are dressed as one stack on a leading axis, so a stacked E
     broadcasts with A; one SVD of the stack (A, A') gives the guard scales.
     """
-    pi = ts.spectrum.projector
-    mu = (ts.vrow[None, :] @ pi @ ts.dressed(a) @ VEC_IDENTITY)[..., 0].real
+    mu = _unit_head(ts, ts.dressed(a))[2][..., 0].real
     shifted = a - np.multiply.outer(mu, np.eye(2))
     ops = np.stack((shifted, shifted @ shifted, 2.0 * shifted))
     dressed = ts.dressed(ops)
@@ -293,13 +292,13 @@ def _variance(ts: TransferSet, obs: LocalObservable, n) -> tuple:
     return total, dm.unbatch(err)
 
 
-def _unit_moments(v_pi: np.ndarray, pi: np.ndarray,
-                  ea: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(<v|P E_A|I>, <v|P E_A P E_A|I>) for the row v_pi = <v|P: the chain
-    average of A and its unit-space second moment, whose difference
-    kappa - mean^2 is the N^2 coefficient of the variance."""
+def _unit_head(ts: TransferSet, ea: np.ndarray) -> tuple:
+    """(<v|P, <v|P E_A, <v|P E_A|I>) for a (stacked) E_A, P from ts.spectrum:
+    the unit-space rows of the chain average of A and its N^2 moment, every
+    row 1x4 and associated left to right, so a stack is bitwise its elements."""
+    v_pi = ts.vrow[None, :] @ ts.spectrum.projector
     head = v_pi @ ea
-    return head @ VEC_IDENTITY, head @ pi @ ea @ VEC_IDENTITY
+    return v_pi, head, head @ VEC_IDENTITY
 
 
 def asymptotic_variance(ts: TransferSet, obs: LocalObservable) -> AsymptoticVariance:
@@ -315,21 +314,19 @@ def asymptotic_variance(ts: TransferSet, obs: LocalObservable) -> AsymptoticVari
     from ``ts.spectrum``, computed once per transfer set, so the call itself
     makes no linear solve.  A stacked ``ts`` or ``obs`` gives stacked
     coefficients, bitwise those of one matrix: rows stay 1x4, so every
-    product takes the BLAS path of the one-matrix call.  The row products
-    <v|P E_A, <v|P E_A P and <v|S E_A are formed once each and shared; every
-    chain keeps its left-to-right association.
+    product takes the BLAS path of the one-matrix call.  <v|P, <v|P E_A and
+    the mean come from _unit_head, and <v|P E_A P and <v|S E_A are formed
+    once each; every row is shared and every chain associated left to right.
     """
     ea = ts.dressed(obs.matrix)
     ea2_i = (ts.dressed(obs.matrix @ obs.matrix) @ VEC_IDENTITY)[..., None]
     a = _vec(obs)[..., None]
-    v = ts.vrow[None, :]
     pi, s_res = ts.spectrum.projector, ts.spectrum.resolvent
 
-    v_pi = v @ pi
-    head = v_pi @ ea
+    v_pi, head, mean_inf = _unit_head(ts, ea)
     head_pi = head @ pi
-    v_s_ea = v @ s_res @ ea
-    mean_inf, kappa = head @ VEC_IDENTITY, head_pi @ ea @ VEC_IDENTITY
+    v_s_ea = ts.vrow[None, :] @ s_res @ ea
+    kappa = head_pi @ ea @ VEC_IDENTITY
     quad = _real((kappa - mean_inf ** 2)[..., 0])
 
     s_inf = (v_pi @ ea2_i)[..., 0]

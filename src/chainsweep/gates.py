@@ -143,12 +143,8 @@ def macroscopic_family(p: float, theta: float, theta_p: float, seed: int = 0) ->
     col2 = np.array([v0[1, 0], v0[1, 1], v1[1, 0], v1[1, 1]])
     fixed = np.column_stack([col0, col2])
     completed = dm.orthonormal_complete(fixed, seed=seed)
-    m = np.empty((4, 4), dtype=np.complex128)
-    m[:, 0] = completed[:, 0]
-    m[:, 2] = completed[:, 1]
-    m[:, 1] = completed[:, 2]
-    m[:, 3] = completed[:, 3]
-    return Gate(m, family="macroscopic_family", params=(p, theta, theta_p, seed))
+    return Gate(completed[:, [0, 2, 1, 3]], family="macroscopic_family",
+                params=(p, theta, theta_p, seed))
 
 
 def conjugated_gate(g: Gate, r1: np.ndarray, r2: np.ndarray) -> Gate:
@@ -187,7 +183,7 @@ _FAMILY_BUILDERS = {
 
 
 def gate_from_family(family: str, params) -> Gate:
-    if family not in _FAMILY_BUILDERS:
+    if not isinstance(family, str) or family not in _FAMILY_BUILDERS:
         raise InputError(f"cannot build family {family!r} from parameters; "
                          f"choose one of {sorted(_FAMILY_BUILDERS)}")
     want, builder = _FAMILY_BUILDERS[family]
@@ -216,7 +212,7 @@ def load_gate(path, unitarity_tol: float = UNITARITY_TOL) -> Gate:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # ValueError: bad JSON or bytes that are not UTF-8
         raise InputError(f"cannot read gate file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise InputError("gate file must hold a single JSON object")

@@ -55,27 +55,24 @@ class MacroClassification:
 
 def _neff_value(ts: TransferSet, direction) -> float:
     """Coefficient of N^2 in the variance of sum n.sigma, kappa - mean^2 from
-    the unit-space moments of one dressing; 0 for a non-degenerate unit
-    eigenvalue."""
+    the unit-space rows of one dressing (correlators._unit_head); 0 for a
+    non-degenerate unit eigenvalue."""
     obs = LocalObservable.from_bloch(direction)
     if ts.spectrum.unit_dim == 1:
         return 0.0
-    pi = ts.spectrum.projector
-    mean, kappa = correlators._unit_moments(ts.vrow @ pi, pi, ts.dressed(obs.matrix))
-    return correlators._real(kappa - mean ** 2, scale=4.0)
+    ea = ts.dressed(obs.matrix)
+    _, head, mean = correlators._unit_head(ts, ea)
+    kappa = head @ ts.spectrum.projector @ ea @ VEC_IDENTITY
+    return correlators._real((kappa - mean ** 2)[0], scale=4.0)
 
 
 def _neff_form(ts: TransferSet) -> np.ndarray:
     """The symmetric 3x3 M with n^T M n = _neff_value(n): E_A is linear in A,
     so M = sym(<v|P E_a P E_b|I>) - m m^T over the Pauli dressings E_a,
-    m_a = <v|P E_a|I>."""
-    pi = ts.spectrum.projector
-    v_pi = ts.vrow @ pi
-    eas = [ts.dressed(p) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
-    heads = np.array([v_pi @ ea for ea in eas])                 # <v|P E_a
-    cols = np.array([ea @ VEC_IDENTITY for ea in eas]).T        # E_b|I>
-    m = heads @ VEC_IDENTITY
-    kappa = heads @ pi @ cols
+    dressed as one stack, m_a = <v|P E_a|I>."""
+    eas = ts.dressed(np.stack((PAULI_X, PAULI_Y, PAULI_Z)))
+    _, heads, m = correlators._unit_head(ts, eas)               # <v|P E_a, m_a
+    kappa = heads[:, 0] @ ts.spectrum.projector @ (eas @ VEC_IDENTITY).T
     form = 0.5 * (kappa + kappa.T) - np.outer(m, m)
     return correlators._real(form, scale=4.0)
 

@@ -103,23 +103,22 @@ class LocalObservable:
 
     @classmethod
     def from_bloch(cls, n) -> "LocalObservable":
-        """n . sigma for a finite 3-vector n (last axis), normalized to unit length."""
+        """n . sigma for a finite 3-vector n (last axis), normalized to unit length;
+        where n . n underflows, overflows or is NaN, n is divided by max|n_i| first."""
         n = np.asarray(n, dtype=float)
         if n.shape[-1:] != (3,):
             raise InputError(f"bloch vector needs 3 components, got shape {n.shape}")
         with np.errstate(over="ignore", invalid="ignore"):   # scaled or refused below
             dot = (n[..., None, :] @ n[..., :, None])[..., 0]   # np.linalg.norm's dot
-            if (dot < sys.float_info.min).any():   # subnormal: scale by max|n_i| first
+            scale = ~((dot >= sys.float_info.min) & (dot <= sys.float_info.max))
+            if scale.any():
                 big = np.abs(n).max(axis=-1, keepdims=True)
-                n = n / np.where((dot < sys.float_info.min) & (big > 0), big, 1.0)
+                if not np.isfinite(big).all():
+                    raise InputError("bloch vector components and their sum of squares "
+                                     "must be finite")
+                n = n / np.where(scale & (big > 0), big, 1.0)
                 dot = (n[..., None, :] @ n[..., :, None])[..., 0]
             nrm = np.sqrt(dot)
-        if not np.isfinite(nrm).all():   # n . n overflowed: scale by max|n_i| first
-            big = np.abs(n).max(axis=-1, keepdims=True)
-            if not np.isfinite(big).all():
-                raise InputError("bloch vector components and their sum of squares must be finite")
-            n = n / np.where(np.isfinite(dot), 1.0, big)
-            nrm = np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0]
         if (nrm == 0).any():
             raise InputError("bloch vector must be nonzero")
         n = (n / nrm)[..., None, None]

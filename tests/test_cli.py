@@ -607,6 +607,7 @@ def test_unitarity_tol_loosens_only_unread_columns(command, tmp_path, capsys):
     {"family": "controlled_rotation", "params": [True]},
     {"family": "controlled_rotation", "params": [float("nan")]},
     {"family": "macroscopic_family", "params": [0.3, 1, 2, 2.7]},
+    {"family": ["weyl"], "params": [1, 2, 3]},   # an unhashable family name
 ])
 def test_gate_file_family_params_exit_code(payload, tmp_path, capsys):
     path = tmp_path / "gate.json"
@@ -614,6 +615,26 @@ def test_gate_file_family_params_exit_code(payload, tmp_path, capsys):
     code = cli.main(["spectrum", "--gate-file", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case", ["gate-file-not-utf8", "out-missing-dir", "out-is-dir",
+                                  "gate-file-long-int"])
+def test_unreadable_gate_file_or_unwritable_out_exit_code(case, tmp_path, capsys):
+    # refused with one error line, not a traceback; the out cases write nothing.
+    # json.load raises a ValueError that is no JSONDecodeError for bytes that
+    # are not UTF-8 and for an integer past Python's 4300-digit conversion limit
+    gate_file = tmp_path / "gate.json"
+    gate_file.write_bytes(b"\xff\xfe{}" if case == "gate-file-not-utf8" else
+                          b'{"family": "squeezing", "params": [' + b"1" * 5000 + b"]}")
+    argv = {"gate-file-not-utf8": ["spectrum", "--gate-file", str(gate_file)],
+            "gate-file-long-int": ["spectrum", "--gate-file", str(gate_file)],
+            "out-missing-dir": ["fig4", "--out", str(tmp_path / "missing" / "fig4.csv")],
+            "out-is-dir": ["fig4", "--out", str(tmp_path)]}[case]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
 
 
 def test_out_file_and_env_dir(tmp_path, capsys, monkeypatch):

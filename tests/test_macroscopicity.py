@@ -118,8 +118,8 @@ def test_neff_optimize_rejects_non_quadratic_form(monkeypatch):
     gates.macroscopic_family(0.5, 0.3, 1.1, seed=1),
 ], ids=["weyl-degenerate", "macroscopic-family"])
 def test_neff_optimize_dresses_at_most_five_times(monkeypatch, gate):
-    # E, the three Pauli dressings of the form, and one check at n*, each
-    # one weighted sum of the transfer set's Kronecker terms
+    # E, one stacked dressing of the three Paulis for the form, and one check
+    # at n*, each one weighted sum of the transfer set's Kronecker terms
     calls = []
 
     def counting(terms, a):
@@ -130,7 +130,58 @@ def test_neff_optimize_dresses_at_most_five_times(monkeypatch, gate):
     monkeypatch.setattr(transfer, "_dress_terms", counting)
     report = mac.neff_optimize(gate, ChainSpec(2))
     assert report.neff_coeff > 0.0
-    assert len(calls) <= 5
+    assert len(calls) <= 3
+
+
+def _chained_neff_value(ts, direction):
+    # the 1-D row <v|P and its chains as _neff_value formed them by hand
+    obs = LocalObservable.from_bloch(direction)
+    if ts.spectrum.unit_dim == 1:
+        return 0.0
+    pi = ts.spectrum.projector
+    ea = ts.dressed(obs.matrix)
+    head = (ts.vrow @ pi) @ ea
+    mean, kappa = head @ transfer.VEC_IDENTITY, head @ pi @ ea @ transfer.VEC_IDENTITY
+    return co._real(kappa - mean ** 2, scale=4.0)
+
+
+def _chained_neff_form(ts):
+    # the Pauli form from three separate dressings and the 1-D row <v|P
+    pi = ts.spectrum.projector
+    v_pi = ts.vrow @ pi
+    eas = [ts.dressed(p) for p in (gates.PAULI_X, gates.PAULI_Y, gates.PAULI_Z)]
+    heads = np.array([v_pi @ ea for ea in eas])
+    cols = np.array([ea @ transfer.VEC_IDENTITY for ea in eas]).T
+    m = heads @ transfer.VEC_IDENTITY
+    kappa = heads @ pi @ cols
+    return co._real(0.5 * (kappa + kappa.T) - np.outer(m, m), scale=4.0)
+
+
+@pytest.mark.parametrize("gate", [
+    gates.macroscopic_family(0.5, 0.3, 1.1, seed=1),
+    gates.macroscopic_family(0.8, 1.3, 2.9, seed=12),
+    gates.weyl_gate(0.7, np.pi / 2, np.pi / 2),
+    gates.weyl_gate(np.pi / 2, 0.4, np.pi / 2),
+    gates.random_gate(14),
+], ids=["macroscopic-family-1", "macroscopic-family-12", "weyl-degenerate-y",
+        "weyl-degenerate-x", "unit-dimension-1"])
+def test_unit_head_callers_equal_their_chained_products(gate):
+    # _neff_value, _neff_form and _lift's shift mu read their rows off
+    # correlators._unit_head; each stays == the chain it replaced
+    rng = np.random.default_rng(3)
+    directions = np.vstack((np.eye(3), rng.standard_normal((4, 3))))
+    for chain in (ChainSpec(4), ChainSpec.plus_state(4), ChainSpec(4, 0.6, 0.8j)):
+        ts = build_transfer(gate, chain)
+        assert ts.spectrum.unit_dim == (1 if gate.family == "custom" else 2)
+        assert np.array_equal(mac._neff_form(ts), _chained_neff_form(ts))
+        for n in directions:
+            got, want = mac._neff_value(ts, n), _chained_neff_value(ts, n)
+            assert got == want and type(got) is type(want)
+        obs = LocalObservable.from_bloch(directions)
+        for a in (*obs.matrix, obs.matrix):
+            want = (ts.vrow[None, :] @ ts.spectrum.projector @ ts.dressed(a)
+                    @ transfer.VEC_IDENTITY)[..., 0].real
+            assert np.array_equal(co._lift(ts, a)[2], want)
 
 
 def test_neff_optimize_nondegenerate_zero():
