@@ -12,12 +12,12 @@ of A - mu, mu the chain average of A; the mean adds N mu back and the
 variance subtracts the square of the shifted mean.  Asymptotic coefficients
 use the spectral data of E.
 
-What depends on the observable alone is memoized per transfer set
-(TransferSet.memoized, at most MEMO_ENTRIES entries keyed by the matrix
-bytes): E_A for the site correlators, and for the collective mean and
-variance one entry (_lift): the 12x12 matrix's closing columns and squaring
-ladder, shift mu, ||A|| and ||A - mu||^2, so a series over N squares it once.
-Every stored array is read-only and each value is bitwise the cold call's.
+The collective mean and variance of an observable share one memo entry per
+transfer set (TransferSet.memoized, at most MEMO_ENTRIES entries keyed by the
+observable's matrix): the lifted walk (_lift), that is the 12x12 matrix's
+closing columns and squaring ladder, shift mu, ||A|| and ||A - mu||^2, so a
+series over N squares it once.  Every stored array is read-only and each
+value is bitwise the cold call's.  The site correlators dress E_A per call.
 """
 
 from __future__ import annotations
@@ -65,17 +65,6 @@ def _vec(obs: LocalObservable) -> np.ndarray:
     return obs.matrix.reshape(obs.matrix.shape[:-2] + (4,))
 
 
-def _read_only(*arrays):
-    for x in arrays:
-        x.setflags(write=False)
-    return arrays
-
-
-def _memo_dressed(ts: TransferSet, obs: LocalObservable) -> np.ndarray:
-    """E_A of the site correlators, dressed once per transfer set."""
-    return ts.memoized("dressed", obs.matrix, lambda a: _read_only(ts.dressed(a))[0])
-
-
 def _closed(ea: np.ndarray, obs: LocalObservable, ends: np.ndarray, sites, n_sites: int):
     """Walked rows ``ends`` (..., 1, 4) closed at ``sites``: by E_A|I> at a
     site n < N, where the sites after n trace out to |I>, by vec A at N."""
@@ -91,7 +80,7 @@ def one_point(ts: TransferSet, obs: LocalObservable, m: int, n_sites: int) -> fl
         raise InputError(f"site must be an integer, got {m!r}")
     if not 1 <= m <= n_sites:
         raise InputError(f"site {m} outside 1..{n_sites}")
-    return _closed(_memo_dressed(ts, obs), obs,
+    return _closed(ts.dressed(obs.matrix), obs,
                    dm.walk(ts.vrow[None, :], m - 1, [ts.e]), m, n_sites)
 
 
@@ -102,7 +91,7 @@ def two_point(ts: TransferSet, obs: LocalObservable, m: int, n: int,
     <v|E^{m-1} E_A, and the head walks on by the separation n - m - 1."""
     n_sites = chain_length(n_sites, 1)
     _pair_sites([(m, n)], n_sites)
-    ea = _memo_dressed(ts, obs)
+    ea = ts.dressed(obs.matrix)
     ladder = [ts.e]
     head = dm.walk(ts.vrow[None, :], m - 1, ladder) @ ea
     return _closed(ea, obs, dm.walk(head, n - m - 1, ladder), n, n_sites)
@@ -148,7 +137,7 @@ def site_correlations(ts: TransferSet, obs: LocalObservable, n_sites: int,
                          "observable, not a stack")
     n_sites = chain_length(n_sites, 1)
     ms, ns = _pair_sites(pairs, n_sites).T
-    ea = _memo_dressed(ts, obs)
+    ea = ts.dressed(obs.matrix)
     ladder = [ts.e]
     rows = dm.walk_table(ts.vrow[None, :], n_sites, ladder)
     one = _closed(ea, obs, rows, np.arange(1, n_sites + 1), n_sites).tolist()
@@ -186,7 +175,8 @@ def _lift(ts: TransferSet, a: np.ndarray) -> tuple:
     pair[0], pair[1] = a, shifted
     tops = np.linalg.svd(pair, compute_uv=False)[..., 0]
     tops[1] **= 2
-    _read_only(t, cols, mu, tops)
+    for x in (t, cols, mu, tops):
+        x.setflags(write=False)
     return cols, [t], mu, *tops   # float64s for one matrix keep the guards cheap
 
 
@@ -203,7 +193,7 @@ def _moments(ts: TransferSet, obs: LocalObservable, n) -> tuple:
     too) gives arrays from one batched walk, each bitwise its scalar call:
     rows stay 1 x 12, so every product takes the BLAS path of the scalar call.
     """
-    cols, ladder, mu, norm, floor = ts.memoized("variance", obs.matrix, lambda a: _lift(ts, a))
+    cols, ladder, mu, norm, floor = ts.memoized(obs.matrix, lambda a: _lift(ts, a))
     start = np.zeros((1, 12), dtype=np.complex128)
     start[0, :4] = ts.vrow
     row = dm.walk(start, n - 1, ladder)

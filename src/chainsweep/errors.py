@@ -7,7 +7,8 @@ class InputError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """A decomposition failed its own check: a singular unit-space left/right
-    pairing (`transfer.spectral`) or no completion
+    pairing (`transfer.spectral`), a singular resolvent 1 - E + P
+    (`transfer._resolvent_pair`) or no completion
     (`densemat.orthonormal_complete`)."""
 
 

@@ -206,6 +206,12 @@ def save_gate(gate: Gate, path) -> None:
         fh.write("\n")
 
 
+def _json_real(x) -> bool:
+    """A JSON number that is a finite float: no bool, NaN, infinity or
+    integer past the float range."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
 def load_gate(path, unitarity_tol: float = UNITARITY_TOL) -> Gate:
     """Read a gate file; a matrix is validated by Gate at ``unitarity_tol``,
     which rejects with the offending maximum deviation in the message."""
@@ -218,16 +224,18 @@ def load_gate(path, unitarity_tol: float = UNITARITY_TOL) -> Gate:
         raise InputError("gate file must hold a single JSON object")
     if "family" in payload:
         params = payload.get("params", [])
-        if not isinstance(params, list) or not all(
-                type(p) in (int, float) and abs(p) <= sys.float_info.max for p in params):
+        if not isinstance(params, list) or not all(_json_real(p) for p in params):
             raise InputError(f"gate file params must be finite real numbers, got {params!r}")
         return gate_from_family(payload["family"], params)
     if "matrix" in payload:
         rows = payload["matrix"]
         try:
+            if not all(_json_real(x) for row in rows for entry in row
+                       for x in (entry[0], entry[1])):
+                raise ValueError("each [re, im] part must be a finite real number")
             m = np.array([[complex(entry[0], entry[1]) for entry in row] for row in rows],
                          dtype=np.complex128)
-        except (TypeError, IndexError, ValueError) as exc:
+        except (TypeError, IndexError, KeyError, ValueError) as exc:
             raise InputError(f"malformed matrix entries in gate file: {exc}") from exc
         if m.shape != (4, 4):
             raise InputError(f"gate matrix must be 4x4, got {m.shape}")

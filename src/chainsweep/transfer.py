@@ -22,8 +22,7 @@ ISOMETRY_TOL = 1e-12
 UNIT_EIG_TOL = 1e-9
 _DENSITY_TOL = 1e-10  # trace and positivity of a site density matrix
 # Per-transfer-set memo size: a squeezing series alternates the walks of
-# sigma_z (its mean) and of A_theta (its variance), and the site correlators
-# add one E_A per observable.
+# sigma_z (its mean) and of A_theta (its variance).
 MEMO_ENTRIES = 4
 
 VEC_IDENTITY = np.array([1, 0, 0, 1], dtype=np.complex128)  # vec(I) = |00> + |11>
@@ -192,14 +191,14 @@ class TransferSet:
     ``terms`` (_kraus_terms) are what ``e`` and every :meth:`dressed` weigh.
     ``spectrum`` (SpectralData of ``e`` at UNIT_EIG_TOL) is computed on first read.
 
-    :meth:`memoized` keeps what the correlators derive from an observable
-    alone, independent of N: the E_A of the site correlators, and the one
-    walk that serves both the collective mean and variance: the closing
-    columns and squaring ladder [T, T^2, ...] of its lifted matrix T, shift mu
-    by the chain average (read off ``spectrum``), and guard scales ||A|| and
-    ||A - mu||^2.  It holds the MEMO_ENTRIES newest entries, keyed by the
-    observable's matrix bytes; every entry is read-only and is what the cold
-    call builds, so each value computed from it is bitwise the cold call's."""
+    :meth:`memoized` keeps, per observable and independent of N, only the
+    lifted walk that serves both the collective mean and variance: the
+    closing columns and squaring ladder [T, T^2, ...] of its lifted matrix T,
+    shift mu by the chain average (read off ``spectrum``), and guard scales
+    ||A|| and ||A - mu||^2.  It holds the MEMO_ENTRIES newest entries, keyed
+    by the observable's matrix shape and bytes; every entry is read-only and
+    is what the cold call builds, so each value computed from it is bitwise
+    the cold call's."""
 
     kraus: KrausPair
     e: np.ndarray
@@ -218,11 +217,12 @@ class TransferSet:
     def _memo(self) -> dict:
         return {}
 
-    def memoized(self, kind: str, a: np.ndarray, build):
-        """``build(a)``, built on the first call for this ``kind`` and these
-        matrix bytes and then returned as stored; the oldest entry is dropped
-        beyond MEMO_ENTRIES.  ``build`` returns read-only arrays."""
-        key = (kind, a.shape, a.tobytes())
+    def memoized(self, a: np.ndarray, build):
+        """``build(a)``, the lifted walk of the observable matrix ``a``, built
+        on the first call for this shape and these bytes and then returned as
+        stored; the oldest entry is dropped beyond MEMO_ENTRIES.  ``build``
+        returns read-only arrays."""
+        key = (a.shape, a.tobytes())
         memo = self._memo
         if key not in memo:
             if len(memo) == MEMO_ENTRIES:

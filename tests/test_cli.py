@@ -550,6 +550,12 @@ def test_missing_gate_exit_code(capsys):
     ["neff", "--gate", "macroscopic_family", "--params", "0.3,1,2,2.7"],
     # an --n-range count past 100000, refused before any point is allocated
     ["fig3", "--a-list", "pi", "--n-range", "4:100000000000000:1000000000000"],
+    # unparseable amplitudes, ranges and grids, and a family's parameter count
+    ["neff", "--gate", "weyl", "--params", "0.7,pi/2,pi/2", "--c0", "abc"],
+    ["fig3", "--n-range", "4:100"],
+    ["fig3", "--n-range", "a:b:c"],
+    ["fig4", "--chi-t", "0.1:0.2"],
+    ["spectrum", "--gate", "weyl", "--params", "1,2"],
 ])
 def test_malformed_arguments_exit_code(argv, capsys):
     # rejected with one error line: no traceback, and no 4-vector read as
@@ -617,17 +623,48 @@ def test_gate_file_family_params_exit_code(payload, tmp_path, capsys):
     assert code == 2 and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("payload", [
+    [1, 2],                                   # not an object
+    {},                                       # neither key
+    {"matrix": [[1]]},                        # an entry that is no [re, im] pair
+    {"matrix": [[{}]]},                       # an entry that is an object
+    {"matrix": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                [[0, 0], [0, 0], [1, 0]]]},   # 3x3
+])
+def test_malformed_gate_file_exit_code(payload, tmp_path, capsys):
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["spectrum", "--gate-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _identity_gate_file(one) -> bytes:
+    # the identity gate as a matrix gate file, ``one`` on the diagonal
+    return json.dumps({"matrix": [[[one if i == j else 0, 0] for j in range(4)]
+                                  for i in range(4)]}).encode()
+
+
 @pytest.mark.parametrize("case", ["gate-file-not-utf8", "out-missing-dir", "out-is-dir",
-                                  "gate-file-long-int"])
+                                  "gate-file-long-int", "gate-file-matrix-long-int",
+                                  "gate-file-matrix-bool"])
 def test_unreadable_gate_file_or_unwritable_out_exit_code(case, tmp_path, capsys):
     # refused with one error line, not a traceback; the out cases write nothing.
     # json.load raises a ValueError that is no JSONDecodeError for bytes that
-    # are not UTF-8 and for an integer past Python's 4300-digit conversion limit
+    # are not UTF-8 and for an integer past Python's 4300-digit conversion limit.
+    # Matrix entries follow the params rule: a 401-digit integer, which no
+    # float holds, and a JSON true, which is no number, are refused
     gate_file = tmp_path / "gate.json"
-    gate_file.write_bytes(b"\xff\xfe{}" if case == "gate-file-not-utf8" else
-                          b'{"family": "squeezing", "params": [' + b"1" * 5000 + b"]}")
+    gate_file.write_bytes({
+        "gate-file-not-utf8": b"\xff\xfe{}",
+        "gate-file-matrix-long-int": _identity_gate_file(10 ** 400),
+        "gate-file-matrix-bool": _identity_gate_file(True),
+    }.get(case, b'{"family": "squeezing", "params": [' + b"1" * 5000 + b"]}"))
     argv = {"gate-file-not-utf8": ["spectrum", "--gate-file", str(gate_file)],
             "gate-file-long-int": ["spectrum", "--gate-file", str(gate_file)],
+            "gate-file-matrix-long-int": ["spectrum", "--gate-file", str(gate_file)],
+            "gate-file-matrix-bool": ["spectrum", "--gate-file", str(gate_file)],
             "out-missing-dir": ["fig4", "--out", str(tmp_path / "missing" / "fig4.csv")],
             "out-is-dir": ["fig4", "--out", str(tmp_path)]}[case]
     code = cli.main(argv)

@@ -272,6 +272,23 @@ def test_site_correlations_rejects_bad_pairs():
             co.site_correlations(ts, SIGMA_Z, 4, pairs)
 
 
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_imaginary_residue_guard(shape):
+    # _real refuses an imaginary part above IMAG_TOL max(1, |scale|) and
+    # drops one below it, for one value and for a stack alike
+    def value(z):
+        return np.full(shape, z)[()]
+
+    with pytest.raises(ToleranceError, match="imaginary residue 1.000e-09"):
+        co._real(value(1 + 1e-9j))
+    for z, scale in ((1 + 1e-11j, 1.0), (1 + 1e-9j, 100.0)):
+        real = co._real(value(z), scale=scale)
+        if shape:
+            assert isinstance(real, np.ndarray) and real.tolist() == [1.0] * 3
+        else:
+            assert type(real) is float and real == 1.0
+
+
 # ---------------------------------------------------------------------------
 # lifted-transfer contraction of collective sums
 # ---------------------------------------------------------------------------
@@ -568,7 +585,7 @@ def test_memo_entries_are_read_only_and_keyed_by_observable():
         raise AssertionError("memo entry missing")
 
     for obs in (SIGMA_Z, obs_t):
-        entry = ts.memoized("variance", obs.matrix, unbuilt)
+        entry = ts.memoized(obs.matrix, unbuilt)
         cols, ladder, mu, norm, floor = entry
         want = co._lift(ts, obs.matrix)
         for k in (0, 2, 3, 4):   # all but the ladder, which has grown
@@ -576,11 +593,11 @@ def test_memo_entries_are_read_only_and_keyed_by_observable():
         assert np.array_equal(ladder[0], want[1][0]) and len(want[1]) == 1
         assert norm == np.linalg.svd(obs.matrix, compute_uv=False)[0]
         assert len(ladder) == (20000 - 1).bit_length()
-        ea = ts.memoized("dressed", obs.matrix, unbuilt)
-        assert np.array_equal(ea, ts.dressed(obs.matrix))
-        for x in (cols, mu, norm, floor, ea, *ladder):
+        for x in (cols, mu, norm, floor, *ladder):
             assert not x.flags.writeable
-    assert {kind for kind, *_ in ts._memo} == {"variance", "dressed"}
+    # one_point stores nothing: the only entries are the two lifted walks
+    assert set(ts._memo) == {(obs.matrix.shape, obs.matrix.tobytes())
+                             for obs in (SIGMA_Z, obs_t)}
 
 
 def test_variance_memo_holds_the_shifted_lift(monkeypatch):
@@ -591,7 +608,7 @@ def test_variance_memo_holds_the_shifted_lift(monkeypatch):
     def unbuilt(a):
         raise AssertionError("memo entry missing")
 
-    entry = ts.memoized("variance", obs.matrix, unbuilt)
+    entry = ts.memoized(obs.matrix, unbuilt)
     cols, ladder, mu, norm, floor = entry
     t = ladder[0]
     pi = ts.spectrum.projector
@@ -624,7 +641,7 @@ def test_variance_memo_holds_the_shifted_lift(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", forbidden)
     assert co.additive_variance_exact(ts, obs, 20000) == first
     co.additive_variance_exact(ts, obs, 300)
-    assert ts.memoized("variance", obs.matrix, unbuilt) is entry
+    assert ts.memoized(obs.matrix, unbuilt) is entry
     assert len(ladder) == len(rungs) and all(x is y for x, y in zip(ladder, rungs))
 
 

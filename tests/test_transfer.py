@@ -646,3 +646,34 @@ def test_transfer_set_spectrum_is_lazy_and_cached(monkeypatch):
     assert calls == [transfer.UNIT_EIG_TOL]
     assert ts.spectrum.tol == transfer.UNIT_EIG_TOL and ts.spectrum.unit_dim == 2
     assert spectral(ts.e, tol=1e-12).tol == 1e-12
+
+
+@pytest.mark.parametrize("call,error,fragment", [
+    (lambda: spectral(np.eye(3)), InputError, "must be 4x4"),
+    (lambda: spectral(0.5 * np.eye(4)), InputError, "no unit eigenvalue"),
+    (lambda: spectral(np.diag([1.0, 1.0, 1.0, 0.5])), InputError, "E|I> = |I> violated"),
+    (lambda: transfer.KrausPair(np.eye(3), np.eye(3)), InputError, "v0 must be 2x2"),
+    (lambda: LocalObservable(np.eye(3)), InputError, "must be 2x2"),
+    (lambda: gates.Gate(np.eye(4), family="nope"), InputError, "unknown gate family"),
+    (lambda: gates.conjugated_gate(gates.identity_gate(), np.eye(3), np.eye(2)),
+     InputError, "rotations must be 2x2"),
+    (lambda: oracle.StateVector(2, np.ones(3) / np.sqrt(3)), InputError,
+     "expected 4 amplitudes"),
+    (lambda: oracle.sweep(gates.identity_gate(), ChainSpec(4), upto=4), InputError,
+     "prefix length 4 outside 0..3"),
+    (lambda: dm.as_matrix(np.ones(3)), InputError, "expected a 2-D matrix"),
+    (lambda: dm.matpow(np.ones((2, 3)), 2), InputError, "square matrix"),
+    (lambda: dm.hermitian_eig(np.ones((2, 3))), InputError, "square matrix"),
+    (lambda: dm.eig_general(np.ones((2, 3))), InputError, "square matrix"),
+    (lambda: dm.mgs_orthonormalize(np.ones((3, 2))), InputError, "numerically dependent"),
+    (lambda: dm.orthonormal_complete(np.ones((2, 3))), InputError, "more columns than rows"),
+    (lambda: site_density_recursion(extract_kraus(gates.identity_gate()), np.eye(3) / 3),
+     InputError, "density matrix must be 2x2"),
+], ids=["spectral-3x3", "spectral-no-unit", "spectral-not-unital", "kraus-3x3",
+        "observable-3x3", "gate-family", "conjugated-3x3", "state-length", "sweep-prefix",
+        "as-matrix-1d", "matpow-non-square", "hermitian-eig-non-square",
+        "eig-general-non-square", "mgs-dependent", "complete-too-many", "density-3x3"])
+def test_library_refusals(call, error, fragment):
+    with pytest.raises(error) as exc:
+        call()
+    assert fragment in str(exc.value)
