@@ -37,7 +37,8 @@ _TERM_SIGN = re.compile(r"(?<=[^eE+-])([+-])")
 
 def _angle_term(token: str, text: str) -> float | None:
     """A decimal or a pi token ('pi', '-pi/4', '3pi/4') in radians, else None.
-    No token is both (float() reads no 'pi'), so the cheap decimal goes first."""
+    No token is both (float() reads no 'pi'), so the cheap decimal goes first.
+    parse_angle calls it only for the terms of a text float() refused."""
     try:
         return float(token)
     except ValueError:
@@ -59,9 +60,15 @@ def _angle_term(token: str, text: str) -> float | None:
 
 def parse_angle(text: str) -> float:
     """Radians as one decimal or pi token, or a sum of them: 'pi', '-pi/4',
-    '3pi/4', 'pi-0.1', '0.7+pi/2-0.1'.  The token splits once at each + or -
-    that is not its first character and does not follow e, E, + or -; each
-    term is parsed once, and the terms add left to right."""
+    '3pi/4', 'pi-0.1', '0.7+pi/2-0.1'.  A text that float() reads is that
+    float: it has no sign outside its exponent, so a split would leave it one
+    term.  Any other token splits once at each + or - that is not its first
+    character and does not follow e, E, + or -; each term is parsed once, and
+    the terms add left to right."""
+    try:
+        return float(text)
+    except ValueError:
+        pass
     parts = _TERM_SIGN.split(text.strip().replace(" ", ""))
     terms = [_angle_term(part, text) for part in parts[::2]]
     if None in terms:

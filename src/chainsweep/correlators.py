@@ -307,9 +307,11 @@ def asymptotic_variance(ts: TransferSet, obs: LocalObservable) -> AsymptoticVari
     product takes the BLAS path of the one-matrix call.  <v|P, <v|P E_A and
     the mean come from _unit_head, and <v|P E_A P and <v|S E_A are formed
     once each; every row is shared and every chain associated left to right.
+    Of E_{A^2} only the column E_{A^2}|I> is read, so only it is dressed
+    (TransferSet.dressed_on_identity).
     """
     ea = ts.dressed(obs.matrix)
-    ea2_i = (ts.dressed(obs.matrix @ obs.matrix) @ VEC_IDENTITY)[..., None]
+    ea2_i = ts.dressed_on_identity(obs.matrix @ obs.matrix)[..., None]
     a = _vec(obs)[..., None]
     pi, s_res = ts.spectrum.projector, ts.spectrum.resolvent
 

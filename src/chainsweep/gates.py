@@ -235,7 +235,10 @@ def load_gate(path, unitarity_tol: float = UNITARITY_TOL) -> Gate:
                 raise ValueError("each [re, im] part must be a finite real number")
             m = np.array([[complex(entry[0], entry[1]) for entry in row] for row in rows],
                          dtype=np.complex128)
-        except (TypeError, IndexError, KeyError, ValueError) as exc:
+        except KeyError:   # an object in place of a pair: the error's text is only the key
+            raise InputError("malformed matrix entries in gate file: each entry must be "
+                             "an [re, im] pair of finite real numbers") from None
+        except (TypeError, IndexError, ValueError) as exc:
             raise InputError(f"malformed matrix entries in gate file: {exc}") from exc
         if m.shape != (4, 4):
             raise InputError(f"gate matrix must be 4x4, got {m.shape}")

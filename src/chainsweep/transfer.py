@@ -209,6 +209,14 @@ class TransferSet:
         """E_A for the 2x2 single-site operator ``a``, bitwise dressed_E."""
         return _dress_terms(self.terms, a)
 
+    def dressed_on_identity(self, a: np.ndarray) -> np.ndarray:
+        """E_A|I> (..., 4), bitwise ``dressed(a) @ VEC_IDENTITY``: only the
+        columns 0 and 3 that vec(I) = |00> + |11> reads are dressed and added.
+        Of the four products matmul forms, two are exact zeros and two exact
+        copies, so its sum too is one rounding of col0 + col3."""
+        cols = _dress_terms(self.terms[..., ::3], a)
+        return cols[..., 0] + cols[..., 1]
+
     @cached_property
     def spectrum(self) -> "SpectralData":
         return spectral(self.e)
@@ -297,7 +305,9 @@ def _resolvent_pair(e: np.ndarray, right: np.ndarray, left: np.ndarray):
 
 
 def _unit_space(e: np.ndarray, u: np.ndarray, vh: np.ndarray, k: int):
-    """(P, S) of E stacked with unit dimension k, from the SVD u, vh of E - I."""
+    """(P, S) of E stacked with unit dimension k, from the SVD u, vh of E - I.
+    A pairing is singular below 1e-10: at k = 1 its 1x1 gram's only singular
+    value |<l|I>|, at k >= 2 the smallest from an SVD of the grams."""
     left = np.swapaxes(u[:, :, 4 - k:].conj(), -1, -2)    # rows l with l E = l
 
     # Canonicalize: first right basis vector is vec(I) exactly; the others
@@ -312,7 +322,9 @@ def _unit_space(e: np.ndarray, u: np.ndarray, vh: np.ndarray, k: int):
         rest = unit - VEC_IDENTITY[:, None] * (VEC_IDENTITY @ unit)[:, None, :] / 2.0
         right = np.concatenate([right, np.linalg.svd(rest)[0][..., :k - 1]], axis=-1)
     gram = left @ right
-    if (np.linalg.svd(gram, compute_uv=False)[:, -1] < 1e-10).any():
+    smallest = (np.abs(gram[:, 0, 0]) if k == 1
+                else np.linalg.svd(gram, compute_uv=False)[:, -1])
+    if (smallest < 1e-10).any():
         raise ConvergenceError("unit-space left/right pairing is singular")
     left = np.linalg.solve(gram, left)
     # One step of iterative refinement against the exact eigenvalue 1,
@@ -327,7 +339,9 @@ def _unit_space(e: np.ndarray, u: np.ndarray, vh: np.ndarray, k: int):
 def spectral(e: np.ndarray, tol: float = UNIT_EIG_TOL) -> SpectralData:
     """Eigenvalues of a transfer matrix, its unit eigenspace from one SVD of
     E - I, and that space's projector and reduced resolvent.  A stack of E is
-    one pass, its unit spaces per unit dimension; any failed element raises."""
+    one pass, its unit spaces one _unit_space pass per unit dimension: a stack
+    whose elements share one unit dimension goes in whole, a mixed one as a
+    masked copy per dimension.  Any failed element raises."""
     e = dm.as_matrix(e, stacked=True)
     if e.shape[-2:] != (4, 4):
         raise InputError("transfer matrix must be 4x4")
@@ -345,10 +359,14 @@ def spectral(e: np.ndarray, tol: float = UNIT_EIG_TOL) -> SpectralData:
     err = dm.max_abs(e @ VEC_IDENTITY - VEC_IDENTITY)
     if err > tol:
         raise InputError(f"transfer invariant E|I> = |I> violated by {err:.3e}")
-    pi, s_res = np.empty_like(e), np.empty_like(e)
-    for dim in set(k.tolist()):
-        at = k == dim
-        pi[at], s_res[at] = _unit_space(e[at], u[at], vh[at], dim)
+    dims = set(k.tolist())
+    if len(dims) == 1:
+        pi, s_res = _unit_space(e, u, vh, dims.pop())
+    else:
+        pi, s_res = np.empty_like(e), np.empty_like(e)
+        for dim in dims:
+            at = k == dim
+            pi[at], s_res[at] = _unit_space(e[at], u[at], vh[at], dim)
     return SpectralData(unit_dim=dm.unbatch(k.reshape(batch)),
                         projector=pi.reshape(batch + (4, 4)),
                         resolvent=s_res.reshape(batch + (4, 4)), tol=tol,

@@ -83,7 +83,9 @@ def _outcome(parse, text):
 _DOC_ANGLES = (["pi", "pi-0.1", "pi-0.2", "pi-0.3", "pi-0.4", "pi/2", "pi-2e-5",
                 "pi/0", "0.3", "0.7", "0.9", "0.4", "0.5", "0.02", "1.5", "-1", "7",
                 "0", "1", "2", "1.0", "1.2", "1.3", "0.0", "0.7+pi/2-0.1"]
-               + [format(x, ".17g") for x in cli.parse_grid("0.02:1.5:75")])
+               + [format(x, ".17g") for x in cli.parse_grid("0.02:1.5:75")]
+               # texts that float() reads whole, and one it refuses
+               + ["1_000", " 0.5 ", "-nan", "Infinity", "1E+2", "\u0661\u0662", "0x1p-2"])
 _PIECES = ["pi", "2", "0.5", ".5", "3pi/4", "pi/2", "2*pi", "pi/0", "1e-5", "1E+2",
            "e", "E", "+", "-", "*", "/", ".", "x", "1", "0", "inf"]
 
@@ -110,6 +112,16 @@ def test_parse_angle_parses_each_term_once(monkeypatch):
     with pytest.raises(InputError):
         cli.parse_angle("-".join(["1x"] * 20))
     assert len(calls) == 20
+
+
+def test_parse_angle_reads_a_float_text_whole(monkeypatch):
+    # a text that float() reads is one float() call, never split into terms
+    calls = []
+    term = cli._angle_term
+    monkeypatch.setattr(cli, "_angle_term", lambda *a: calls.append(a) or term(*a))
+    assert [cli.parse_angle(t) for t in ("0.7", " -1E+2 ", "1_000")] == [0.7, -100.0, 1000.0]
+    assert calls == []
+    assert cli.parse_angle("0.7+pi/2") == 0.7 + np.pi / 2 and len(calls) == 2
 
 
 def test_parse_n_range():
@@ -638,6 +650,9 @@ def test_malformed_gate_file_exit_code(payload, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if payload == {"matrix": [[{}]]}:   # a KeyError's text would be only the key
+        assert captured.err == ("error: malformed matrix entries in gate file: each entry "
+                                "must be an [re, im] pair of finite real numbers\n")
 
 
 def _identity_gate_file(one) -> bytes:

@@ -3,7 +3,7 @@ import pytest
 
 import chainsweep
 from chainsweep import correlators as co, densemat as dm, gates, oracle, transfer
-from chainsweep.errors import InputError
+from chainsweep.errors import ConvergenceError, InputError
 from chainsweep.transfer import (ChainSpec, LocalObservable, VEC_IDENTITY,
                                  boundary_row, build_transfer, check_isometry,
                                  dressed_E, extract_kraus,
@@ -523,9 +523,16 @@ def _mixed_stack():
     return gs, build_transfer(gates.Gate(np.stack([g.matrix for g in gs])), ChainSpec(2)).e
 
 
+def _fig4_transfer_set():
+    # the 75 squeezing gates of fig4's default grid, one stacked transfer set
+    return build_transfer(gates.squeezing_gate(np.linspace(0.02, 1.5, 75)), ChainSpec(2))
+
+
 def test_stacked_spectral_bitwise_equals_per_matrix():
     _, e = _mixed_stack()
-    for stack in (e, e[::-1], np.stack([e, e[[2, 0, 3, 1]]])):
+    fig4 = _fig4_transfer_set().e   # one unit dimension: the stack goes in whole
+    assert np.ravel(spectral(fig4).unit_dim).tolist() == [1] * 75
+    for stack in (e, e[::-1], np.stack([e, e[[2, 0, 3, 1]]]), fig4):
         spec = spectral(stack)
         flat = stack.reshape(-1, 4, 4)
         unit_dims = np.ravel(spec.unit_dim)
@@ -537,6 +544,58 @@ def test_stacked_spectral_bitwise_equals_per_matrix():
                 got = getattr(spec, name).reshape((len(flat),) + getattr(one, name).shape)[i]
                 assert np.array_equal(got, getattr(one, name)), name
     assert sorted(np.ravel(spectral(e).unit_dim).tolist()) == [1, 1, 2, 4]
+
+
+# u of an SVD of E - I whose last two left singular vectors, the left unit
+# vectors for k <= 2, are orthogonal to vec(I): (0, 1, 0, 0) and
+# (1, 0, 0, -1) / sqrt 2
+_R = 1.0 / np.sqrt(2.0)
+_U_ORTHOGONAL = np.array([[_R, 0, 0, _R], [0, 0, 1, 0], [0, 1, 0, 0], [_R, 0, 0, -_R]],
+                         dtype=np.complex128)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_unit_space_refuses_a_singular_pairing(k, monkeypatch):
+    # left unit vectors that miss vec(I) have no biorthonormal pair with
+    # r_0 = vec(I); for k = 1 the pairing is |<l|I>|, with no SVD, and for
+    # k = 2 the smallest singular value of the 2x2 gram, from one SVD
+    e = build_transfer(gates.random_gate(5) if k == 1
+                       else gates.macroscopic_family(0.4, 0.3, 1.1, seed=2), ChainSpec(2)).e
+    assert spectral(e).unit_dim == k
+    u, _, vh = np.linalg.svd(e - np.eye(4))
+    grams, svd = [], np.linalg.svd
+
+    def recording_svd(a, *args, **kw):
+        if kw.get("compute_uv") is False:
+            grams.append(np.shape(a))
+        return svd(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    transfer._unit_space(e[None], u[None], vh[None], k)   # a regular pairing passes
+    for stack in ([_U_ORTHOGONAL], [u, _U_ORTHOGONAL]):   # alone, second of two
+        n = len(stack)
+        with pytest.raises(ConvergenceError, match="pairing is singular"):
+            transfer._unit_space(np.stack([e] * n), np.stack(stack), np.stack([vh] * n), k)
+    assert grams == ([] if k == 1 else [(1, 2, 2), (1, 2, 2), (2, 2, 2)])
+
+
+def test_dressed_on_identity_is_the_closed_dressing():
+    # E_B|I> from columns 0 and 3 of the Kronecker terms is bitwise E_B @ vec(I)
+    rng = np.random.default_rng(32)
+    bloch = LocalObservable.from_bloch(rng.standard_normal((75, 3))).matrix
+    ops = [bloch @ bloch, bloch[0] @ bloch[0], transfer.SIGMA_Z.matrix,
+           rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))]
+    for zero in ([0, 1], [1, 0], [1, 1]):   # exact zero entries
+        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        b[tuple(zero)] = 0.0
+        ops += [b, b.real + 0j, np.diag(np.diag(b))]
+    for seed in list(range(200)) + [None]:
+        ts = (_fig4_transfer_set() if seed is None
+              else build_transfer(gates.random_gate(seed), ChainSpec(2)))
+        for b in ops:
+            got = ts.dressed_on_identity(b)
+            assert np.array_equal(got, ts.dressed(b) @ VEC_IDENTITY)
+            assert got.shape == np.broadcast_shapes(ts.e.shape[:-2], b.shape[:-2]) + (4,)
 
 
 def test_stacked_transfer_equals_per_gate():
