@@ -45,7 +45,7 @@ class Gate:
         if m.shape[-2:] != (4, 4):
             raise InputError(f"gate must be 4x4, got {m.shape}")
         dev = unitarity_deviation(m)
-        if dev > self.tol:
+        if not dev <= self.tol:   # NaN too
             raise InputError(f"gate is not unitary: max deviation {dev:.3e}")
         if self.family not in FAMILIES:
             raise InputError(f"unknown gate family {self.family!r}")
@@ -56,7 +56,8 @@ class Gate:
 
 def unitarity_deviation(m: np.ndarray) -> float:
     m = dm.as_matrix(m, stacked=True)
-    return dm.max_abs(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):   # huge entries: an inf or NaN deviation
+        return dm.max_abs(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1]))
 
 
 def single_gate(gate: Gate) -> Gate:
@@ -154,7 +155,7 @@ def conjugated_gate(g: Gate, r1: np.ndarray, r2: np.ndarray) -> Gate:
         if r.shape != (2, 2):
             raise InputError("rotations must be 2x2")
         dev = unitarity_deviation(r)
-        if dev > UNITARITY_TOL:
+        if not dev <= UNITARITY_TOL:   # NaN too
             raise InputError(f"rotation is not unitary: max deviation {dev:.3e}")
     outer = np.kron(r1, r2)
     m = outer @ g.matrix @ outer.conj().T
@@ -213,7 +214,9 @@ def _json_real(x) -> bool:
 
 
 def load_gate(path, unitarity_tol: float = UNITARITY_TOL) -> Gate:
-    """Read a gate file; a matrix is validated by Gate at ``unitarity_tol``,
+    """Read a gate file: a "family" with "params" of finite real numbers, or a
+    "matrix" of rows whose every entry is an [re, im] pair of finite real
+    numbers, in 4 rows of 4; Gate validates a matrix at ``unitarity_tol``,
     which rejects with the offending maximum deviation in the message."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -229,18 +232,14 @@ def load_gate(path, unitarity_tol: float = UNITARITY_TOL) -> Gate:
         return gate_from_family(payload["family"], params)
     if "matrix" in payload:
         rows = payload["matrix"]
-        try:
-            if not all(_json_real(x) for row in rows for entry in row
-                       for x in (entry[0], entry[1])):
-                raise ValueError("each [re, im] part must be a finite real number")
-            m = np.array([[complex(entry[0], entry[1]) for entry in row] for row in rows],
-                         dtype=np.complex128)
-        except KeyError:   # an object in place of a pair: the error's text is only the key
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+                and all(isinstance(entry, list) and len(entry) == 2 and _json_real(entry[0])
+                        and _json_real(entry[1]) for row in rows for entry in row)):
             raise InputError("malformed matrix entries in gate file: each entry must be "
-                             "an [re, im] pair of finite real numbers") from None
-        except (TypeError, IndexError, ValueError) as exc:
-            raise InputError(f"malformed matrix entries in gate file: {exc}") from exc
-        if m.shape != (4, 4):
-            raise InputError(f"gate matrix must be 4x4, got {m.shape}")
+                             "an [re, im] pair of finite real numbers")
+        if len(rows) != 4 or any(len(row) != 4 for row in rows):
+            raise InputError(f"gate matrix must be 4 rows of 4 entries, got {len(rows)} "
+                             f"rows of lengths {[len(row) for row in rows]}")
+        m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
         return Gate(m, family="custom", tol=unitarity_tol)
     raise InputError("gate file needs a 'family' or 'matrix' key")

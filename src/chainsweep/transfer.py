@@ -69,7 +69,8 @@ class ChainSpec:
     def __post_init__(self):
         object.__setattr__(self, "n", chain_length(self.n, 2))
         c0, c1 = complex(self.c0), complex(self.c1)
-        norm = abs(c0) * abs(c0) + abs(c1) * abs(c1)   # float ** would raise past 1e154
+        # no float ** (raises past 1e154), no abs() (a NaN can raise a stale OverflowError)
+        norm = c0.real * c0.real + c0.imag * c0.imag + c1.real * c1.real + c1.imag * c1.imag
         if not abs(norm - 1.0) <= 1e-12:   # NaN fails too
             raise InputError(f"first-site amplitudes not normalized: |c0|^2+|c1|^2 = {norm}")
         object.__setattr__(self, "c0", c0)
@@ -339,9 +340,9 @@ def _unit_space(e: np.ndarray, u: np.ndarray, vh: np.ndarray, k: int):
 def spectral(e: np.ndarray, tol: float = UNIT_EIG_TOL) -> SpectralData:
     """Eigenvalues of a transfer matrix, its unit eigenspace from one SVD of
     E - I, and that space's projector and reduced resolvent.  A stack of E is
-    one pass, its unit spaces one _unit_space pass per unit dimension: a stack
-    whose elements share one unit dimension goes in whole, a mixed one as a
-    masked copy per dimension.  Any failed element raises."""
+    one pass, its unit spaces one _unit_space pass per unit dimension, over
+    the whole stack when its elements share one unit dimension (no masked
+    copy) and over each dimension's mask otherwise.  Any failed element raises."""
     e = dm.as_matrix(e, stacked=True)
     if e.shape[-2:] != (4, 4):
         raise InputError("transfer matrix must be 4x4")
@@ -360,13 +361,10 @@ def spectral(e: np.ndarray, tol: float = UNIT_EIG_TOL) -> SpectralData:
     if err > tol:
         raise InputError(f"transfer invariant E|I> = |I> violated by {err:.3e}")
     dims = set(k.tolist())
-    if len(dims) == 1:
-        pi, s_res = _unit_space(e, u, vh, dims.pop())
-    else:
-        pi, s_res = np.empty_like(e), np.empty_like(e)
-        for dim in dims:
-            at = k == dim
-            pi[at], s_res[at] = _unit_space(e[at], u[at], vh[at], dim)
+    pi, s_res = np.empty_like(e), np.empty_like(e)
+    for dim in dims:
+        at = slice(None) if len(dims) == 1 else k == dim
+        pi[at], s_res[at] = _unit_space(e[at], u[at], vh[at], dim)
     return SpectralData(unit_dim=dm.unbatch(k.reshape(batch)),
                         projector=pi.reshape(batch + (4, 4)),
                         resolvent=s_res.reshape(batch + (4, 4)), tol=tol,

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -568,6 +569,8 @@ def test_missing_gate_exit_code(capsys):
     ["fig3", "--n-range", "a:b:c"],
     ["fig4", "--chi-t", "0.1:0.2"],
     ["spectrum", "--gate", "weyl", "--params", "1,2"],
+    # a NaN amplitude after one that overflows: abs() of the NaN raised a stale OverflowError
+    ["neff", "--gate", "squeezing", "--params", "0.5", "--c0=nanj", "--c1=1.8e308"],
 ])
 def test_malformed_arguments_exit_code(argv, capsys):
     # rejected with one error line: no traceback, and no 4-vector read as
@@ -635,6 +638,12 @@ def test_gate_file_family_params_exit_code(payload, tmp_path, capsys):
     assert code == 2 and captured.err.startswith("error: ")
 
 
+_ENTRY_LINE = ("error: malformed matrix entries in gate file: each entry must be an "
+               "[re, im] pair of finite real numbers\n")
+_SHAPE_LINE = re.compile(r"error: gate matrix must be 4 rows of 4 entries, "
+                         r"got \d+ rows of lengths \[(\d+(, \d+)*)?\]\n")
+
+
 @pytest.mark.parametrize("payload", [
     [1, 2],                                   # not an object
     {},                                       # neither key
@@ -642,6 +651,19 @@ def test_gate_file_family_params_exit_code(payload, tmp_path, capsys):
     {"matrix": [[{}]]},                       # an entry that is an object
     {"matrix": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
                 [[0, 0], [0, 0], [1, 0]]]},   # 3x3
+    {"matrix": [[[1 if i == j else 0, 0, 5] for j in range(4)]
+                for i in range(4)]},          # [re, im, 5] entries: no pair, never truncated
+    {"matrix": 0.5},                          # a matrix that is no list of rows
+    {"matrix": "abcd"},
+    {"matrix": {"a": 1}},
+    {"matrix": [None]},                       # a row that is no list
+    {"matrix": [1]},
+    {"matrix": [[1.5]]},                      # an entry that is no [re, im] pair
+    {"matrix": [[True]]},
+    {"matrix": [["a"]]},
+    {"matrix": [[[1]]]},
+    {"matrix": [[[1 if i == j else 0, 0] for j in range(4 - (i == 1))]
+                for i in range(4)]},          # rows of lengths 4, 3, 4, 4
 ])
 def test_malformed_gate_file_exit_code(payload, tmp_path, capsys):
     path = tmp_path / "gate.json"
@@ -653,6 +675,8 @@ def test_malformed_gate_file_exit_code(payload, tmp_path, capsys):
     if payload == {"matrix": [[{}]]}:   # a KeyError's text would be only the key
         assert captured.err == ("error: malformed matrix entries in gate file: each entry "
                                 "must be an [re, im] pair of finite real numbers\n")
+    if isinstance(payload, dict) and "matrix" in payload:   # one rule line, no Python text
+        assert captured.err == _ENTRY_LINE or _SHAPE_LINE.fullmatch(captured.err)
 
 
 def _identity_gate_file(one) -> bytes:
@@ -663,23 +687,26 @@ def _identity_gate_file(one) -> bytes:
 
 @pytest.mark.parametrize("case", ["gate-file-not-utf8", "out-missing-dir", "out-is-dir",
                                   "gate-file-long-int", "gate-file-matrix-long-int",
-                                  "gate-file-matrix-bool"])
+                                  "gate-file-matrix-bool", "gate-file-matrix-huge"])
 def test_unreadable_gate_file_or_unwritable_out_exit_code(case, tmp_path, capsys):
     # refused with one error line, not a traceback; the out cases write nothing.
     # json.load raises a ValueError that is no JSONDecodeError for bytes that
     # are not UTF-8 and for an integer past Python's 4300-digit conversion limit.
     # Matrix entries follow the params rule: a 401-digit integer, which no
-    # float holds, and a JSON true, which is no number, are refused
+    # float holds, and a JSON true, which is no number, are refused; a 1e308
+    # entry is refused by its infinite unitarity deviation, with no overflow warning
     gate_file = tmp_path / "gate.json"
     gate_file.write_bytes({
         "gate-file-not-utf8": b"\xff\xfe{}",
         "gate-file-matrix-long-int": _identity_gate_file(10 ** 400),
         "gate-file-matrix-bool": _identity_gate_file(True),
+        "gate-file-matrix-huge": _identity_gate_file(1e308),
     }.get(case, b'{"family": "squeezing", "params": [' + b"1" * 5000 + b"]}"))
     argv = {"gate-file-not-utf8": ["spectrum", "--gate-file", str(gate_file)],
             "gate-file-long-int": ["spectrum", "--gate-file", str(gate_file)],
             "gate-file-matrix-long-int": ["spectrum", "--gate-file", str(gate_file)],
             "gate-file-matrix-bool": ["spectrum", "--gate-file", str(gate_file)],
+            "gate-file-matrix-huge": ["spectrum", "--gate-file", str(gate_file)],
             "out-missing-dir": ["fig4", "--out", str(tmp_path / "missing" / "fig4.csv")],
             "out-is-dir": ["fig4", "--out", str(tmp_path)]}[case]
     code = cli.main(argv)
