@@ -28,6 +28,7 @@ OUT_DIR_ENV = "CHAINSWEEP_OUT_DIR"
 # nearest neighbours (m, m + 1) above it.
 PAIR_CAP = 32
 CORRELATE_MAX_N = 10 ** 6   # correlate's longest chain, checked before any allocation
+ORACLE_MAX_COUNT = 10 ** 4   # oracle-check's most gates, checked before any is built
 
 _PI_TOKEN = re.compile(
     r"^(?P<sign>[+-])?(?P<coeff>\d+\.?\d*|\.\d+)?\*?pi(?:/(?P<den>\d+\.?\d*))?$",
@@ -276,6 +277,8 @@ def cmd_correlate(args) -> int:
 def cmd_oracle_check(args) -> int:
     if args.count < 1:
         raise InputError(f"--count must be positive, got {args.count}")
+    if args.count > ORACLE_MAX_COUNT:
+        raise InputError(f"--count must be at most {ORACLE_MAX_COUNT}, got {args.count}")
     if args.n > oracle.DEFAULT_CAP:
         raise InputError(f"--n must be at most {oracle.DEFAULT_CAP}, got {args.n}")
     gates = [random_gate(args.seed + k) for k in range(args.count)]
@@ -383,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="transfer formulas vs state-vector oracle on random gates")
     p.add_argument("--n", type=int, default=8, help="chain length (<= 16)")
     p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--count", type=int, default=20, help="number of random gates")
+    p.add_argument("--count", type=int, default=20,
+                   help=f"number of random gates, at most {ORACLE_MAX_COUNT}")
     add_common(p)
     p.set_defaults(func=cmd_oracle_check)
 

@@ -265,9 +265,12 @@ class SpectralData:
     reduced resolvent; filled once by :func:`spectral`.  A stack of E of batch
     shape b gives b-stacked fields; for one E, ``unit_dim`` is an int.
 
-    ``values`` are all four eigenvalues from LAPACK in the order of
-    :func:`chainsweep.densemat.eigenvalue_order`, sorted on first read;
-    :func:`spectral` runs ``eigvals`` and the unit-disk check.  ``unit_dim`` is the number
+    ``values`` are all four eigenvalues from LAPACK ``eigvals`` in the order
+    of :func:`chainsweep.densemat.eigenvalue_order`, sorted on first read.
+    Where :func:`spectral` needed them for its unit-disk check they were
+    computed there and are reused; otherwise ``eigvals`` runs on the kept
+    read-only stack of E at that first read, the same call on the same
+    input, so the values are bitwise those of an eager call.  ``unit_dim`` is the number
     of singular values of E - I at or below the unit tolerance.  E is a
     unital CP map, so its unit eigenvalue is semisimple and that null space
     is its whole eigenspace.  ``projector`` is P = sum_i |r_i><l_i| over
@@ -282,7 +285,8 @@ class SpectralData:
     projector: np.ndarray
     resolvent: np.ndarray
     tol: float
-    _eigvals: np.ndarray
+    _e: np.ndarray              # the (n, 4, 4) stack of E, read-only if _eigvals is None
+    _eigvals: np.ndarray | None   # eigvals(_e), if the unit-disk check ran it
     _scale: np.ndarray
 
     def __post_init__(self):
@@ -291,7 +295,8 @@ class SpectralData:
 
     @cached_property
     def values(self) -> np.ndarray:
-        values = dm.sort_eigenvalues(self._eigvals, self._scale)
+        lam = np.linalg.eigvals(self._e) if self._eigvals is None else self._eigvals
+        values = dm.sort_eigenvalues(lam.reshape(self._scale.shape + (4,)), self._scale)
         values.setflags(write=False)
         return values
 
@@ -342,15 +347,30 @@ def spectral(e: np.ndarray, tol: float = UNIT_EIG_TOL) -> SpectralData:
     E - I, and that space's projector and reduced resolvent.  A stack of E is
     one pass, its unit spaces one _unit_space pass per unit dimension, over
     the whole stack when its elements share one unit dimension (no masked
-    copy) and over each dimension's mask otherwise.  Any failed element raises."""
+    copy) and over each dimension's mask otherwise.  Any failed element raises.
+
+    An eigenvalue of modulus above 1 + 1e-10 raises ``InputError``.  Every
+    induced norm bounds the spectral radius, rho(E) <= ||E||_inf, the largest
+    absolute row sum (Horn & Johnson, Matrix Analysis, Thm 5.6.9), and a
+    unital channel's sits at 1 + O(eps) for the squeezing and Weyl gates.
+    Where that bound is at most 1 + 1e-10 the disk is proven and ``eigvals``
+    waits for the first read of ``values``; otherwise it runs here for the
+    check, and ``values`` reuses its result."""
     e = dm.as_matrix(e, stacked=True)
     if e.shape[-2:] != (4, 4):
         raise InputError("transfer matrix must be 4x4")
     batch, e = e.shape[:-2], e.reshape(-1, 4, 4)
-    values = np.linalg.eigvals(e)
-    moduli = np.abs(values)
-    if (moduli > 1.0 + 1e-10).any():
-        raise InputError(f"transfer spectrum leaves the unit disk: max |lambda| = {moduli.max()}")
+    mag = np.abs(e)
+    values = None   # eigvals waits for the first read of ``values``
+    if mag.sum(-1).max(initial=0.0) > 1.0 + 1e-10:
+        values = np.linalg.eigvals(e)
+        moduli = np.abs(values)
+        if (moduli > 1.0 + 1e-10).any():
+            raise InputError(f"transfer spectrum leaves the unit disk: "
+                             f"max |lambda| = {moduli.max()}")
+    elif e.flags.writeable:   # the caller's array: keep what eigvals will read
+        e = e.copy()
+        e.setflags(write=False)
 
     u, sv, vh = np.linalg.svd(e - np.eye(4))
     k = np.sum(sv <= tol, axis=-1)
@@ -368,8 +388,7 @@ def spectral(e: np.ndarray, tol: float = UNIT_EIG_TOL) -> SpectralData:
     return SpectralData(unit_dim=dm.unbatch(k.reshape(batch)),
                         projector=pi.reshape(batch + (4, 4)),
                         resolvent=s_res.reshape(batch + (4, 4)), tol=tol,
-                        _eigvals=values.reshape(batch + (4,)),
-                        _scale=np.abs(e).max(axis=(1, 2)).reshape(batch))
+                        _e=e, _eigvals=values, _scale=mag.max(axis=(1, 2)).reshape(batch))
 
 
 def site_density_recursion(kraus: KrausPair, rho_prev: np.ndarray) -> np.ndarray:

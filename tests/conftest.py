@@ -19,3 +19,17 @@ def csv_row():
     """One CSV row by the CLI's cell rules: None empty, a flag 0/1, an int
     plainly, a float to 17 significant digits, anything else as str."""
     return lambda *cells: ",".join(_cell(value) for value in cells)
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """The shape of every ``np.linalg.eigvals`` argument from here on, in call
+    order; the call itself runs unchanged."""
+    calls, eigvals = [], np.linalg.eigvals
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return calls

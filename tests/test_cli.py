@@ -351,6 +351,23 @@ def test_oracle_check_fails_at_absurd_tolerance(capsys):
     assert code == 3
 
 
+def test_oracle_check_count_cap_builds_no_gate(capsys, monkeypatch):
+    # a --count past the cap is refused before the first random gate is
+    # built, and --help states the cap
+    def forbidden(seed):
+        raise AssertionError("random gate built for a refused --count")
+
+    monkeypatch.setattr(cli, "random_gate", forbidden)
+    cap = cli.ORACLE_MAX_COUNT
+    code = cli.main(["oracle-check", "--count", str(cap + 1)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: --count must be at most {cap}, got {cap + 1}\n"
+    with pytest.raises(SystemExit):
+        cli.main(["oracle-check", "--help"])
+    assert f"number of random gates, at most {cap}" in " ".join(capsys.readouterr().out.split())
+
+
 # ---------------------------------------------------------------------------
 # CSV format: every row is the library values, formatted cell by cell
 # ---------------------------------------------------------------------------

@@ -96,8 +96,9 @@ def test_hot_paths_do_not_call_general_eigensolver(monkeypatch, tmp_path, capsys
 
 
 def test_fig4_and_asymptotic_variance_never_sort_eigenvalues(monkeypatch, capsys):
-    # spectral runs eigvals at once but sorts only when ``values`` is read,
-    # and neither the fig4 pass nor the asymptotic coefficients read it
+    # spectral sorts (and, where ||E||_inf <= 1 + 1e-10 proves the unit
+    # disk, runs eigvals) only when ``values`` is read, and neither the fig4
+    # pass nor the asymptotic coefficients read it
     def forbidden(*args, **kwargs):
         raise AssertionError("densemat.eigenvalue_order called")
 
@@ -111,6 +112,25 @@ def test_fig4_and_asymptotic_variance_never_sort_eigenvalues(monkeypatch, capsys
         co.asymptotic_variance(ts, LocalObservable.from_bloch([0.36, 0.48, 0.8]))
         with pytest.raises(AssertionError, match="eigenvalue_order"):
             ts.spectrum.values
+
+
+def test_fig4_makes_no_eigvals_call_and_spectrum_makes_one(eigvals_calls, tmp_path, capsys):
+    # every squeezing E has ||E||_inf = 1 + O(eps), which proves the unit
+    # disk, so the fig4 pass never runs eigvals; spectrum prints the values,
+    # from one call either way: lazily for the squeezing gate, eagerly for the
+    # unit-disk check of a random gate (row sums above 1), and reused
+    assert len(sq.fig4_curve(np.linspace(0.02, 1.5, 75))) == 75
+    assert cli.main(["fig4"]) == 0
+    assert eigvals_calls == []
+    assert cli.main(["spectrum", "--gate", "squeezing", "--params", "0.6"]) == 0
+    assert eigvals_calls == [(1, 4, 4)]
+    gate = gates.random_gate(3)
+    assert np.abs(build_transfer(gate, ChainSpec(2)).e).sum(-1).max() > 1.0 + 1e-10
+    path = tmp_path / "random.json"
+    gates.save_gate(gate, path)
+    assert cli.main(["spectrum", "--gate-file", str(path)]) == 0
+    assert eigvals_calls == [(1, 4, 4)] * 2
+    capsys.readouterr()
 
 
 def test_neff_optimize_reports_z_when_form_is_rounding_noise():

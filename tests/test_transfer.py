@@ -707,6 +707,75 @@ def test_transfer_set_spectrum_is_lazy_and_cached(monkeypatch):
     assert spectral(ts.e, tol=1e-12).tol == 1e-12
 
 
+def _lazy_spectrum_gates():
+    # random gates take the eager path (||E||_inf about 1.3 to 2), Weyl and
+    # squeezing gates the proven one (1 + O(eps)), the family gates both
+    return ([gates.random_gate(seed) for seed in range(100)]
+            + [gates.macroscopic_family(0.3 + 0.1 * s, 1.0, 2.0 - 0.2 * s, seed=s)
+               for s in range(5)]
+            + [gates.macroscopic_family(0.4, 0.0, 0.0, seed=3)]
+            + [gates.weyl_gate(a, np.pi / 2, np.pi / 2) for a in np.linspace(0, np.pi, 10)]
+            + [gates.weyl_gate(*np.random.default_rng(s).uniform(0, np.pi, 3))
+               for s in range(10)]
+            + [gates.squeezing_gate(chi_t) for chi_t in (0.0, 0.6, 1.5)])
+
+
+def _sorted_lapack(e):
+    # what an eager spectral reported: one eigvals call on E, sorted at max|e|
+    return dm.sort_eigenvalues(np.linalg.eigvals(e), np.abs(e).max(axis=(-2, -1)))
+
+
+def test_spectral_values_are_the_sorted_lapack_values():
+    es = [build_transfer(g, ChainSpec(2)).e for g in _lazy_spectrum_gates()]
+    for e in es + [_fig4_transfer_set().e, _mixed_stack()[1], np.stack(es)]:
+        assert np.array_equal(spectral(e).values, _sorted_lapack(e))
+
+
+def test_spectral_runs_eigvals_once_where_the_row_sum_bound_fails(eigvals_calls):
+    # rho(E) <= ||E||_inf: where the largest absolute row sum is at most
+    # 1 + 1e-10, the unit disk needs no eigenvalue and eigvals waits for the
+    # first read of values; otherwise the check runs it and values reuses it
+    proven = []
+    for g in _lazy_spectrum_gates():
+        e = build_transfer(g, ChainSpec(2)).e
+        proven.append(np.abs(e).sum(-1).max() <= 1.0 + 1e-10)
+        eigvals_calls.clear()
+        spec = spectral(e)
+        assert len(eigvals_calls) == (0 if proven[-1] else 1)
+        assert spec.values is spec.values
+        assert eigvals_calls == [(1, 4, 4)]
+    assert proven[:105] == [False] * 105 and all(proven[106:])
+    eigvals_calls.clear()
+    spec = spectral(_fig4_transfer_set().e)
+    spec.values, spec.values
+    assert eigvals_calls == [(75, 4, 4)]
+
+
+def test_row_sum_bound_keeps_computed_moduli_in_the_unit_disk():
+    # seeded complex 4x4 matrices with every row sum of |e_ij| in
+    # [1 - 1e-6, 1 + 1e-10], dense or near-diagonal with unimodular-phase
+    # diagonals (moduli near their row sums): no computed modulus passes
+    # the check's 1 + 1e-10, so the bound skips no eigvals that would raise
+    rng = np.random.default_rng(34)
+    for off in (1.0, 1e-3, 1e-8):
+        m = rng.standard_normal((2000, 4, 4)) + 1j * rng.standard_normal((2000, 4, 4))
+        m = off * m + np.exp(2j * np.pi * rng.random((2000, 4)))[..., None] * np.eye(4)
+        target = rng.uniform(1.0 - 1e-6, 1.0 + 1e-10, (2000, 4))
+        m *= (target / np.abs(m).sum(-1))[..., None]
+        assert np.abs(m).sum(-1).max() <= 1.0 + 1e-10
+        assert np.abs(np.linalg.eigvals(m)).max() <= 1.0 + 1e-10
+
+
+def test_spectral_keeps_the_matrix_its_values_are_read_from():
+    # the proven path reads eigvals later: a writable input is copied, so
+    # writing to it after spectral does not change the values
+    e = np.array(build_transfer(gates.squeezing_gate(0.6), ChainSpec(2)).e)
+    want = _sorted_lapack(e)
+    spec = spectral(e)
+    e[...] = 0.0
+    assert np.array_equal(spec.values, want)
+
+
 @pytest.mark.parametrize("call,error,fragment", [
     (lambda: spectral(np.eye(3)), InputError, "must be 4x4"),
     (lambda: spectral(0.5 * np.eye(4)), InputError, "no unit eigenvalue"),
